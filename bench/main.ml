@@ -374,12 +374,13 @@ let ablation_wal corpus =
       let store = Tree_store.open_store ~config disk in
       let commits = ref 0 in
       let checkpoint () =
-        Tree_store.checkpoint store;
+        Tree_store.sync store;
         incr commits
       in
       List.iteri
         (fun i play ->
-          ignore (Loader.load store ~name:(Printf.sprintf "play-%d" i) play);
+          let name = Printf.sprintf "play-%d" i in
+          Tree_store.autocommit store ~doc:name (fun () -> ignore (Loader.load store ~name play));
           if (i + 1) mod every = 0 then checkpoint ())
         corpus;
       if plays mod every <> 0 then checkpoint ();

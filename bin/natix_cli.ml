@@ -142,7 +142,7 @@ let load_cmd =
     Term.(const run $ store_arg $ doc_arg 1 $ xml_arg $ page_size_arg $ order_arg $ stream)
 
 let bulkload_cmd =
-  let run store_path xml_paths page_size jobs txn =
+  let run store_path xml_paths page_size jobs =
     (* Document names derive from basenames, so dir1/a.xml and dir2/a.xml
        would silently collide on "a"; refuse upfront with the offending
        paths instead of surfacing a confusing per-document store error. *)
@@ -168,10 +168,7 @@ let bulkload_cmd =
       open_session ~create_page_size:page_size ~index:Document_manager.Maintain store_path
     in
     let files = List.map (fun (name, p) -> (name, read_file p)) named in
-    let outcome =
-      if txn then Natix.Session.load_files_txn ~jobs sess files
-      else Natix.Session.load_files ~jobs sess files
-    in
+    let outcome = Natix.Session.load_files_txn ~jobs sess files in
     let failed = ref None in
     List.iter2
       (fun (name, _) result ->
@@ -192,23 +189,14 @@ let bulkload_cmd =
   let xml_args =
     Arg.(non_empty & pos_right 0 file [] & info [] ~docv:"FILE" ~doc:"XML files to load.")
   in
-  let txn_arg =
-    Arg.(
-      value & flag
-      & info [ "txn" ]
-          ~doc:
-            "Commit each document as an ARIES transaction through the group-commit daemon \
-             instead of a store-wide checkpoint: commit fsyncs from parallel workers batch \
-             instead of serialising.")
-  in
   Cmd.v
     (Cmd.info "bulkload"
        ~doc:
-         "Load many XML files in one go, each as a document named after its basename.  With \
-          --jobs > 1 files parse on parallel worker domains while store commits stay \
-          serialised, one WAL batch per document ($(b,--txn) commits them as overlapping \
-          transactions instead).")
-    Term.(const run $ store_arg $ xml_args $ page_size_arg $ jobs_arg $ txn_arg)
+         "Load many XML files in one go, each as a document named after its basename and \
+          committed as one transaction in its own allocation arena.  With --jobs > 1 files \
+          parse and load on parallel worker domains, and the group-commit daemon batches \
+          their commit fsyncs.")
+    Term.(const run $ store_arg $ xml_args $ page_size_arg $ jobs_arg)
 
 let list_cmd =
   let run store_path =

@@ -6,7 +6,6 @@ type t = {
   matrix : Split_matrix.t;
   merge_threshold : float;
   standalone_first_fit : bool;
-  wal : bool;
   commit_delay : float;
   read_retries : int;
   read_ahead : int;
@@ -24,7 +23,6 @@ let default () =
     matrix = Split_matrix.native ();
     merge_threshold = 0.5;
     standalone_first_fit = false;
-    wal = true;
     commit_delay = 0.;
     read_retries = 3;
     read_ahead = 0;

@@ -25,12 +25,6 @@ type t = {
           (NATIX-style forward scan); [true] first-fits them anywhere,
           like the generic record managers of metamodeling systems —
           the evaluation's 1:1 configuration uses [true]. *)
-  wal : bool;
-      (** Crash safety for file-backed stores: run recovery on open and
-          protect every page write-back with a write-ahead log, making
-          [Tree_store.sync] a durable checkpoint.  [true] by default; no
-          effect on in-memory stores.  Disabling trades crash safety for
-          less write amplification. *)
   commit_delay : float;
       (** Group-commit batching window in milliseconds: a commit leader
           waits this long before forcing the log, so concurrent committers

@@ -58,7 +58,7 @@ let checkpoint t =
       (* Flush pending index postings first so the durable state is the
          coherent pair (documents, index). *)
       Option.iter Element_index.refresh t.index;
-      Tree_store.checkpoint t.store)
+      Tree_store.sync t.store)
 
 (* Per-document durability (see {!Tree_store.sync_document}): flushes just
    this document's pages, never blocked by a writer on another document.
@@ -67,7 +67,23 @@ let checkpoint t =
 let checkpoint_document t doc =
   in_context t ~doc ~phase:"checkpoint" (fun () -> Tree_store.sync_document t.store doc)
 
-let save_catalog t = Catalog.save (Tree_store.record_manager t.store) (Tree_store.catalog t.store)
+(* [run] is a transaction entry point; a typed failure raised before [f]
+   starts — a name that is taken or missing, a poisoned store — wrote
+   nothing and comes back as [Error].  Failures from inside [f] still
+   raise, as they poison the store. *)
+let before_start run f =
+  let started = ref false in
+  match
+    run (fun () ->
+        started := true;
+        f ())
+  with
+  | r -> Ok r
+  | exception Error.Error e when not !started -> Error e
+
+(* Every write runs as one transaction: its own (autocommit) unless the
+   caller is already in one. *)
+let write t ~doc ?expect f = before_start (Tree_store.autocommit t.store ~doc ?expect) f
 
 let store_document t ~name ?dtd ?(infer_dtd = false) ?order xml =
   let dtd = match dtd with Some _ -> dtd | None -> if infer_dtd then Some (Dtd.infer ~name xml) else None in
@@ -76,40 +92,26 @@ let store_document t ~name ?dtd ?(infer_dtd = false) ?order xml =
   | Error detail -> Error (Error.Validation { doc = name; detail })
   | Ok () ->
     in_context t ~doc:name ~phase:"load" (fun () ->
-        let root = Loader.load t.store ~name ?order xml in
-        (match dtd with
-        | Some d ->
-          (* Journalled inside a transaction (durable with its commit);
-             saved eagerly only for unscoped loads. *)
-          Tree_store.meta_put t.store (dtd_key name) (Dtd.encode d);
-          if not (Tree_store.in_transaction t.store) then save_catalog t
-        | None -> ());
-        Option.iter Element_index.refresh t.index;
-        Stats.record_page_hint t.store name;
-        Ok root)
+        write t ~doc:name ~expect:`Absent (fun () ->
+            let root = Loader.load t.store ~name ?order xml in
+            Option.iter
+              (fun d ->
+                Tree_store.meta_put t.store (dtd_key name) (Dtd.encode d);
+                Tree_store.save_catalog_if_unlogged t.store)
+              dtd;
+            Option.iter Element_index.refresh t.index;
+            Stats.record_page_hint t.store name;
+            root))
 
-(* One document, one WAL batch: load then immediately checkpoint, so the
-   batch covering exactly this document commits before the call returns.
-   This is the unit of atomicity [Natix_par.Par.load_files] relies on —
-   the parallel loader serialises calls to this function under its commit
-   lock, and a crash between two calls loses at most the document whose
-   checkpoint had not yet committed. *)
-let store_committed t ~name ?dtd ?infer_dtd ?order xml =
-  match store_document t ~name ?dtd ?infer_dtd ?order xml with
-  | Error _ as e -> e
-  | Ok root ->
-    checkpoint t;
-    Ok root
-
-(* One document, one transaction: the load's page writes are logged as
-   redo+undo update records under a fresh transaction id and committed
-   through the group-commit daemon.  Unlike [store_committed] there is no
-   store-wide checkpoint, so concurrent transactional loaders batch their
-   commit fsyncs instead of serialising full pool flushes — the document
-   latch inside [Tree_store.with_txn] is the only per-document serialiser. *)
+(* One document, one explicit transaction: the document gets a private
+   allocation arena, so concurrent loaders on different documents run
+   their mutation phases in parallel and batch their commit fsyncs in the
+   group-commit daemon — the document latch inside [Tree_store.with_txn]
+   is the only per-document serialiser. *)
 let store_transactional t ~name ?dtd ?infer_dtd ?order xml =
-  Tree_store.with_txn t.store ~doc:name (fun () ->
-      store_document t ~name ?dtd ?infer_dtd ?order xml)
+  Result.join
+    (before_start (Tree_store.with_txn t.store ~doc:name ~expect:`Absent) (fun () ->
+         store_document t ~name ?dtd ?infer_dtd ?order xml))
 
 let document_dtd t doc = Option.map Dtd.decode (Tree_store.meta_find t.store (dtd_key doc))
 
@@ -175,18 +177,20 @@ let insert_fragment t ~doc point xml =
     | Error _ as e -> e
     | Ok () ->
       in_context t ~doc ~phase:"update" (fun () ->
-          let node = Loader.insert_fragment t.store point xml in
-          Option.iter Element_index.refresh t.index;
-          Stats.record_page_hint t.store doc;
-          Ok node))
+          write t ~doc (fun () ->
+              let node = Loader.insert_fragment t.store point xml in
+              Option.iter Element_index.refresh t.index;
+              Stats.record_page_hint t.store doc;
+              node)))
 
 let delete_document t doc =
   in_context t ~doc ~phase:"delete" (fun () ->
-      Tree_store.delete_document t.store doc;
-      Tree_store.meta_remove t.store (dtd_key doc);
-      Stats.drop_page_hint t.store doc;
-      if not (Tree_store.in_transaction t.store) then save_catalog t;
-      Option.iter Element_index.refresh t.index)
+      Tree_store.autocommit t.store ~doc ~expect:`Present (fun () ->
+          Tree_store.delete_document t.store doc;
+          Tree_store.meta_remove t.store (dtd_key doc);
+          Stats.drop_page_hint t.store doc;
+          Tree_store.save_catalog_if_unlogged t.store;
+          Option.iter Element_index.refresh t.index))
 
 let elements_named t name =
   match (t.index, Natix_util.Name_pool.find (Tree_store.names t.store) name) with

@@ -42,9 +42,10 @@ val index : t -> Element_index.t option
     explain why a plan is navigation-only. *)
 val stale_index_skipped : t -> bool
 
-(** Durable checkpoint: flush pending element-index updates, then
-    {!Tree_store.checkpoint} (catalog save, buffer flush, WAL commit).
-    After it returns, a crash recovers to exactly this state. *)
+(** Durable checkpoint: fold pending element-index updates (a
+    transaction of its own when any are pending), then {!Tree_store.sync}
+    (catalog save, buffer flush, WAL truncation).  After it returns, a
+    crash recovers to exactly this state. *)
 val checkpoint : t -> unit
 
 (** Per-document durability (see {!Tree_store.sync_document}): flush just
@@ -56,8 +57,12 @@ val checkpoint_document : t -> string -> unit
 
 (** [store_document t ~name ?dtd ?order xml] validates [xml] against [dtd]
     when given (or [infer]s one when [infer_dtd] is set), loads it, and
-    persists the DTD with the document.  Returns the root handle or the
-    validation error. *)
+    persists the DTD with the document.  On a file-backed store the load
+    is one transaction ({!Tree_store.autocommit}: its own, unless the
+    caller is in one), and the document stays in the shared arena.
+    Returns the root handle, the validation error, or a [Storage] error
+    when [name] is already taken (checked under the document latch,
+    before anything is written). *)
 val store_document :
   t ->
   name:string ->
@@ -67,28 +72,14 @@ val store_document :
   Natix_xml.Xml_tree.t ->
   (Phys_node.t, Error.t) result
 
-(** [store_committed] is {!store_document} followed by {!checkpoint} on
-    success: the WAL batch covering exactly this document commits before
-    the call returns, so a later crash cannot take the document with it.
-    The parallel bulk loader serialises its per-document commits through
-    this entry point. *)
-val store_committed :
-  t ->
-  name:string ->
-  ?dtd:Natix_xml.Dtd.t ->
-  ?infer_dtd:bool ->
-  ?order:Loader.order ->
-  Natix_xml.Xml_tree.t ->
-  (Phys_node.t, Error.t) result
-
 (** [store_transactional] is {!store_document} wrapped in
-    {!Tree_store.with_txn} on the target document: the load commits as one
-    ARIES transaction through the group-commit daemon, so concurrent
-    loaders on different documents batch their commit fsyncs rather than
-    serialising store-wide checkpoints.  Same atomicity guarantee as
-    {!store_committed}: after the call returns, a crash cannot take the
-    document with it; a crash mid-call loses it entirely, never partially.
-    @raise Error.Error if the store is poisoned or has no write-ahead log. *)
+    {!Tree_store.with_txn} on the target document: the document gets a
+    private allocation arena, so concurrent loaders on different
+    documents overlap their mutation phases and batch their commit fsyncs
+    in the group-commit daemon.  After the call returns, a crash cannot
+    take the document with it; a crash mid-call loses it entirely, never
+    partially.  A taken name, a poisoned store or a store without a
+    write-ahead log come back as [Error (Storage _)]. *)
 val store_transactional :
   t ->
   name:string ->
@@ -107,7 +98,8 @@ val validate : t -> string -> (unit, Error.t) result
 
 (** [insert_fragment t ~doc point xml] validates the fragment against the
     document's DTD (it must fit the DTD on its own; the insertion point's
-    parent must allow the fragment's root element), then grafts it. *)
+    parent must allow the fragment's root element), then grafts it — one
+    transaction on a file-backed store, like {!store_document}. *)
 val insert_fragment :
   t ->
   doc:string ->
@@ -115,7 +107,10 @@ val insert_fragment :
   Natix_xml.Xml_tree.t ->
   (Phys_node.t, Error.t) result
 
-(** Delete a document together with its DTD registration. *)
+(** Delete a document together with its DTD registration — one
+    transaction on a file-backed store, like {!store_document}.
+    @raise Error.Error with [Storage _] when there is no such document
+    (checked before anything is written). *)
 val delete_document : t -> string -> unit
 
 (** All elements with the given name, across all documents, via the index

@@ -85,16 +85,21 @@ let attach t =
 let create store ~name =
   if persisted store ~name then
     invalid_arg (Printf.sprintf "Element_index.create: index %S exists" name);
-  let tree = Btree.create (Tree_store.record_manager store) in
-  Tree_store.meta_put store (meta_key name) (rid8 (Btree.root tree));
-  (* An empty index is consistent with an empty store; on a store that
-     already holds documents it is stale until the caller rebuilds. *)
-  let in_sync = Tree_store.list_documents store = [] in
   let t =
-    { store; tree; name; pending_changes = Rid.Tbl.create 64; pending_lock = Mutex.create (); in_sync }
+    Tree_store.autocommit store (fun () ->
+        let tree = Btree.create (Tree_store.record_manager store) in
+        Tree_store.meta_put store (meta_key name) (rid8 (Btree.root tree));
+        (* An empty index is consistent with an empty store; on a store
+           that already holds documents it is stale until the caller
+           rebuilds. *)
+        let in_sync = Tree_store.list_documents store = [] in
+        let t =
+          { store; tree; name; pending_changes = Rid.Tbl.create 64; pending_lock = Mutex.create (); in_sync }
+        in
+        if in_sync then stamp_epoch t;
+        Tree_store.save_catalog_if_unlogged store;
+        t)
   in
-  if in_sync then stamp_epoch t;
-  Catalog.save (Tree_store.record_manager store) (Tree_store.catalog store);
   attach t;
   t
 
@@ -185,43 +190,41 @@ let apply_record ?(live = true) t rid =
       Btree.insert t.tree ~key:(rev_key rid label) ~value:(count8 c))
     current
 
-let refresh t =
-  (* Folding postings writes the B+-tree's shared-arena pages, which no
-     transaction may touch outside its serialised commit section — and
-     pending entries can describe records an in-flight transaction is
-     still rewriting.  While any transaction is active the fold is
-     deferred (the pending table keeps accumulating); the next refresh
-     on a quiet store — at the latest, the one inside [checkpoint] —
-     folds everything. *)
-  if Tree_store.active_txns t.store = 0 && not (Tree_store.in_transaction t.store) then begin
-    let rids =
-      with_pending t (fun () ->
-          let rids = Rid.Tbl.fold (fun rid ev acc -> (rid, ev) :: acc) t.pending_changes [] in
-          Rid.Tbl.reset t.pending_changes;
-          rids)
-    in
-    List.iter
-      (fun (rid, ev) -> apply_record ~live:(ev = Tree_store.Changed) t rid)
-      rids;
-    (* Only a synced index may advance its stamp: pending changes cover
-       everything since the last stamp, but not changes from before this
-       handle was attached. *)
-    if t.in_sync then stamp_epoch t
-  end
-
 let pending t = with_pending t (fun () -> Rid.Tbl.length t.pending_changes)
 
+let refresh t =
+  (* Folding postings writes the B+-tree's shared-arena pages — and
+     pending entries can describe records another in-flight transaction
+     is still rewriting.  So the fold runs only while no other writer is
+     in flight; otherwise it is deferred (the pending table keeps
+     accumulating) to the next refresh on a quiet store — at the latest,
+     the one inside [checkpoint].  Nothing pending, nothing written. *)
+  if pending t > 0 then
+    Tree_store.when_exclusive t.store (fun () ->
+        let rids =
+          with_pending t (fun () ->
+              let rids = Rid.Tbl.fold (fun rid ev acc -> (rid, ev) :: acc) t.pending_changes [] in
+              Rid.Tbl.reset t.pending_changes;
+              rids)
+        in
+        List.iter (fun (rid, ev) -> apply_record ~live:(ev = Tree_store.Changed) t rid) rids;
+        (* Only a synced index may advance its stamp: pending changes
+           cover everything since the last stamp, but not changes from
+           before this handle was attached. *)
+        if t.in_sync then stamp_epoch t)
+
 let rebuild t =
-  with_pending t (fun () -> Rid.Tbl.reset t.pending_changes);
-  Btree.clear t.tree;
-  List.iter
-    (fun doc ->
-      match Tree_store.document_rid t.store doc with
-      | None -> ()
-      | Some rid -> Tree_store.iter_records t.store rid (fun rid _root _ -> apply_record t rid))
-    (Tree_store.list_documents t.store);
-  t.in_sync <- true;
-  stamp_epoch t
+  Tree_store.autocommit t.store (fun () ->
+      with_pending t (fun () -> Rid.Tbl.reset t.pending_changes);
+      Btree.clear t.tree;
+      List.iter
+        (fun doc ->
+          match Tree_store.document_rid t.store doc with
+          | None -> ()
+          | Some rid -> Tree_store.iter_records t.store rid (fun rid _root _ -> apply_record t rid))
+        (Tree_store.list_documents t.store);
+      t.in_sync <- true;
+      stamp_epoch t)
 
 let records_with t label =
   refresh t;
@@ -265,6 +268,8 @@ let labels t =
       Hashtbl.replace acc label (of_count8 v + Option.value ~default:0 (Hashtbl.find_opt acc label)));
   Hashtbl.fold (fun l c acc -> (l, c) :: acc) acc []
   |> List.sort (fun (a, _) (b, _) -> Label.compare a b)
+
+let check_tree t = Btree.check t.tree
 
 let check t =
   refresh t;

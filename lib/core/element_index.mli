@@ -71,3 +71,8 @@ val pending : t -> int
 (** Verify the index against a full scan of all documents.
     @raise Failure on any divergence. *)
 val check : t -> unit
+
+(** Verify the B+-tree's structural invariants only, without comparing
+    postings to the documents — all a {!stale} index can be held to.
+    @raise Natix_store.Btree.Corrupt on a violation. *)
+val check_tree : t -> unit

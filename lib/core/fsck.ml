@@ -2,10 +2,12 @@ open Natix_store
 
 type issue = { where : string; what : string }
 
+type index = No_index | Fresh_index | Stale_index
+
 type report = {
   pages : int;
   documents : int;
-  indexed : bool;
+  index : index;
   issues : issue list;
 }
 
@@ -29,7 +31,7 @@ let run_disk disk =
   let issues = ref [] in
   let add where what = issues := { where; what } :: !issues in
   sweep_trailers disk add;
-  { pages = Disk.page_count disk; documents = 0; indexed = false; issues = List.rev !issues }
+  { pages = Disk.page_count disk; documents = 0; index = No_index; issues = List.rev !issues }
 
 let run store =
   let pool = Tree_store.buffer_pool store in
@@ -61,13 +63,19 @@ let run store =
   let documents = Tree_store.list_documents store in
   List.iter (fun doc -> guard ("document " ^ doc) (fun () -> Tree_store.check_document store doc)) documents;
   (* Layer 4: the element index's B-tree invariants and its agreement with
-     the documents. *)
-  let indexed =
+     the documents.  A stale index (the store changed while it was not
+     listening) is not corruption — the next writable open rebuilds it —
+     so its postings are not held to the documents. *)
+  let index =
     match (try Element_index.open_index store ~name:"elements" with e -> add "index" (describe e); None) with
-    | None -> false
+    | None -> No_index
     | Some idx ->
-      guard "index" (fun () -> Element_index.check idx);
-      true
+      guard "index" (fun () -> Element_index.check_tree idx);
+      if Element_index.stale idx then Stale_index
+      else begin
+        guard "index" (fun () -> Element_index.check idx);
+        Fresh_index
+      end
   in
   (* Layer 5: page ownership tags against the catalog's arena registry.
      Every private arena must be claimed by exactly one catalogued
@@ -113,11 +121,14 @@ let run store =
                     (Printf.sprintf "lives on page %d tagged arena %d, expected arena %d" page got
                        want))))
     documents;
-  { pages; documents = List.length documents; indexed; issues = List.rev !issues }
+  { pages; documents = List.length documents; index; issues = List.rev !issues }
 
 let pp ppf r =
   Format.fprintf ppf "@[<v>checked %d pages, %d document(s)%s@," r.pages r.documents
-    (if r.indexed then ", element index" else "");
+    (match r.index with
+    | No_index -> ""
+    | Fresh_index -> ", element index"
+    | Stale_index -> ", element index (stale: structure checked, rebuilt on the next writable open)");
   (match r.issues with
   | [] -> Format.fprintf ppf "no errors"
   | issues ->

@@ -11,14 +11,21 @@
 
     Note that opening a store already runs {!Natix_store.Recovery}, so by
     the time [run] sees a crashed store its recoverable damage has been
-    repaired — a non-empty report means real, unrecoverable corruption. *)
+    repaired — a non-empty report means real, unrecoverable corruption.
+    A {e stale} element index (see {!Element_index.stale}) is not
+    corruption: the next writable open rebuilds it, so only its B-tree
+    structure is checked. *)
 
 type issue = { where : string; what : string }
+
+(** The element index as [run] found it: absent, current (structure and
+    postings checked), or stale (structure checked). *)
+type index = No_index | Fresh_index | Stale_index
 
 type report = {
   pages : int;  (** pages swept *)
   documents : int;  (** documents walked *)
-  indexed : bool;  (** an element index existed and was checked *)
+  index : index;
   issues : issue list;  (** empty iff the store is clean *)
 }
 

@@ -17,25 +17,33 @@ type journal_op =
   | Doc_put of string * Rid.t option  (* name, previous binding *)
   | Meta_put of string * string option  (* key, previous binding *)
 
-type mutation_ctx = { doc : string; mutable journal : journal_op list }
+(* One in-flight transaction.  [serial]: it holds the structure lock
+   across its whole mutation phase, so it may write shared-arena pages.
+   [private_arenas]: documents it creates get their own allocation arena
+   (explicit {!with_txn}); an autocommit transaction leaves them in the
+   shared arena. *)
+type mutation_ctx = { serial : bool; private_arenas : bool; mutable journal : journal_op list }
 
 (* Transaction machinery, shared by value across {!reader} copies (the
-   field holds the same object).  Transactions on documents with private
-   allocation arenas run their mutation phases {e concurrently}: their
-   page sets are disjoint by construction (each allocates only from its
-   own arena), which is what keeps page-level redo/undo sound with
-   several uncommitted writers in the log.  [struct_lock] shrinks to the
-   shared-state sections — the begin step (transaction-mode transition
-   and Begin record) and the commit step (catalog save on shared pages,
-   update/commit records) — plus the whole mutation phase of writers on
-   shared-arena documents, whose pages are not disjoint from anyone's.
-   Per-document latches (held across the whole transaction, commit wait
-   included) serialise writers on the same document. *)
+   field holds the same object).  Every write to a file-backed store is a
+   transaction; the lock scope follows arena ownership.  Transactions on
+   documents with private allocation arenas run their mutation phases
+   {e concurrently}: their page sets are disjoint by construction (each
+   allocates only from its own arena), which is what keeps page-level
+   redo/undo sound with several uncommitted writers in the log.  For
+   them [struct_lock] shrinks to the shared-state sections — the begin
+   step (Begin record) and the commit step (catalog save on shared pages,
+   update/commit records).  Transactions that write the shared arena —
+   autocommit writes, and explicit ones on shared-arena documents — hold
+   it across their whole mutation phase, since their pages are not
+   disjoint from anyone's.  Per-document latches (held across the whole
+   transaction, commit wait included) serialise writers on the same
+   document. *)
 type txn_state = {
   struct_lock : Mutex.t;  (* rank {!Lock_rank.structure} *)
   latches_lock : Mutex.t;  (* guards [doc_latches]; taken holding nothing *)
   doc_latches : (string, Mutex.t) Hashtbl.t;  (* rank {!Lock_rank.doc} *)
-  counter : int Atomic.t;  (* next transaction id; 0 is the implicit batch *)
+  counter : int Atomic.t;  (* next transaction id *)
   active : int Atomic.t;  (* transactions between begin and commit ack *)
   poisoned : string option Atomic.t;
   mutators_lock : Mutex.t;  (* guards the two tables below; leaf *)
@@ -86,7 +94,6 @@ type insert_point =
 
 let config t = t.config
 let names t = t.catalog.Catalog.names
-let catalog t = t.catalog
 let record_manager t = t.rm
 let buffer_pool t = t.pool
 let io_stats t = Disk.stats (Buffer_pool.disk t.pool)
@@ -126,8 +133,8 @@ let in_transaction t = current_mutator t <> None
 
 (* Journal-aware catalog access.  Inside a transaction the previous
    binding is pushed onto the calling transaction's journal before the
-   table changes; outside, the tables are updated directly (the implicit
-   batch persists them at the next sync). *)
+   table changes; outside (a store without a log), the tables are
+   updated directly. *)
 let journal t op =
   with_mutators t (fun () ->
       match Hashtbl.find_opt t.txns.mutators (self_id ()) with
@@ -186,13 +193,12 @@ let open_store ?(config = Config.default ()) disk =
     | None -> Recovery.no_op disk
   in
   let wal =
-    match Disk.path disk with
-    | Some p when config.wal ->
-      Some
-        (Wal.create ?obs:(Disk.obs disk) ?faults:(Disk.faults disk)
-           ~first_lsn:recovery.Recovery.next_lsn ~page_size:(Disk.page_size disk)
-           ~base:(Disk.page_count disk) (Recovery.wal_path p))
-    | Some _ | None -> None
+    Option.map
+      (fun p ->
+        Wal.create ?obs:(Disk.obs disk) ?faults:(Disk.faults disk)
+          ~first_lsn:recovery.Recovery.next_lsn ~page_size:(Disk.page_size disk)
+          (Recovery.wal_path p))
+      (Disk.path disk)
   in
   let gc =
     Option.map
@@ -206,7 +212,12 @@ let open_store ?(config = Config.default ()) disk =
     Buffer_pool.create ~disk ~bytes:config.buffer_bytes ?wal ~read_retries:config.read_retries
       ~read_ahead:config.read_ahead ~scan_resistant:config.scan_resistant ()
   in
+  (* A fresh file's bootstrap page is written like every other page: by
+     a transaction (id 1), so the log covers it. *)
+  let bootstrap = wal <> None && Disk.page_count disk = 0 in
+  if bootstrap then Buffer_pool.txn_begin pool ~txn:1;
   let seg = Segment.create ~batch:config.arena_batch pool in
+  if bootstrap then ignore (Buffer_pool.txn_commit_prep pool);
   let rm = Record_manager.create seg in
   let catalog = Catalog.load rm in
   let change_epoch =
@@ -224,7 +235,7 @@ let open_store ?(config = Config.default ()) disk =
         struct_lock = Mutex.create ();
         latches_lock = Mutex.create ();
         doc_latches = Hashtbl.create 16;
-        counter = Atomic.make 1;
+        counter = Atomic.make 2;
         active = Atomic.make 0;
         poisoned = Atomic.make None;
         mutators_lock = Mutex.create ();
@@ -299,33 +310,6 @@ let with_struct_lock t f =
       Lock_rank.release Lock_rank.structure)
     f
 
-(* Mutations not scoped by {!with_txn} belong to the implicit checkpoint
-   batch; mixing them with transactional writers would attribute their
-   pages to whichever regime writes first, so they are rejected while any
-   transaction is in flight.  The transaction's own mutation phase passes:
-   it runs on the domain registered as the mutator.
-
-   Sequential mixing needs one more step: after the last transaction
-   commits, the pool stays in transaction mode until a checkpoint, and in
-   that mode write-backs log nothing for the implicit batch (an implicit
-   pre-image could shadow a committed transaction's records).  Unscoped
-   mutation entering that window would therefore reach disk with no WAL
-   coverage at all, so the store checkpoints out of transaction mode
-   first — under the structure lock, where no transaction can have logged
-   anything yet (Begin is logged only inside the mutation phase). *)
-let guard_mutate t =
-  check_usable t;
-  let own_txn = in_transaction t in
-  if (not own_txn) && Atomic.get t.txns.active > 0 then
-    storage_error "unscoped mutation while %d transaction(s) are in flight"
-      (Atomic.get t.txns.active);
-  if (not own_txn) && Buffer_pool.txn_mode t.pool then
-    with_struct_lock t (fun () ->
-        if Atomic.get t.txns.active > 0 then
-          storage_error "unscoped mutation while %d transaction(s) are in flight"
-            (Atomic.get t.txns.active);
-        if Buffer_pool.txn_mode t.pool then Buffer_pool.checkpoint t.pool)
-
 let doc_latch t doc =
   Lock_rank.acquire Lock_rank.unordered;
   Mutex.lock t.txns.latches_lock;
@@ -375,134 +359,171 @@ let save_catalog_filtered t =
   in
   Catalog.save t.rm image
 
-(* Run [f] as a transaction on document [doc].  The document latch spans
-   the whole call (two transactions on one document serialise entirely).
-   A document with a private allocation arena — any document created
-   inside a transaction — runs the {e concurrent} protocol: the
-   structure lock is held only around the begin step (transaction-mode
-   transition, Begin record) and the commit step (catalog save on shared
-   pages, update/commit records), and the mutation phase itself runs
-   under nothing but the document latch, because every page it writes
-   belongs to the document's own arena.  A pre-existing document in the
-   shared arena keeps the legacy protocol — structure lock across the
-   whole mutation phase — since its pages are not disjoint from other
-   shared-arena writers'.  Either way the commit-fsync wait runs outside
-   every lock but the latch, so group commit batches concurrent
-   committers into one log force.  Any failure (an exception out of [f],
-   a crashed or poisoned commit) leaves the in-memory state inconsistent
-   with no way to roll it back in place, so it poisons the store: every
-   later operation gets a typed error, and reopening runs recovery,
-   which undoes the loser from the log. *)
-let with_txn t ~doc f =
+let document_present t name =
+  with_catalog_lock t (fun () -> Hashtbl.mem t.catalog.Catalog.docs name)
+
+let check_expect t ~doc = function
+  | None -> ()
+  | Some `Absent -> if document_present t doc then storage_error "document %S exists" doc
+  | Some `Present -> if not (document_present t doc) then storage_error "no document %S" doc
+
+(* The two steps every transaction runs under the structure lock.  The
+   catalog (documents, name pool, meta) commits with the transaction that
+   grew it: labels interned during the mutation phase live only in memory
+   until saved, and recovery redoes data pages against whatever catalog
+   image the log carries. *)
+let begin_locked t =
   check_usable t;
-  let gc =
-    match t.gc with
-    | Some gc -> gc
-    | None -> storage_error "transactions need a write-ahead log (file-backed store, wal=true)"
+  Buffer_pool.txn_begin t.pool ~txn:(Atomic.fetch_and_add t.txns.counter 1)
+
+let commit_locked t =
+  check_usable t;
+  save_catalog_filtered t;
+  let lsn = Buffer_pool.txn_commit_prep t.pool in
+  (* The commit record is logged: this transaction's catalog changes are
+     now on the winning side of recovery.  Clear the journal while still
+     inside the structure lock — the mutator stays registered until the
+     group-commit fsync acknowledges, and a concurrent committer's
+     filtered save in that window must include (not revert) what is
+     already committed, or its higher-LSN catalog image would erase this
+     document from the replayed store. *)
+  with_mutators t (fun () ->
+      match Hashtbl.find_opt t.txns.mutators (self_id ()) with
+      | Some m -> m.journal <- []
+      | None -> ());
+  lsn
+
+(* Wait until the group-commit daemon has made the commit record at [lsn]
+   durable. *)
+let await_durable t gc lsn =
+  match Group_commit.commit gc ~lsn with
+  | Ok () -> ()
+  | Error msg ->
+    poison t msg;
+    storage_error "commit failed: %s" msg
+  | exception e ->
+    poison t (Printexc.to_string e);
+    raise e
+
+(* Run [f] as a transaction.  The document latch (when there is a
+   document) spans the whole call, so two transactions on one document
+   serialise entirely; [expect] is checked under it, before anything is
+   logged, so a wrong name costs a typed error and nothing else.  A
+   serial transaction holds the structure lock across its whole mutation
+   phase.  Any other holds it only around the begin step and the commit
+   step: its mutation phase runs under nothing but the document latch,
+   because every page it writes belongs to the document's own arena.
+   Either way the commit-fsync wait runs outside every lock but the
+   latch, so group commit batches concurrent committers into one log
+   force.  Any failure (an exception out of [f], a crashed or poisoned
+   commit) leaves the in-memory state inconsistent with no way to roll it
+   back in place, so it poisons the store: every later operation gets a
+   typed error, and reopening runs recovery, which undoes the loser from
+   the log. *)
+let transaction t gc ?doc ?expect ~private_arenas f =
+  let latch = Option.map (doc_latch t) doc in
+  let unlatch () =
+    Option.iter
+      (fun m ->
+        Mutex.unlock m;
+        Lock_rank.release Lock_rank.doc)
+      latch
   in
-  let latch = doc_latch t doc in
-  Lock_rank.acquire Lock_rank.doc;
-  Mutex.lock latch;
+  Option.iter
+    (fun m ->
+      Lock_rank.acquire Lock_rank.doc;
+      Mutex.lock m)
+    latch;
   (* Decided under the latch, so a transaction that creates [doc] (and
-     gives it a private arena) cannot race the classification. *)
-  let serialize =
-    document_arena t doc = None
-    && with_catalog_lock t (fun () -> Hashtbl.mem t.catalog.Catalog.docs doc)
+     gives it a private arena) cannot race the classification.  Only an
+     explicit transaction on a document that has a private arena, or will
+     get one, runs its mutation phase concurrently. *)
+  let serial =
+    try
+      check_usable t;
+      Option.iter (fun doc -> check_expect t ~doc expect) doc;
+      match doc with
+      | Some doc when private_arenas -> document_arena t doc = None && document_present t doc
+      | Some _ | None -> true
+    with e ->
+      unlatch ();
+      raise e
+  in
+  let count delta =
+    Option.iter (fun doc ->
+        match delta + Option.value ~default:0 (Hashtbl.find_opt t.txns.doc_active doc) with
+        | 0 -> Hashtbl.remove t.txns.doc_active doc
+        | n -> Hashtbl.replace t.txns.doc_active doc n)
+      doc
   in
   Atomic.incr t.txns.active;
   with_mutators t (fun () ->
-      Hashtbl.replace t.txns.mutators (self_id ()) { doc; journal = [] };
-      Hashtbl.replace t.txns.doc_active doc
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.txns.doc_active doc)));
-  let release_doc () =
+      Hashtbl.replace t.txns.mutators (self_id ()) { serial; private_arenas; journal = [] };
+      count 1);
+  let release () =
     with_mutators t (fun () ->
         Hashtbl.remove t.txns.mutators (self_id ());
-        match Hashtbl.find_opt t.txns.doc_active doc with
-        | Some n when n > 1 -> Hashtbl.replace t.txns.doc_active doc (n - 1)
-        | Some _ | None -> Hashtbl.remove t.txns.doc_active doc);
+        count (-1));
     Atomic.decr t.txns.active;
-    Mutex.unlock latch;
-    Lock_rank.release Lock_rank.doc
+    unlatch ()
   in
-  (* The first transaction seals whatever the implicit batch has done so
-     far; from here until the next checkpoint, write-backs log
-     transactional update records instead of batch pre-images. *)
-  let begin_section () =
-    check_usable t;
-    if not (Buffer_pool.txn_mode t.pool) then Buffer_pool.checkpoint t.pool;
-    let txn = Atomic.fetch_and_add t.txns.counter 1 in
-    Buffer_pool.txn_begin t.pool ~txn
-  in
-  (* The catalog (documents, name pool, meta) must commit with the
-     transaction that grew it: labels interned during [f] live only in
-     memory until saved, and recovery redoes data pages against whatever
-     catalog image the log carries. *)
-  let commit_section () =
-    check_usable t;
-    save_catalog_filtered t;
-    let lsn = Buffer_pool.txn_commit_prep t.pool in
-    (* The commit record is logged: this transaction's catalog changes are
-       now on the winning side of recovery.  Clear the journal while still
-       inside the structure lock — the mutator stays registered until the
-       group-commit fsync acknowledges, and a concurrent committer's
-       filtered save in that window must include (not revert) what is
-       already committed, or its higher-LSN catalog image would erase this
-       document from the replayed store. *)
-    with_mutators t (fun () ->
-        match Hashtbl.find_opt t.txns.mutators (self_id ()) with
-        | Some m -> m.journal <- []
-        | None -> ());
-    lsn
-  in
-  let mutation () =
-    match
-      if serialize then
-        with_struct_lock t (fun () ->
-            begin_section ();
+  Fun.protect ~finally:release (fun () ->
+      let result, lsn =
+        try
+          if serial then
+            with_struct_lock t (fun () ->
+                begin_locked t;
+                let result = f () in
+                (result, commit_locked t))
+          else begin
+            with_struct_lock t (fun () -> begin_locked t);
             let result = f () in
-            let lsn = commit_section () in
-            (result, lsn))
-      else begin
-        with_struct_lock t begin_section;
-        let result = f () in
-        let lsn = with_struct_lock t commit_section in
-        (result, lsn)
-      end
-    with
-    | pair -> pair
-    | exception e ->
-      poison t (Printexc.to_string e);
-      raise e
+            (result, with_struct_lock t (fun () -> commit_locked t))
+          end
+        with e ->
+          poison t (Printexc.to_string e);
+          raise e
+      in
+      await_durable t gc lsn;
+      result)
+
+let with_txn t ~doc ?expect f =
+  match t.gc with
+  | Some gc -> transaction t gc ~doc ?expect ~private_arenas:true f
+  | None -> storage_error "transactions need a write-ahead log (a file-backed store)"
+
+let autocommit t ?doc ?expect f =
+  match t.gc with
+  | Some gc when not (in_transaction t) -> transaction t gc ?doc ?expect ~private_arenas:false f
+  | Some _ | None ->
+    Option.iter (fun doc -> check_expect t ~doc expect) doc;
+    f ()
+
+let save_catalog_if_unlogged t = if t.gc = None then Catalog.save t.rm t.catalog
+
+let when_exclusive t f =
+  let exclusive () =
+    match current_mutator t with
+    | Some m -> m.serial && Atomic.get t.txns.active = 1
+    | None -> t.gc = None
   in
-  match mutation () with
-  | exception e ->
-    release_doc ();
-    raise e
-  | result, lsn -> (
-    match Group_commit.commit gc ~lsn with
-    | Ok () ->
-      release_doc ();
-      result
-    | Error msg ->
-      poison t msg;
-      release_doc ();
-      storage_error "commit failed: %s" msg
-    | exception e ->
-      poison t (Printexc.to_string e);
-      release_doc ();
-      raise e)
+  (* Outside a transaction, open one only if no other is in flight. *)
+  if in_transaction t || Atomic.get t.txns.active = 0 then
+    autocommit t (fun () -> if exclusive () then f ())
 
 (* The active check and the checkpoint must be one atomic step with
-   respect to {!with_txn}'s mutation phase: checked without the structure
-   lock, a concurrent transaction could increment [active] and log its
-   Begin/Update records between the check and [Wal.checkpoint]'s log
-   truncation, destroying the undo/redo records it needs if it loses.
+   respect to {!transaction}'s mutation phase: checked without the
+   structure lock, a concurrent transaction could increment [active] and
+   log its Begin/Update records between the check and [Wal.checkpoint]'s
+   log truncation, destroying the undo/redo records it needs if it loses.
    Under the lock, a transaction that slipped past the check is parked at
    the structure lock with nothing logged yet, so rejecting here is
    always sound.  The unlocked check stays as the fast path: it rejects
    without touching the lock while a mutation phase is running — which
    also keeps a transaction's own [f] calling [sync] an error instead of
-   a self-deadlock on the non-recursive lock. *)
+   a self-deadlock on the non-recursive lock.  The catalog save is the
+   checkpoint's own transaction, durable before the flush and the log
+   truncation. *)
 let sync t =
   check_usable t;
   if Atomic.get t.txns.active > 0 then
@@ -514,14 +535,16 @@ let sync t =
       with_catalog_lock t (fun () ->
           Hashtbl.replace t.catalog.Catalog.meta epoch_meta_key
             (string_of_int (Atomic.get t.change_epoch)));
-      Catalog.save t.rm t.catalog;
+      (match t.gc with
+      | None -> Catalog.save t.rm t.catalog
+      | Some gc ->
+        begin_locked t;
+        await_durable t gc (commit_locked t));
       Buffer_pool.checkpoint t.pool);
   (* The durability point also flushes buffered trace output, so a JSONL
      event stream (flight recorder, [natix trace --jsonl]) on disk is
      complete up to the last checkpoint even if the process dies. *)
   match t.obs with None -> () | Some obs -> Natix_obs.Obs.flush obs
-
-let checkpoint = sync
 
 let doc_active_count t doc =
   with_mutators t (fun () ->
@@ -533,9 +556,8 @@ let doc_active_count t doc =
    transaction.  Validation is against {e per-document} transaction
    state — only a transaction on [doc] itself rejects the call.  Unlike
    {!sync} this does not truncate the WAL (that demands a store-wide
-   quiet point) and does not persist the catalog (every transactional
-   commit already does; unscoped work commits at the next [sync]); it is
-   purely the flush that moves the document's data from the pool to its
+   quiet point) and does not persist the catalog (every commit already
+   does); it is purely the flush that moves the document's data from the pool to its
    pages.  Safe against concurrent writers without any lock: their pages
    live in other arenas, so the flush list never intersects their
    working sets, and even a transaction racing onto [doc] after the
@@ -560,8 +582,6 @@ let sync_document t doc =
   in
   if doc_active_count t doc > 0 then reject ();
   Buffer_pool.flush_pages t.pool pages
-
-let checkpoint_document = sync_document
 
 let close ?(commit = true) t =
   (* A poisoned store must not checkpoint: flushing and truncating the log
@@ -1110,7 +1130,6 @@ let insert_embedded t host ~index node =
   grow_check t (box_of t host)
 
 let insert_node t point payload =
-  guard_mutate t;
   let node = mk_payload payload in
   (* Physical placement next to the designated sibling, and the logical
      parent for the Split Matrix decision (§3.2.1/§3.3). *)
@@ -1194,7 +1213,6 @@ let merge_around t (box : Phys_node.box) =
   if not (Rid.is_null box.parent_rid) then try_merge t (fetch t box.parent_rid)
 
 let delete_node t (node : Phys_node.t) =
-  guard_mutate t;
   match node.Phys_node.parent with
   | Some p ->
     delete_descendant_records t node;
@@ -1217,7 +1235,6 @@ let delete_node t (node : Phys_node.t) =
     merge_around t pbox
 
 let update_text t (node : Phys_node.t) s =
-  guard_mutate t;
   (match node.Phys_node.kind with
   | Literal (Str _) | Literal (Uri _) | Frag_aggregate _ -> ()
   | Literal _ | Aggregate _ | Proxy _ ->
@@ -1237,27 +1254,25 @@ let update_text t (node : Phys_node.t) s =
 let document_rid t name = with_catalog_lock t (fun () -> Hashtbl.find_opt t.catalog.Catalog.docs name)
 
 let create_document t ~name ~root =
-  guard_mutate t;
-  if with_catalog_lock t (fun () -> Hashtbl.mem t.catalog.Catalog.docs name) then
+  if document_present t name then
     invalid_arg (Printf.sprintf "Tree_store.create_document: %S exists" name);
   let root_node = Phys_node.aggregate (label t root) [] in
-  if in_transaction t then begin
-    (* Transactional creation: the document gets a private allocation
-       arena, so its mutation phase (this one and every later one) never
-       writes a page any other writer can touch.  Both catalog entries
-       are journalled; they become durable with the commit. *)
-    let arena = Segment.fresh_arena (Record_manager.segment t.rm) in
-    meta_put t (arena_meta_key name) (string_of_int arena);
-    let box = new_record t ~owner:arena ~parent_rid:Rid.null root_node in
-    doc_put t name box.rid;
-    root_node
-  end
-  else begin
-    let box = new_record t ~parent_rid:Rid.null root_node in
-    doc_put t name box.rid;
-    Catalog.save t.rm t.catalog;
-    root_node
-  end
+  (* Inside {!with_txn} the document gets a private allocation arena, so
+     its mutation phase (this one and every later one) never writes a
+     page any other writer can touch.  The catalog entries are
+     journalled; they become durable with the commit. *)
+  let owner =
+    match current_mutator t with
+    | Some { private_arenas = true; _ } ->
+      let arena = Segment.fresh_arena (Record_manager.segment t.rm) in
+      meta_put t (arena_meta_key name) (string_of_int arena);
+      Some arena
+    | Some _ | None -> None
+  in
+  let box = new_record t ?owner ~parent_rid:Rid.null root_node in
+  doc_put t name box.rid;
+  save_catalog_if_unlogged t;
+  root_node
 
 let open_document t name =
   match document_rid t name with
@@ -1270,7 +1285,6 @@ let list_documents t =
   |> List.sort String.compare
 
 let delete_document t name =
-  guard_mutate t;
   match document_rid t name with
   | None -> invalid_arg (Printf.sprintf "Tree_store.delete_document: no document %S" name)
   | Some rid ->
@@ -1283,15 +1297,18 @@ let delete_document t name =
     | Some arena ->
       (* Retag the dying document's pages back to the shared arena before
          the catalog forgets the arena id — no page may keep an ownership
-         tag fsck cannot match to a document.  Inside a transaction the
-         reclaimed space is quarantined (registered as full) until the
-         next reopen rescans it: handing it to the shared arena's
-         inventory immediately would let a concurrent committer's catalog
-         write land on a page this still-uncommitted transaction owns. *)
-      Segment.release_arena ~quarantine:(in_transaction t) (Record_manager.segment t.rm) arena;
+         tag fsck cannot match to a document.  Inside a concurrent
+         transaction the reclaimed space is quarantined (registered as
+         full) until the next reopen rescans it: handing it to the shared
+         arena's inventory immediately would let a concurrent committer's
+         catalog write land on a page this still-uncommitted transaction
+         owns.  A serial transaction holds the structure lock until its commit
+         record is logged, so no other commit can run in that window. *)
+      let quarantine = match current_mutator t with Some m -> not m.serial | None -> false in
+      Segment.release_arena ~quarantine (Record_manager.segment t.rm) arena;
       meta_remove t (arena_meta_key name)
     | None -> ());
-    if not (in_transaction t) then Catalog.save t.rm t.catalog
+    save_catalog_if_unlogged t
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

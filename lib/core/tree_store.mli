@@ -44,7 +44,6 @@ val in_memory : ?config:Config.t -> ?model:Io_model.t -> unit -> t
 
 val config : t -> Config.t
 val names : t -> Name_pool.t
-val catalog : t -> Catalog.t
 val record_manager : t -> Record_manager.t
 val buffer_pool : t -> Buffer_pool.t
 val io_stats : t -> Io_stats.t
@@ -69,64 +68,83 @@ val reset_io_stats : t -> unit
 val max_record_size : t -> int
 
 (** Persist the catalog and flush all buffers.  On a file-backed store
-    with the WAL enabled (the default) this is a durable {e checkpoint}:
-    the write-ahead-log batch commits, and a crash at any later point
-    recovers the store to exactly this state.
+    this is a durable {e checkpoint}: the catalog save commits as a
+    transaction, every page goes home and the write-ahead log is
+    truncated, so a crash at any later point recovers the store to
+    exactly this state.
     @raise Error.Error with [Storage _] while transactions are in flight
     or after the store was poisoned. *)
 val sync : t -> unit
-
-(** Synonym for {!sync}, named for the durability protocol. *)
-val checkpoint : t -> unit
 
 (** [sync_document t doc] writes [doc]'s pages home without the
     store-wide quiesce {!sync} needs: validation is against
     {e per-document} transaction state, so an idle document's checkpoint
     is never blocked by an unrelated in-flight writer.  It does not
-    truncate the WAL and does not persist the catalog (transactional
-    commits do, and unscoped work commits at the next {!sync}); it is
-    exactly the flush moving the document's data from the pool to disk,
+    truncate the WAL and does not persist the catalog (every commit
+    does); it is exactly the flush moving the document's data from the pool to disk,
     WAL-before-data preserved per page.
     @raise Error.Error with [Storage _] while a transaction {e on this
     document} is in flight, when the document does not exist, or after
     the store was poisoned. *)
 val sync_document : t -> string -> unit
 
-(** Synonym for {!sync_document}. *)
-val checkpoint_document : t -> string -> unit
-
 (** {1 Transactions}
+
+    On a file-backed store every write is a transaction: a page marked
+    dirty outside one raises [Invalid_argument] (see
+    {!Natix_store.Buffer_pool.mark_dirty}).  Stores without a log
+    (in-memory ones) mutate directly.
 
     [with_txn t ~doc f] runs [f] as one atomic, durable transaction
     against document [doc]: after a crash the store recovers to a state
     where the transaction either happened entirely or not at all.  The
     per-document latch is held for the whole call, so two transactions on
-    the same document serialise completely.
+    the same document serialise completely.  [expect] is checked under
+    the latch before the transaction begins: [`Absent] requires that no
+    document [doc] exists, [`Present] that it does; a failed check raises
+    a [Storage] error and leaves the store untouched and usable.
 
     Transactions on {e different} documents run their mutation phases
     concurrently when the documents have private allocation arenas —
-    every document created inside a transaction gets one.  Their page
+    every document created inside [with_txn] gets one.  Their page
     sets are disjoint by construction, so tree growth, splits and record
     relocation all proceed under nothing but the document latch; only
     the begin step and the commit step (catalog save on shared pages,
     update/commit logging) serialise on the store-wide structure lock,
     and the commit-fsync wait overlaps in the group-commit daemon.  A
-    pre-existing document in the shared arena keeps the serialised
-    mutation phase of earlier versions.
-
-    Mutations outside [with_txn] keep the implicit checkpoint-batch
-    semantics, but mixing regimes is rejected: an unscoped mutation while
-    any transaction is in flight raises a [Storage] error.
+    pre-existing document in the shared arena holds the structure lock
+    across its whole mutation phase instead.
 
     If [f] raises, or the commit fails (a crashed log force, a poisoned
     group-commit daemon), the store is {e poisoned}: the in-memory state
     cannot be rolled back in place, so every later operation raises a
     typed [Storage] error and the only way forward is to reopen the store,
     which replays the log and undoes the loser. *)
-val with_txn : t -> doc:string -> (unit -> 'a) -> 'a
+val with_txn : t -> doc:string -> ?expect:[ `Absent | `Present ] -> (unit -> 'a) -> 'a
 
-(** Whether the calling domain is inside [with_txn]'s [f]. *)
-val in_transaction : t -> bool
+(** [autocommit t ?doc ?expect f] runs the write [f] as a transaction of
+    its own unless the calling domain is already in one, which [f] then
+    joins.  Its own transaction holds the structure lock across [f], so
+    it may write any page, and the documents [f] creates stay in the
+    shared arena.  It latches [doc] when given and checks [expect] like
+    {!with_txn}.  On a store without a log [f] runs directly (after the
+    [expect] check). *)
+val autocommit : t -> ?doc:string -> ?expect:[ `Absent | `Present ] -> (unit -> 'a) -> 'a
+
+(** On a store without a log, persist the catalog now: there, the
+    catalog is saved where it changes shape (a document created or
+    deleted, an index registered, a DTD stored).  On a logged store every
+    commit saves it, so this does nothing. *)
+val save_catalog_if_unlogged : t -> unit
+
+(** [when_exclusive t f] runs the shared-arena write [f] only where no
+    other writer can interleave: in the caller's transaction when that
+    holds the structure lock and no other transaction is in flight, in
+    an {!autocommit} transaction when none is in flight, or directly on
+    a store without a log.  Otherwise [f] is skipped; secondary
+    structures on shared pages (the element index) defer their pending
+    work to a later call. *)
+val when_exclusive : t -> (unit -> unit) -> unit
 
 (** Private allocation arena of a document, if it has one. *)
 val document_arena : t -> string -> int option

@@ -103,27 +103,6 @@ let open_store ?(options = Options.default) path =
   in
   of_store_with_mon ~index ~mon ~path store
 
-(* Keyword-argument shims over {!Options}: the historical constructor
-   surface, kept so existing call sites keep compiling.  New code should
-   build an [Options.t] (usually [{ Options.default with ... }]) and call
-   the [open_*] constructors. *)
-
-let options ?config ?create_page_size ?index ?monitor ?model () =
-  let d = Options.default in
-  {
-    Options.config;
-    create_page_size = Option.value create_page_size ~default:d.Options.create_page_size;
-    index = Option.value index ~default:d.Options.index;
-    monitor = Option.value monitor ~default:d.Options.monitor;
-    model;
-  }
-
-let open_file ?config ?create_page_size ?index ?monitor path =
-  open_store ~options:(options ?config ?create_page_size ?index ?monitor ()) path
-
-let in_memory ?config ?model ?index ?monitor () =
-  open_memory ~options:(options ?config ?index ?monitor ?model ()) ()
-
 let store t = t.store
 let manager t = t.manager
 let engine t = t.engine
@@ -139,9 +118,6 @@ let close ?(commit = true) t =
 let with_store ?options path fn =
   let t = open_store ?options path in
   Fun.protect ~finally:(fun () -> close t) (fun () -> fn t)
-
-let with_session ?config ?create_page_size ?index ?monitor path fn =
-  with_store ~options:(options ?config ?create_page_size ?index ?monitor ()) path fn
 
 (* Operation records for the monitor *)
 
@@ -334,7 +310,9 @@ let scan_all ?jobs t =
        (task_results outcome));
   outcome
 
-let record_load_batch t files outcome =
+let load_files_txn ?jobs t files =
+  let jobs = Option.value jobs ~default:t.parallelism in
+  let outcome = Natix_par.Par.load_files_txn ~jobs t.manager files in
   record_batch t
     (List.map2
        (fun (name, _) (result, d) ~at_ms ->
@@ -343,14 +321,6 @@ let record_load_batch t files outcome =
            (outcome_of_result result))
        files (task_results outcome));
   outcome
-
-let load_files ?jobs t files =
-  let jobs = Option.value jobs ~default:t.parallelism in
-  record_load_batch t files (Natix_par.Par.load_files ~jobs t.manager files)
-
-let load_files_txn ?jobs t files =
-  let jobs = Option.value jobs ~default:t.parallelism in
-  record_load_batch t files (Natix_par.Par.load_files_txn ~jobs t.manager files)
 
 (* The Api command layer *)
 

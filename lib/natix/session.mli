@@ -6,7 +6,7 @@
     three constructors:
 
     {[
-      Natix.Session.with_session "plays.natix" (fun s ->
+      Natix.Session.with_store "plays.natix" (fun s ->
           match Natix.Session.query s ~doc:"hamlet" "//ACT[3]//SPEAKER" with
           | Ok hits -> Seq.iter print_hit hits
           | Error e -> prerr_endline (Natix.Error.to_string e))
@@ -67,50 +67,12 @@ val open_memory : ?options:Options.t -> unit -> t
     on exceptions). *)
 val with_store : ?options:Options.t -> string -> (t -> 'a) -> 'a
 
-(** {2 Deprecated keyword-argument constructors}
-
-    Thin shims over the {!Options}-based constructors above, kept for
-    existing call sites.  Each optional argument corresponds to the
-    {!Options.t} field of the same name; defaults are
-    {!Options.default}'s. *)
-
-(** Deprecated alias: {!open_store} with the corresponding
-    {!Options.t} fields. *)
-val open_file :
-  ?config:Config.t ->
-  ?create_page_size:int ->
-  ?index:Document_manager.index_mode ->
-  ?monitor:bool ->
-  string ->
-  t
-
-(** Deprecated alias: {!open_memory} with the corresponding
-    {!Options.t} fields. *)
-val in_memory :
-  ?config:Config.t ->
-  ?model:Natix_store.Io_model.t ->
-  ?index:Document_manager.index_mode ->
-  ?monitor:bool ->
-  unit ->
-  t
-
 (** Wrap an existing store (takes no ownership of closing it).  With
     [monitor] (default [true]) a monitor is attached to the store's
     handle, if it has one — attach at most one session per handle, a
     second attachment would double-feed.  [path] labels flight dumps. *)
 val of_store :
   ?index:Document_manager.index_mode -> ?monitor:bool -> ?path:string -> Tree_store.t -> t
-
-(** Deprecated alias: {!with_store} with the corresponding
-    {!Options.t} fields. *)
-val with_session :
-  ?config:Config.t ->
-  ?create_page_size:int ->
-  ?index:Document_manager.index_mode ->
-  ?monitor:bool ->
-  string ->
-  (t -> 'a) ->
-  'a
 
 (** {2 The bundled layers} *)
 
@@ -213,13 +175,9 @@ val run_queries :
 
 val scan_all : ?jobs:int -> t -> (string * int) Natix_par.Par.outcome
 
-val load_files :
-  ?jobs:int -> t -> (string * string) list -> (unit, Error.t) result Natix_par.Par.outcome
-
-(** {!Natix_par.Par.load_files_txn} with the same per-task flight
-    recording as {!load_files}: each document commits as one ARIES
-    transaction through the group-commit daemon instead of a store-wide
-    checkpoint under the loader's commit lock. *)
+(** {!Natix_par.Par.load_files_txn} with one flight-ring entry per
+    document: each document commits as one ARIES transaction in its own
+    allocation arena, through the group-commit daemon. *)
 val load_files_txn :
   ?jobs:int -> t -> (string * string) list -> (unit, Error.t) result Natix_par.Par.outcome
 

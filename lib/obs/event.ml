@@ -23,7 +23,6 @@ type kind =
   | Read_retry of { page : int; attempt : int }
   | Read_ahead of { first : int; pages : int }
   | Wal_append of { lsn : int; page : int; bytes : int }
-  | Wal_commit of { lsn : int; pages : int }
   | Wal_fsync of { lsn : int; records : int }
   | Wal_torn of { offset : int; dropped : int }
   | Recovery_redo of { page : int }
@@ -60,7 +59,6 @@ let type_name = function
   | Read_retry _ -> "read_retry"
   | Read_ahead _ -> "read_ahead"
   | Wal_append _ -> "wal_append"
-  | Wal_commit _ -> "wal_commit"
   | Wal_fsync _ -> "wal_fsync"
   | Wal_torn _ -> "wal_torn"
   | Recovery_redo _ -> "recovery_redo"
@@ -104,7 +102,6 @@ let kind_fields = function
   | Read_ahead { first; pages } -> [ ("first", Json.Int first); ("pages", Json.Int pages) ]
   | Wal_append { lsn; page; bytes } ->
     [ ("lsn", Json.Int lsn); ("page", Json.Int page); ("bytes", Json.Int bytes) ]
-  | Wal_commit { lsn; pages } -> [ ("lsn", Json.Int lsn); ("pages", Json.Int pages) ]
   | Wal_fsync { lsn; records } -> [ ("lsn", Json.Int lsn); ("records", Json.Int records) ]
   | Wal_torn { offset; dropped } ->
     [ ("offset", Json.Int offset); ("dropped", Json.Int dropped) ]

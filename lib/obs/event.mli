@@ -65,9 +65,6 @@ type kind =
   | Wal_append of { lsn : int; page : int; bytes : int }
       (** An update record (before+after image) appended to the
           write-ahead log. *)
-  | Wal_commit of { lsn : int; pages : int }
-      (** A checkpoint committed: [pages] dirty pages were flushed under
-          WAL protection and the log was truncated. *)
   | Wal_fsync of { lsn : int; records : int }
       (** A log fsync made [records] pending records durable up to
           [lsn]. *)

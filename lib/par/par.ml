@@ -150,43 +150,10 @@ let scan_all ?(jobs = 1) store =
             (doc, Seq.fold_left (fun acc _ -> acc + 1) 0 (Cursor.descendants_or_self root))))
     (Array.of_list docs)
 
-let load_files ?(jobs = 1) dm files =
-  let disk = disk_of (Document_manager.store dm) in
-  let obs = Tree_store.obs (Document_manager.store dm) in
-  let commit_lock = Mutex.create () in
-  let crashed = Atomic.make false in
-  let store_one name xml =
-    Mutex.lock commit_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock commit_lock)
-      (fun () ->
-        (* A crash on another worker leaves the disk refusing writes;
-           don't pile further failures onto it. *)
-        if Atomic.get crashed then
-          Error (Error.Storage "parallel load aborted: store crashed")
-        else
-          match Document_manager.store_committed dm ~name xml with
-          | Ok _ -> Ok ()
-          | Error _ as e -> e
-          | exception e ->
-            Atomic.set crashed true;
-            raise e)
-  in
-  map_tasks ~jobs ~disk
-    ~make_ctx:(fun () -> ())
-    ~f:(fun () (name, text) ->
-      with_ctx obs ~doc:name ~phase:"load" @@ fun () ->
-      match Natix_xml.Xml_parser.parse text with
-      | exception Natix_xml.Xml_parser.Error { line; col; msg } ->
-        Error (Error.Parse (Printf.sprintf "%s:%d:%d: %s" name line col msg))
-      | xml -> store_one name xml)
-    (Array.of_list files)
-
-(* Transactional bulk load: no commit lock.  Each worker parses its file
-   off-lock, then commits it as one ARIES transaction
-   ({!Document_manager.store_transactional}); [Tree_store.with_txn]
-   serialises only the in-memory mutation phase internally, while commit
-   fsyncs from different workers overlap and batch in the group-commit
+(* Transactional bulk load.  Each worker parses its file, then commits
+   it as one ARIES transaction ({!Document_manager.store_transactional})
+   in the document's own allocation arena: mutation phases overlap, and
+   commit fsyncs from different workers batch in the group-commit
    daemon.  A failed commit poisons the store, so the remaining tasks
    come back as typed [Error]s instead of piling writes onto a store in
    an unknown state; a simulated crash still aborts the fleet. *)

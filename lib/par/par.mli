@@ -86,30 +86,18 @@ val run_queries :
     document. *)
 val scan_all : ?jobs:int -> Natix_core.Tree_store.t -> (string * int) outcome
 
-(** [load_files ~jobs dm files] parses each [(name, xml_text)] in
-    parallel, then serialises store mutation through a single commit
-    lock: each document goes through
-    {!Natix_core.Document_manager.store_committed}, i.e. its own WAL
-    batch commits (checkpoint) before the lock is released.  A crash
-    mid-run therefore loses only documents whose commit had not
-    completed; everything already committed recovers byte-identical.
-    Parse and validation failures come back per-task as [Error]; a
-    storage crash ({!Natix_store.Faulty_disk.Crash}) stops the fleet and
-    re-raises after all workers have joined. *)
-val load_files :
-  ?jobs:int ->
-  Natix_core.Document_manager.t ->
-  (string * string) list ->
-  (unit, Natix_core.Error.t) result outcome
-
-(** [load_files_txn ~jobs dm files] is {!load_files} over transactional
-    commits: no commit lock — each document commits as one ARIES
-    transaction via
-    {!Natix_core.Document_manager.store_transactional}, so workers
-    overlap their commit waits and the group-commit daemon batches their
-    fsyncs.  Same per-document atomicity under crash; a transaction
-    failure poisons the store and the remaining tasks return typed
-    [Error]s.  Requires a file-backed store with the WAL enabled. *)
+(** [load_files_txn ~jobs dm files] parses each [(name, xml_text)] on
+    up to [jobs] worker domains and commits each document as one ARIES
+    transaction via {!Natix_core.Document_manager.store_transactional}:
+    workers overlap their mutation phases and commit waits, and the
+    group-commit daemon batches their fsyncs.  A crash mid-run loses
+    only documents whose commit had not completed; everything already
+    committed recovers byte-identical.  Parse, validation and name
+    failures (a document that already exists) come back per task as
+    [Error]; a transaction failure poisons the store and the remaining
+    tasks return typed [Error]s; a storage crash
+    ({!Natix_store.Faulty_disk.Crash}) stops the fleet and re-raises
+    after all workers have joined.  Requires a file-backed store. *)
 val load_files_txn :
   ?jobs:int ->
   Natix_core.Document_manager.t ->

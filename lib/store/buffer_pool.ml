@@ -19,8 +19,9 @@ type frame = {
 
 (* Per-page write tracking of a transaction in its mutation phase.
    Several transactions may be in flight at once — one per domain, their
-   page sets disjoint (each mutates only its own document's arena pages;
-   shared pages are touched only inside the serialised commit section).
+   page sets disjoint (each concurrent one mutates only its own
+   document's arena pages; shared pages are touched only under the
+   store's structure lock).
    [before] is the page payload as of the last point everything was
    logged — the image undo restores; [dirty_since_log] says the frame has
    moved past it. *)
@@ -84,20 +85,13 @@ type t = {
   mutable misses : int;
   mutable prefetched : int;
   wal : Wal.t option;
-  raw : bytes;  (* one physical page, for WAL pre-image capture *)
-  pre : bytes;  (* its payload view, handed to the log *)
   (* Transaction state, guarded by the pool lock (the evictor logging a
      stolen page races with a mutator's {!mark_dirty}).  [txns] maps a
      domain to its in-flight transaction; [page_txn] maps a tracked page
      to the transaction that owns it, so an evictor stealing any writer's
-     page logs the update under the right chain.  [txn_mode] turns off
-     the implicit batch's steal logging from the first {!txn_begin} until
-     the next {!checkpoint}: once pages carry transactional records, an
-     implicit pre-image logged at eviction time would make recovery
-     restore state from before a committed transaction. *)
+     page logs the update under the right chain. *)
   txns : (int, txn) Hashtbl.t;
   page_txn : (int, txn) Hashtbl.t;
-  mutable txn_mode : bool;
   read_retries : int;
   obs : Natix_obs.Obs.t option;
 }
@@ -124,11 +118,8 @@ let create ~disk ~bytes ?wal ?(read_retries = 3) ?(read_ahead = 0) ?(scan_resist
     misses = 0;
     prefetched = 0;
     wal;
-    raw = Bytes.create (Disk.page_size disk);
-    pre = Bytes.create (Disk.payload_size disk);
     txns = Hashtbl.create 8;
     page_txn = Hashtbl.create 64;
-    txn_mode = false;
     read_retries;
     obs = Disk.obs disk;
   }
@@ -297,20 +288,14 @@ let on_hit t f =
     touch t f
   end
 
-(* Write-back, pool lock held.  WAL-before-data in two flavours:
-
-   - A page the active transaction has moved past its last logged image
-     gets an update record here (the "steal" of ARIES: an uncommitted
-     page may go home because undo can restore [track.before]), and the
-     tracking advances so commit logs only what happened afterwards.
-   - Outside transaction mode, the implicit checkpoint batch logs the
-     page's on-disk pre-image on its first write-back of the batch (pages
-     allocated within the batch need none — rollback truncates them).
-
-   Either way the log is forced before the data write whenever the
-   frame's covering record is not durable yet, and the page goes home
-   stamped with that record's LSN so redo can tell whether the page
-   already contains its effect. *)
+(* Write-back, pool lock held.  WAL-before-data: a page an in-flight
+   transaction has moved past its last logged image gets an update record
+   here (the "steal" of ARIES: an uncommitted page may go home because
+   undo can restore [track.before]), and the tracking advances so commit
+   logs only what happened afterwards.  The log is forced before the data
+   write whenever the frame's covering record is not durable yet, and the
+   page goes home stamped with that record's LSN so redo can tell whether
+   the page already contains its effect. *)
 let write_back t f =
   if f.dirty then begin
     (match t.wal with
@@ -330,12 +315,6 @@ let write_back t f =
           f.rec_lsn <- lsn
         | Some _ | None -> ())
       | None -> ());
-      if (not t.txn_mode) && Wal.needs_before w f.page_id then begin
-        Disk.read_raw t.disk f.page_id t.raw;
-        Bytes.blit t.raw 0 t.pre 0 (Bytes.length t.pre);
-        let lsn = Wal.log_steal w ~page:f.page_id ~before:t.pre ~after:f.data in
-        if lsn > 0 then f.rec_lsn <- lsn
-      end;
       if f.rec_lsn > Wal.durable_lsn w then Wal.fsync w);
     (match t.obs with
     | None -> ()
@@ -697,11 +676,14 @@ let fix_new t page_id =
     unlock_stripe t si;
     f
   | None ->
-    (* Freshly allocated page: content is known to be zeroes, no read
+    (* Freshly allocated page: its content is zeroes, so no read is
        needed (and none charged) — counted as a hit for the same reason,
        and the latch is never taken because the frame is valid from the
-       moment it is published. *)
+       moment it is published.  The frame is zeroed here, not read: the
+       image a transaction's {!mark_dirty} captures for undo must be the
+       zero page recovery can leave behind, never stale heap bytes. *)
     let f = mk_frame t ~pins:1 ~speculative:false page_id in
+    Bytes.fill f.data 0 (Bytes.length f.data) '\000';
     Hashtbl.replace t.tables.(si) page_id f;
     lock_pool t;
     (match
@@ -737,15 +719,20 @@ let current_txn t =
    its undo record will restore.  First touch copies the payload and
    claims the page in [page_txn]; after a mid-transaction steal logged
    the page, the next touch just reopens the dirty window — the tracked
-   image already equals the frame (the steal advanced it).  A page
-   already claimed by a {e different} in-flight transaction is a
+   image already equals the frame (the steal advanced it).  Two misuses
+   fail loudly rather than let a page reach disk unprotected: a write
+   outside any transaction on a logged pool (nothing would cover it), and
+   a page already claimed by a {e different} in-flight transaction (a
    violation of the disjoint-page-sets invariant that makes concurrent
-   page-level logging sound, so it fails loudly rather than corrupt
-   either undo chain. *)
+   page-level logging sound). *)
 let mark_dirty t f =
   with_pool t (fun () ->
       match current_txn t with
-      | None -> ()
+      | None ->
+        if t.wal <> None then
+          invalid_arg
+            (Printf.sprintf "Buffer_pool.mark_dirty: page %d written outside a transaction"
+               f.page_id)
       | Some txn -> (
         match Hashtbl.find_opt t.page_txn f.page_id with
         | Some owner when owner != txn ->
@@ -781,19 +768,10 @@ let checkpoint t =
   with_pool t (fun () ->
       if Hashtbl.length t.txns > 0 then invalid_arg "Buffer_pool.checkpoint: transaction in flight");
   flush t;
-  match t.wal with
-  | None -> ()
-  | Some w ->
-    Wal.checkpoint w ~page_count:(Disk.page_count t.disk);
-    (* Every page is home and the log is empty: implicit steal logging is
-       sound again until the next transaction begins. *)
-    with_pool t (fun () -> t.txn_mode <- false)
+  Option.iter Wal.checkpoint t.wal
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
-
-let txn_mode t = with_pool t (fun () -> t.txn_mode)
-let txn_active t = with_pool t (fun () -> Hashtbl.length t.txns > 0)
 
 let txn_begin t ~txn =
   match t.wal with
@@ -803,7 +781,6 @@ let txn_begin t ~txn =
     with_pool t (fun () ->
         if Hashtbl.mem t.txns dom then
           invalid_arg "Buffer_pool.txn_begin: transaction in flight on this domain";
-        t.txn_mode <- true;
         let base = Disk.page_count t.disk in
         let lsn = Wal.log_begin w ~txn ~base in
         Hashtbl.replace t.txns dom { id = txn; last_lsn = lsn; pages = Hashtbl.create 16 })

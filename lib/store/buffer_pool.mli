@@ -13,11 +13,9 @@
     integrity trailer is the disk's business.  When a {!Wal.t} is attached,
     the pool enforces {e WAL-before-data}: a dirty page goes home only
     after the log records covering it are durable, and is stamped with the
-    LSN of the last such record.  Outside transactions the implicit
-    checkpoint batch logs each pre-existing page's pre-image on its first
-    write-back and {!checkpoint} makes the batch durable; inside a
-    transaction ({!txn_begin} … {!txn_commit_prep}) every mutated page gets
-    redo+undo update records instead, and durability is the group-commit
+    LSN of the last such record.  Every write to such a pool happens
+    inside a transaction ({!txn_begin} … {!txn_commit_prep}): each mutated
+    page gets redo+undo update records, and durability is the group-commit
     fsync of the commit record — dirty pages may stay in the pool
     (no-force) or be stolen early (steal).
 
@@ -113,17 +111,20 @@ val fix_new : t -> int -> frame
 
 val unfix : t -> frame -> unit
 
-(** Mark a frame about to be mutated ({e before} the mutation: the active
-    transaction, if any, captures the page image its undo record will
-    restore here). *)
+(** Mark a frame about to be mutated ({e before} the mutation: the calling
+    domain's transaction captures the page image its undo record will
+    restore here).
+    @raise Invalid_argument on a pool with a WAL when the calling domain
+    has no transaction in flight, or when the page belongs to another
+    domain's in-flight transaction. *)
 val mark_dirty : t -> frame -> unit
 
 (** [with_page t page f] fixes, applies [f], and unfixes (also on
     exceptions). *)
 val with_page : t -> int -> (frame -> 'a) -> 'a
 
-(** Write all dirty frames back to disk (frames stay resident), logging
-    WAL pre-images first when a log is attached. *)
+(** Write all dirty frames back to disk (frames stay resident), forcing
+    the log first where a frame's covering record is not durable yet. *)
 val flush : t -> unit
 
 (** [flush_pages t pages] writes back just the listed pages' dirty frames
@@ -132,9 +133,9 @@ val flush : t -> unit
     that transaction first — exactly as eviction would. *)
 val flush_pages : t -> int list -> unit
 
-(** {!flush}, then seal and truncate the WAL — the unscoped store's
-    durability point, and the transition back from transaction mode to the
-    implicit batch.  Equivalent to {!flush} when no WAL is attached.
+(** {!flush}, then truncate the WAL: every committed transaction's pages
+    are home, so the log restarts empty.  Equivalent to {!flush} when no
+    WAL is attached.
     @raise Invalid_argument while a transaction is in flight. *)
 val checkpoint : t -> unit
 
@@ -142,8 +143,9 @@ val checkpoint : t -> unit
 
     Several transactions may be in their mutation phases at once — at
     most one per domain, and their page sets must be disjoint (the store
-    guarantees this by giving each document a private allocation arena;
-    shared pages are only written inside its serialised commit section).
+    guarantees this by giving each concurrently written document a
+    private allocation arena; shared pages are only written under its
+    structure lock).
     The pool tracks each page a transaction dirties, attributed to the
     calling domain's transaction, and logs redo+undo update records for
     it either when the page is stolen (written back while the transaction
@@ -152,9 +154,7 @@ val checkpoint : t -> unit
     the disjointness invariant is what keeps page-level logging sound. *)
 
 (** [txn_begin t ~txn] opens transaction [txn] on the calling domain:
-    logs its begin record and starts page tracking.  Enters transaction
-    mode (suppressing the implicit batch's steal logging) until the next
-    {!checkpoint}.
+    logs its begin record and starts page tracking.
     @raise Invalid_argument without a WAL or while the calling domain
     already has a transaction in flight. *)
 val txn_begin : t -> txn:int -> unit
@@ -164,13 +164,6 @@ val txn_begin : t -> txn:int -> unit
     record's LSN.  The caller makes it durable (group commit); no page is
     flushed (no-force). *)
 val txn_commit_prep : t -> int
-
-(** Whether the pool is in transaction mode (some transaction began since
-    the last {!checkpoint}). *)
-val txn_mode : t -> bool
-
-(** Whether any transaction is currently in its mutation phase. *)
-val txn_active : t -> bool
 
 (** Flush, then drop every frame.  Pinned frames cause a [Failure].
 

@@ -230,8 +230,8 @@ let run ?obs disk =
         records;
       (* --- Undo the losers, newest record first across transactions --- *)
       let losers = ref [] in
-      (* A Begin with no logged work (the fresh implicit batch a clean
-         shutdown leaves behind) needs no undo and is not a loser. *)
+      (* A Begin with no logged work (a transaction that died before its
+         first update reached the log) needs no undo and is not a loser. *)
       Hashtbl.iter
         (fun txn s ->
           if (not s.committed) && (not s.ended) && s.touched then losers := (txn, s) :: !losers)

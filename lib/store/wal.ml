@@ -15,7 +15,7 @@ open Natix_util
 
      [0]      kind (1 = Begin, 2 = Update, 3 = Commit, 4 = Clr, 5 = End)
      [1..7)   LSN
-     [7..11)  transaction id (0 = the implicit checkpoint batch)
+     [7..11)  transaction id
      [11..17) previous LSN of the same transaction (Clr: undo-next LSN)
      [17..21) argument (Begin/Commit: page count; Update/Clr: page id)
      [21..25) payload length
@@ -119,9 +119,6 @@ type t = {
   payload_size : int;
   lock : Mutex.t;
   next_lsn : int Atomic.t;
-  logged : (int, unit) Hashtbl.t;  (* pages updated this implicit batch *)
-  mutable base : int;  (* page count at the last checkpoint *)
-  mutable implicit_last : int;  (* prev_lsn chain head of the implicit batch *)
   mutable file_end : int;  (* offset of the next durable record *)
   mutable pending : (int * bytes) list;  (* newest first: lsn, encoded *)
   mutable pending_count : int;
@@ -242,7 +239,7 @@ let fsync_locked t =
 
 let fsync t = with_lock t (fun () -> fsync_locked t)
 
-let create ?obs ?faults ?(first_lsn = 1) ~page_size ~base path =
+let create ?obs ?faults ?(first_lsn = 1) ~page_size path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let t =
     {
@@ -252,9 +249,6 @@ let create ?obs ?faults ?(first_lsn = 1) ~page_size ~base path =
       payload_size = page_size - Disk.trailer_size;
       lock = Mutex.create ();
       next_lsn = Atomic.make (max 1 first_lsn);
-      logged = Hashtbl.create 64;
-      base;
-      implicit_last = 0;
       file_end = header_size;
       pending = [];
       pending_count = 0;
@@ -268,13 +262,9 @@ let create ?obs ?faults ?(first_lsn = 1) ~page_size ~base path =
     }
   in
   write_header t;
-  with_lock t (fun () ->
-      t.implicit_last <- append_locked t ~kind:kind_begin ~txn:0 ~prev_lsn:0 ~arg:base None;
-      fsync_locked t);
   t
 
 let path t = t.path
-let base t = t.base
 let page_size t = t.page_size
 let payload_size t = t.payload_size
 let appends t = t.appends
@@ -296,8 +286,8 @@ let emit_update t lsn page =
   | Some obs ->
     Natix_obs.Obs.emit obs (Natix_obs.Event.Wal_append { lsn; page; bytes = 2 * t.payload_size })
 
-(* Explicit-transaction records.  Memory-only; the caller decides when to
-   force them ({!fsync} via steal or the group-commit daemon). *)
+(* Transaction records.  Memory-only; the caller decides when to force
+   them ({!fsync} via steal or the group-commit daemon). *)
 
 let log_begin t ~txn ~base =
   with_lock t (fun () -> append_locked t ~kind:kind_begin ~txn ~prev_lsn:0 ~arg:base None)
@@ -318,50 +308,17 @@ let log_update t ~txn ~prev_lsn ~page ~before ~after =
 let log_commit t ~txn ~prev_lsn ~page_count =
   with_lock t (fun () -> append_locked t ~kind:kind_commit ~txn ~prev_lsn ~arg:page_count None)
 
-(* The implicit checkpoint batch (txn 0): undo bookkeeping for unscoped
-   mutation, exactly the pre-PR-7 protocol. *)
-
-let needs_before t page = page >= 0 && page < t.base && not (Hashtbl.mem t.logged page)
-
-let log_steal t ~page ~before ~after =
-  if needs_before t page then begin
-    (* Mark first: if the flush crashes, the simulated process is dead
-       anyway, and a leaked handle must not log a second (post-write)
-       "pre"-image for the same page. *)
-    Hashtbl.replace t.logged page ();
-    let lsn = log_update t ~txn:0 ~prev_lsn:t.implicit_last ~page ~before ~after in
-    t.implicit_last <- lsn;
-    lsn
-  end
-  else 0
-
-(* Seal the implicit batch: force the commit record, then truncate — every
-   dirty page was flushed before this call (force-at-checkpoint), so the
-   old records are moot — and open the next batch. *)
-let checkpoint t ~page_count =
-  let pages = Hashtbl.length t.logged in
-  let lsn =
-    with_lock t (fun () ->
-        let lsn =
-          append_locked t ~kind:kind_commit ~txn:0 ~prev_lsn:t.implicit_last ~arg:page_count None
-        in
-        fsync_locked t;
-        lsn)
-  in
+(* Truncate the log at a checkpoint: every dirty page was flushed before
+   this call (force-at-checkpoint), so the records are moot. *)
+let checkpoint t =
   with_lock t (fun () ->
+      fsync_locked t;
       Unix.ftruncate t.fd header_size;
       (* The truncation just dropped every record whose LSN dominated the
          data-page trailers; refresh the header's high-water mark so a
          crash before the next record becomes durable cannot restart the
          sequence below those trailers. *)
       write_header t;
-      t.file_end <- header_size;
-      Hashtbl.reset t.logged;
-      t.base <- page_count;
-      t.implicit_last <- append_locked t ~kind:kind_begin ~txn:0 ~prev_lsn:0 ~arg:page_count None;
-      fsync_locked t);
-  match t.obs with
-  | None -> ()
-  | Some obs -> Natix_obs.Obs.emit obs (Natix_obs.Event.Wal_commit { lsn; pages })
+      t.file_end <- header_size)
 
 let close t = Unix.close t.fd

@@ -15,15 +15,11 @@
     compare a page's trailer LSN against a record's LSN to decide whether
     the page already contains that record's effect.
 
-    Two clients share the one log:
-    - {b explicit transactions} ([log_begin]/[log_update]/[log_commit]),
-      forced at commit by the group-commit daemon;
-    - {b the implicit checkpoint batch} (transaction id 0) covering
-      unscoped mutation: {!log_steal} forces a record before each steal of
-      a pre-existing page, and {!checkpoint} seals the batch and truncates
-      the log (force-at-checkpoint, so the old records are moot).  The log
-      file therefore always starts at the most recent checkpoint — the
-      redo pass scans from the file start.
+    Every record belongs to a transaction: its records are forced at
+    commit by the group-commit daemon, or earlier when a steal writes a
+    page home.  {!checkpoint} truncates the log once every dirty page is
+    home (force-at-checkpoint), so the log file always starts at the most
+    recent checkpoint — the redo pass scans from the file start.
 
     Every record carries its own CRC-32, so a tail torn by a crash
     mid-flush is detected; recovery truncates the log at the last valid
@@ -31,9 +27,8 @@
 
 type t
 
-(** [create ~page_size ~base path] truncates/creates the log and starts
-    the implicit batch with [base] as the rollback page count — call only
-    after {!Recovery.run} has consumed any previous log.  [first_lsn]
+(** [create ~page_size path] truncates/creates the log — call only after
+    {!Recovery.run} has consumed any previous log.  [first_lsn]
     (default 1) seeds the LSN sequence strictly above every LSN the
     recovered store has seen.  [faults] shares the disk's fault-injection
     plan so crash points cover log fsyncs too. *)
@@ -42,15 +37,10 @@ val create :
   ?faults:Faulty_disk.t ->
   ?first_lsn:int ->
   page_size:int ->
-  base:int ->
   string ->
   t
 
 val path : t -> string
-
-(** Page count rolled back to if the current implicit batch never
-    commits. *)
-val base : t -> int
 
 val page_size : t -> int
 
@@ -70,7 +60,7 @@ val durable_lsn : t -> int
 (** Records appended but not yet fsynced. *)
 val pending_records : t -> int
 
-(** {2 Explicit transactions} *)
+(** {2 Transactions} *)
 
 (** Append a transaction-begin record; [base] is the page count at begin.
     Returns the record's LSN.  Memory-only until {!fsync}. *)
@@ -90,24 +80,10 @@ val log_commit : t -> txn:int -> prev_lsn:int -> page_count:int -> int
     and raises {!Faulty_disk.Crash}. *)
 val fsync : t -> unit
 
-(** {2 Implicit checkpoint batch (transaction 0)} *)
-
-(** True when [page] needs its record logged before its first write-back
-    of this batch (false for pages allocated within the batch and for
-    pages already logged). *)
-val needs_before : t -> int -> bool
-
-(** [log_steal t ~page ~before ~after] appends an update record for the
-    implicit batch before a steal, returning its LSN (0 when not needed:
-    in-batch allocations and already-logged pages).  The caller forces the
-    log before the data write ({!fsync}). *)
-val log_steal : t -> page:int -> before:bytes -> after:bytes -> int
-
-(** [checkpoint t ~page_count] seals the implicit batch: forces a commit
-    record, truncates the log, and opens the next batch with [page_count]
-    as its rollback base.  Call only after every dirty page has been
-    flushed. *)
-val checkpoint : t -> page_count:int -> unit
+(** [checkpoint t] forces any pending records, then truncates the log and
+    rewrites the header's LSN high-water mark.  Call only after every
+    dirty page has been flushed. *)
+val checkpoint : t -> unit
 
 (** {2 Counters} *)
 

@@ -370,7 +370,7 @@ let tree_store_tests =
         let disk = Natix_store.Disk.on_file ~page_size:1024 path in
         let store = Tree_store.open_store ~config disk in
         let t = Xml_parser.parse sample_doc in
-        let _ = Loader.load store ~name:"d" t in
+        Tree_store.autocommit store ~doc:"d" (fun () -> ignore (Loader.load store ~name:"d" t));
         Tree_store.sync store;
         Natix_store.Disk.close disk;
         let disk2 = Natix_store.Disk.on_file ~page_size:1024 path in

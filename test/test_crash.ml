@@ -3,12 +3,12 @@
    A deterministic Shakespeare load+update workload runs against a
    file-backed store with a fault plan armed to crash on the [k+1]-th
    physical write (data pages, fresh allocations and WAL appends all
-   count).  After the simulated process death the store is reopened —
-   which runs {!Natix_store.Recovery} — and must come back to exactly the
-   last committed checkpoint: [natix fsck] clean, and every document's
-   export byte-identical to the reference run's snapshot at that
-   checkpoint.  A crash landing inside a checkpoint is allowed to resolve
-   to either side of its commit record.
+   count).  Every write is its own autocommit transaction.  After the
+   simulated process death the store is reopened — which runs
+   {!Natix_store.Recovery} — and must come back to exactly the state after
+   the last acknowledged write, or after the write in flight when the
+   crash hit: [natix fsck] clean, and every document's export
+   byte-identical to the reference run's snapshot at that point.
 
    The sweep covers [NATIX_CRASH_POINTS] (default 12, CI uses 32) evenly
    spaced crash points over the write sequence; [NATIX_CRASH_TRACE=f.jsonl]
@@ -24,7 +24,7 @@ let config () =
   { (Config.default ()) with Config.page_size; buffer_bytes = 8 * page_size }
 
 (* One small play: big enough to split pages and dirty the pool across
-   several checkpoints, small enough to replay dozens of times. *)
+   many commits, small enough to replay dozens of times. *)
 let play =
   let params =
     {
@@ -44,11 +44,12 @@ let play =
 let rounds = 3
 let updates_per_round = 5
 
-(* The workload: load, checkpoint, then rounds of text updates with a
-   checkpoint after each.  [checkpoint] is instrumented by the caller. *)
-let workload store ~checkpoint =
-  ignore (Loader.load store ~name:"play" play);
-  checkpoint ();
+(* The workload: load, then rounds of text updates with a checkpoint
+   after each.  Each write — the load and every update — is one autocommit
+   transaction run through [write], which the caller instruments;
+   [checkpoint] changes no document state. *)
+let workload store ~write ~checkpoint =
+  write (fun () -> ignore (Loader.load store ~name:"play" play));
   for r = 1 to rounds do
     let lines = Path.query store ~doc:"play" "//LINE" in
     let n = List.length lines in
@@ -56,12 +57,15 @@ let workload store ~checkpoint =
       let line = List.nth lines (((r * 37) + (i * 11)) mod n) in
       match Cursor.first_child line with
       | Some c when Cursor.is_text c ->
-        Tree_store.update_text store (Cursor.node c)
-          (Printf.sprintf "round %d update %d %s" r i (String.make (24 * ((r + i) mod 5)) 'x'))
+        write (fun () ->
+            Tree_store.update_text store (Cursor.node c)
+              (Printf.sprintf "round %d update %d %s" r i (String.make (24 * ((r + i) mod 5)) 'x')))
       | Some _ | None -> ()
     done;
     checkpoint ()
   done
+
+let autocommit store f = Tree_store.autocommit store ~doc:"play" f
 
 (* Every document's export, sorted by name — the unit of byte-for-byte
    comparison between reference snapshots and recovered stores. *)
@@ -78,9 +82,9 @@ let fresh path =
   if Sys.file_exists wal then Sys.remove wal
 
 (* Reference run (fault plan attached but never armed): returns the total
-   number of physical writes and the state snapshot after each checkpoint.
-   Snapshot 0 is the empty store — where a crash before the first
-   checkpoint must roll back to. *)
+   number of physical writes and the state snapshot after each
+   acknowledged write.  Snapshot 0 is the empty store — where a crash
+   before the first commit must roll back to. *)
 let reference path =
   fresh path;
   let plan = Faulty_disk.create ~seed:1L () in
@@ -88,21 +92,25 @@ let reference path =
   Disk.set_faults disk (Some plan);
   let store = Tree_store.open_store ~config:(config ()) disk in
   let snapshots = ref [ [] ] in
-  workload store ~checkpoint:(fun () ->
-      Tree_store.checkpoint store;
-      snapshots := state_of store :: !snapshots);
+  workload store
+    ~write:(fun f ->
+      autocommit store f;
+      snapshots := state_of store :: !snapshots)
+    ~checkpoint:(fun () -> Tree_store.sync store);
   Tree_store.close ~commit:false store;
   (Faulty_disk.writes_seen plan, Array.of_list (List.rev !snapshots))
 
-type crash_outcome = { crashed : bool; completed : int; in_checkpoint : bool }
+type crash_outcome = { crashed : bool; completed : int; in_write : bool }
 
 (* Run the workload with a crash armed after [k] writes, closing every
-   file descriptor on death without letting anything else reach disk. *)
+   file descriptor on death without letting anything else reach disk.
+   [completed] counts acknowledged writes; [in_write] says the crash hit
+   one in flight (not a checkpoint). *)
 let run_to_crash path k =
   fresh path;
   let plan = Faulty_disk.create ~seed:(Int64.of_int (1000 + k)) () in
   Faulty_disk.arm_crash plan k;
-  let completed = ref 0 and in_checkpoint = ref false in
+  let completed = ref 0 and in_write = ref false in
   let disk = Disk.on_file ~page_size path in
   Disk.set_faults disk (Some plan);
   let crashed =
@@ -111,13 +119,13 @@ let run_to_crash path k =
       Disk.close disk;
       true
     | store -> (
-      let checkpoint () =
-        in_checkpoint := true;
-        Tree_store.checkpoint store;
-        in_checkpoint := false;
+      let write f =
+        in_write := true;
+        autocommit store f;
+        in_write := false;
         incr completed
       in
-      match workload store ~checkpoint with
+      match workload store ~write ~checkpoint:(fun () -> Tree_store.sync store) with
       | () ->
         Tree_store.close ~commit:false store;
         false
@@ -125,7 +133,7 @@ let run_to_crash path k =
         Tree_store.close ~commit:false store;
         true)
   in
-  { crashed; completed = !completed; in_checkpoint = (if crashed then !in_checkpoint else false) }
+  { crashed; completed = !completed; in_write = crashed && !in_write }
 
 (* Reopen after the crash (recovery runs inside [open_store]), fsck, and
    compare against the reference snapshot. *)
@@ -137,15 +145,13 @@ let verify_recovered ?obs path k (snapshots : (string * string) list array) outc
     Alcotest.failf "crash point %d: post-recovery fsck: %a" k Fsck.pp report;
   let actual = state_of store in
   let matches n = n < Array.length snapshots && actual = snapshots.(n) in
-  let ok =
-    matches outcome.completed || (outcome.in_checkpoint && matches (outcome.completed + 1))
-  in
+  let ok = matches outcome.completed || (outcome.in_write && matches (outcome.completed + 1)) in
   if not ok then
     Alcotest.failf
-      "crash point %d: recovered state matches neither checkpoint %d%s (completed %d, %d doc(s))"
-      k outcome.completed
-      (if outcome.in_checkpoint then " nor its in-flight successor" else "")
-      outcome.completed (List.length actual);
+      "crash point %d: recovered state matches neither write %d%s (%d doc(s))" k
+      outcome.completed
+      (if outcome.in_write then " nor its in-flight successor" else "")
+      (List.length actual);
   Tree_store.close ~commit:false store
 
 let crash_points total =
@@ -165,7 +171,8 @@ let sweep () =
     (fun () ->
       let total_writes, snapshots = reference path in
       Alcotest.(check bool) "workload writes pages" true (total_writes > 0);
-      Alcotest.(check int) "snapshot per checkpoint" (rounds + 2) (Array.length snapshots);
+      Alcotest.(check bool) "snapshot per write" true
+        (Array.length snapshots > 1 + rounds);
       let obs =
         Option.map
           (fun p -> Natix_obs.Obs.create ~sink:(Natix_obs.Sink.jsonl p) ())
@@ -183,103 +190,10 @@ let sweep () =
               verify_recovered ?obs path k snapshots outcome)
             (crash_points total_writes)))
 
-(* Parallel bulk load killed mid-flight.  [Par.load_files] commits each
-   document through its own WAL batch (store_committed) under the
-   loader's commit lock, so whatever the domain schedule was, recovery
-   must come back document-atomic: every surviving document exports
-   byte-identical to a clean sequential load of the same file, and a
-   document whose commit had not completed is fully absent — never a
-   partial tree. *)
-let parallel_load_crash () =
-  let path = Filename.temp_file "natix_crash" ".db" in
-  Fun.protect
-    ~finally:(fun () -> fresh path)
-    (fun () ->
-      let params =
-        {
-          Shakespeare.plays = 6;
-          seed = 0xFA11L;
-          acts_per_play = 2;
-          scenes_per_act = (1, 2);
-          speeches_per_scene = (2, 4);
-          lines_per_speech = (1, 3);
-          words_per_line = (3, 6);
-          personae = (2, 3);
-          stagedir_every = 3;
-        }
-      in
-      let rng = Natix_util.Prng.create ~seed:params.Shakespeare.seed in
-      let files =
-        List.init params.Shakespeare.plays (fun i ->
-            ( Printf.sprintf "play-%d" i,
-              Natix_xml.Xml_print.to_string ~decl:true (Shakespeare.generate_play params rng i)
-            ))
-      in
-      let load_all ~jobs dm =
-        Natix_par.Par.load_files ~jobs (dm : Document_manager.t) files
-      in
-      (* Reference exports from a clean in-memory load. *)
-      let reference =
-        let store = Tree_store.in_memory ~config:(config ()) () in
-        let dm = Document_manager.create ~index:Document_manager.Off store in
-        List.iter
-          (function
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "reference load failed: %s" (Error.to_string e))
-          (load_all ~jobs:1 dm).Natix_par.Par.results;
-        state_of store
-      in
-      (* One unarmed parallel run to size the write sequence. *)
-      let total =
-        fresh path;
-        let plan = Faulty_disk.create ~seed:3L () in
-        let disk = Disk.on_file ~page_size path in
-        Disk.set_faults disk (Some plan);
-        let store = Tree_store.open_store ~config:(config ()) disk in
-        let dm = Document_manager.create ~index:Document_manager.Off store in
-        ignore (load_all ~jobs:3 dm);
-        Tree_store.close ~commit:false store;
-        Faulty_disk.writes_seen plan
-      in
-      Alcotest.(check bool) "parallel load writes pages" true (total > 0);
-      List.iter
-        (fun k ->
-          fresh path;
-          let plan = Faulty_disk.create ~seed:(Int64.of_int (7000 + k)) () in
-          Faulty_disk.arm_crash plan k;
-          let disk = Disk.on_file ~page_size path in
-          Disk.set_faults disk (Some plan);
-          let store = Tree_store.open_store ~config:(config ()) disk in
-          let dm = Document_manager.create ~index:Document_manager.Off store in
-          (match load_all ~jobs:3 dm with
-          | _ -> Alcotest.failf "crash point %d: parallel load survived" k
-          | exception Faulty_disk.Crash -> Tree_store.close ~commit:false store);
-          (* Reopen without faults: recovery runs inside open_store. *)
-          let disk2 = Disk.on_file ~page_size path in
-          let store2 = Tree_store.open_store ~config:(config ()) disk2 in
-          let report = Fsck.run store2 in
-          if not (Fsck.ok report) then
-            Alcotest.failf "crash point %d: post-recovery fsck: %a" k Fsck.pp report;
-          let recovered = state_of store2 in
-          Alcotest.(check bool)
-            (Printf.sprintf "crash point %d: mid-load crash loses at least one document" k)
-            true
-            (List.length recovered < List.length files);
-          List.iter
-            (fun (name, exported) ->
-              match List.assoc_opt name reference with
-              | Some expected when String.equal expected exported -> ()
-              | Some _ ->
-                Alcotest.failf "crash point %d: %S recovered but differs from reference" k name
-              | None -> Alcotest.failf "crash point %d: unexpected document %S" k name)
-            recovered;
-          Tree_store.close ~commit:false store2)
-        (List.sort_uniq compare [ total / 4; total / 2; 3 * total / 4 ]))
-
 (* Concurrent transactional committers under a crash sweep — the ARIES
    counterpart of [sweep].  Three domains commit documents through
-   [Tree_store.with_txn] (via [Par.load_files_txn]: no commit lock, group
-   commit batching the fsyncs) while the fault plan arms either a
+   [Tree_store.with_txn] (via [Par.load_files_txn]: group commit batching
+   the fsyncs) while the fault plan arms either a
    write-crash point or an fsync-crash point (batch lost, tail lost, or a
    reordered subset surviving).  After every simulated death the store is
    reopened — recovery runs analysis/redo/undo — and must satisfy, for
@@ -523,7 +437,7 @@ let overlapping_phase_crash () =
           ignore (Loader.insert_fragment store (Tree_store.First_under root) (parse (frag w i)))
         done
       in
-      (* Sequential reference: same load + growth, unscoped, in memory. *)
+      (* Sequential reference: same load + growth, in memory. *)
       let reference =
         let store = Tree_store.in_memory ~config:(config ()) () in
         List.iteri
@@ -711,11 +625,10 @@ let arena_refill_crash () =
 
 let harness_tests =
   [
-    Alcotest.test_case "recovery reaches the last checkpoint at every crash point" `Slow sweep;
+    Alcotest.test_case "recovery reaches the last acknowledged write at every crash point" `Slow
+      sweep;
     Alcotest.test_case "concurrent committers recover atomically at every crash point" `Slow
       concurrent_txn_crash;
-    Alcotest.test_case "parallel bulk load recovers document-atomically" `Slow
-      parallel_load_crash;
     Alcotest.test_case "overlapping mutation phases recover atomically" `Slow
       overlapping_phase_crash;
     Alcotest.test_case "a crash inside an arena refill leaves no orphaned pages" `Slow
@@ -728,7 +641,7 @@ let harness_tests =
             fresh path;
             let disk = Disk.on_file ~page_size path in
             let store = Tree_store.open_store ~config:(config ()) disk in
-            ignore (Loader.load store ~name:"play" play);
+            autocommit store (fun () -> ignore (Loader.load store ~name:"play" play));
             Tree_store.close store;
             let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
             let off = page_size + (page_size / 2) in
@@ -752,7 +665,7 @@ let harness_tests =
             fresh path;
             let disk = Disk.on_file ~page_size path in
             let store = Tree_store.open_store ~config:(config ()) disk in
-            workload store ~checkpoint:(fun () -> Tree_store.checkpoint store);
+            workload store ~write:(autocommit store) ~checkpoint:(fun () -> Tree_store.sync store);
             let final = state_of store in
             Tree_store.close store;
             let disk2 = Disk.on_file ~page_size path in

@@ -117,7 +117,8 @@ let element_index_tests =
         let disk = Natix_store.Disk.on_file ~page_size:1024 path in
         let store = Tree_store.open_store ~config disk in
         let idx = Element_index.create store ~name:"elements" in
-        let _ = Loader.load store ~name:"d" (Xml_parser.parse sample) in
+        Tree_store.autocommit store ~doc:"d" (fun () ->
+            ignore (Loader.load store ~name:"d" (Xml_parser.parse sample)));
         Element_index.refresh idx;
         Tree_store.sync store;
         Natix_store.Disk.close disk;
@@ -146,7 +147,8 @@ let element_index_tests =
             let store = open_store () in
             let idx = Element_index.create store ~name:"elements" in
             Alcotest.(check bool) "fresh on an empty store" false (Element_index.stale idx);
-            let _ = Loader.load store ~name:"d1" (Xml_parser.parse sample) in
+            Tree_store.autocommit store ~doc:"d1" (fun () ->
+                ignore (Loader.load store ~name:"d1" (Xml_parser.parse sample)));
             Element_index.refresh idx;
             Alcotest.(check bool) "current after refresh" false (Element_index.stale idx);
             Tree_store.close store;
@@ -154,7 +156,8 @@ let element_index_tests =
             let store = open_store () in
             Alcotest.(check bool) "epoch persisted" true (Tree_store.change_epoch store > 0);
             let epoch_before = Tree_store.change_epoch store in
-            let _ = Loader.load store ~name:"d2" (Xml_parser.parse sample) in
+            Tree_store.autocommit store ~doc:"d2" (fun () ->
+                ignore (Loader.load store ~name:"d2" (Xml_parser.parse sample)));
             Alcotest.(check bool) "epoch advances" true
               (Tree_store.change_epoch store > epoch_before);
             Tree_store.close store;
@@ -319,6 +322,87 @@ let document_manager_tests =
         Alcotest.(check int) "index emptied" 0 (Document_manager.count_elements dm "LINE"));
   ]
 
+(* A stale index is not corruption: fsck checks its B-tree structure, and
+   the next writable open with [Ensure] rebuilds it. *)
+let stale_index_tests =
+  let page_size = 1024 in
+  let config () = { (Config.default ()) with Config.page_size; buffer_bytes = 16 * page_size } in
+  let with_path f =
+    let path = Filename.temp_file "natix_stale" ".db" in
+    let clean () =
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; Natix_store.Recovery.wal_path path ]
+    in
+    clean ();
+    Fun.protect ~finally:clean (fun () -> f path)
+  in
+  let files n = List.init n (fun i -> (Printf.sprintf "d%d" i, sample)) in
+  let load_all sess n =
+    List.iter
+      (function Ok () -> () | Error e -> Alcotest.failf "load failed: %s" (Error.to_string e))
+      (Natix.Session.load_files_txn ~jobs:2 sess (files n)).Natix_par.Par.results
+  in
+  (* fsck without an index handle, then a clean check after [Ensure]. *)
+  let verify what path =
+    let store = Tree_store.open_store ~config:(config ()) (Natix_store.Disk.on_file ~page_size path) in
+    let report = Fsck.run store in
+    if not (Fsck.ok report) then Alcotest.failf "%s: fsck: %a" what Fsck.pp report;
+    Tree_store.close ~commit:false store;
+    let options = { Natix.Session.Options.default with config = Some (config ()) } in
+    Natix.Session.with_store ~options path (fun sess ->
+        let idx = Option.get (Document_manager.index (Natix.Session.manager sess)) in
+        Alcotest.(check bool) (what ^ ": current after Ensure") false (Element_index.stale idx);
+        Element_index.check idx);
+    report
+  in
+  [
+    Alcotest.test_case "fsck reports a stale index as stale, not corrupt" `Quick (fun () ->
+        with_path (fun path ->
+            let options = { Natix.Session.Options.default with config = Some (config ()) } in
+            let sess = Natix.Session.open_store ~options path in
+            load_all sess 2;
+            Natix.Session.close ~commit:false sess;
+            let report = verify "after an unclean close" path in
+            Alcotest.(check bool) "reported stale" true (report.Fsck.index = Fsck.Stale_index);
+            Alcotest.(check bool) "pp says stale" true
+              (let s = Format.asprintf "%a" Fsck.pp report in
+               let rec has i = i + 5 <= String.length s && (String.sub s i 5 = "stale" || has (i + 1)) in
+               has 0)));
+    Alcotest.test_case "a crash at every write of the checkpoint leaves the index fsck-clean"
+      `Quick (fun () ->
+        with_path (fun path ->
+            (* Three transactional loads leave postings pending; the
+               checkpoint folds them in a transaction, then flushes. *)
+            let run arm =
+              let plan = Natix_store.Faulty_disk.create ~seed:17L () in
+              let disk = Natix_store.Disk.on_file ~page_size path in
+              Natix_store.Disk.set_faults disk (Some plan);
+              let store = Tree_store.open_store ~config:(config ()) disk in
+              let sess = Natix.Session.of_store ~monitor:false store in
+              load_all sess 3;
+              let before = Natix_store.Faulty_disk.writes_seen plan in
+              Option.iter (fun k -> Natix_store.Faulty_disk.arm_crash plan (before + k)) arm;
+              let crashed =
+                match Natix.Session.checkpoint sess with
+                | () -> false
+                | exception Natix_store.Faulty_disk.Crash -> true
+              in
+              Tree_store.close ~commit:false store;
+              (crashed, Natix_store.Faulty_disk.writes_seen plan - before)
+            in
+            let _, writes = run None in
+            Alcotest.(check bool) "the checkpoint writes" true (writes > 0);
+            for k = 0 to writes - 1 do
+              List.iter
+                (fun p -> if Sys.file_exists p then Sys.remove p)
+                [ path; Natix_store.Recovery.wal_path path ];
+              let crashed, _ = run (Some k) in
+              Alcotest.(check bool) (Printf.sprintf "write %d: crashed" k) true crashed;
+              ignore (verify (Printf.sprintf "crash at write %d" k) path)
+            done));
+  ]
+
 let dtd_codec_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -351,5 +435,6 @@ let suites =
   [
     ("core.element_index", element_index_tests);
     ("core.document_manager", document_manager_tests);
+    ("core.stale_index", stale_index_tests);
     ("xml.dtd_codec", dtd_codec_tests);
   ]

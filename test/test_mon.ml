@@ -46,7 +46,9 @@ let play_xml name =
 let parse = Natix_xml.Xml_parser.parse
 
 let session_with_docs ?buffer_bytes names =
-  let s = Natix.Session.in_memory ~config:(config ?buffer_bytes ()) () in
+  let s = Natix.Session.open_memory
+      ~options:{ Natix.Session.Options.default with config = Some (config ?buffer_bytes ()) }
+      () in
   List.iter
     (fun name ->
       match Natix.Session.store_document s ~name (parse (play_xml name)) with
@@ -483,7 +485,9 @@ let session_tests =
         Alcotest.(check string) "json" j1 j2;
         Alcotest.(check bool) "non-trivial export" true (String.length p1 > 100));
     Alcotest.test_case "monitor off: no handle is injected, no ring exists" `Quick (fun () ->
-        let s = Natix.Session.in_memory ~config:(config ()) ~monitor:false () in
+        let s = Natix.Session.open_memory
+            ~options:{ Natix.Session.Options.default with config = Some (config ()); monitor = false }
+            () in
         Alcotest.(check bool) "no monitor" true (Natix.Session.mon s = None);
         Alcotest.(check bool) "no handle" true
           (Tree_store.obs (Natix.Session.store s) = None);
@@ -586,9 +590,9 @@ let sink_tests =
             Natix_store.Disk.set_faults disk (Some plan);
             let config = Config.with_obs obs { (config ()) with Config.page_size = 1024 } in
             let store = Tree_store.open_store ~config disk in
-            (match Loader.load store ~name:"a" (parse (play_xml "a")) with
-            | _ -> ());
-            Tree_store.checkpoint store;
+            Tree_store.autocommit store ~doc:"a" (fun () ->
+                ignore (Loader.load store ~name:"a" (parse (play_xml "a"))));
+            Tree_store.sync store;
             let flushed = lines () in
             Alcotest.(check bool) "checkpoint flushed the trace" true
               (List.length flushed > 0);
@@ -596,7 +600,10 @@ let sink_tests =
             (* Crash the very next physical write; the sink must still
                hold a valid prefix — nothing torn mid-line. *)
             Natix_store.Faulty_disk.arm_crash ~torn:false plan 0;
-            (match Loader.load store ~name:"b" (parse (play_xml "b")) with
+            (match
+               Tree_store.autocommit store ~doc:"b" (fun () ->
+                   Loader.load store ~name:"b" (parse (play_xml "b")))
+             with
             | _ -> Alcotest.fail "expected a crash"
             | exception Natix_store.Faulty_disk.Crash -> ());
             let after = lines () in

@@ -164,10 +164,24 @@ let load_differential () =
     |> List.map (fun name ->
            (name, Natix_xml.Xml_print.to_string (Option.get (Exporter.document_to_xml store name))))
   in
+  (* Transactions need a log, so each load runs against a fresh store
+     file. *)
+  let with_file_store f =
+    let path = Filename.temp_file "natix_par" ".db" in
+    let remove () =
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; Natix_store.Recovery.wal_path path ]
+    in
+    remove ();
+    Fun.protect ~finally:remove (fun () ->
+        let store = Tree_store.open_store ~config:(config ()) (Disk.on_file ~page_size:1024 path) in
+        Fun.protect ~finally:(fun () -> Tree_store.close ~commit:false store) (fun () -> f store))
+  in
   let build jobs =
-    let store = Tree_store.in_memory ~config:(config ()) () in
+    with_file_store @@ fun store ->
     let dm = Document_manager.create ~index:Document_manager.Off store in
-    let outcome = Par.load_files ~jobs dm files in
+    let outcome = Par.load_files_txn ~jobs dm files in
     List.iter
       (function
         | Ok () -> ()
@@ -192,9 +206,9 @@ let load_differential () =
   let with_bad = ("broken", "<oops") :: files in
   List.iter
     (fun jobs ->
-      let store = Tree_store.in_memory ~config:(config ()) () in
+      with_file_store @@ fun store ->
       let dm = Document_manager.create ~index:Document_manager.Off store in
-      let outcome = Par.load_files ~jobs dm with_bad in
+      let outcome = Par.load_files_txn ~jobs dm with_bad in
       (match outcome.Par.results with
       | Error (Error.Parse _) :: rest ->
         List.iter

@@ -308,7 +308,7 @@ let analyze_tests =
         Alcotest.(check bool) "renders estimates" true
           (contains txt "(est "));
     Alcotest.test_case "session facade exposes analyze" `Quick (fun () ->
-        let session = Natix.Session.in_memory () in
+        let session = Natix.Session.open_memory () in
         (match
            Natix.Session.store_document session ~name:"d"
              (Natix_xml.Xml_tree.element "r"

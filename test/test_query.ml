@@ -313,14 +313,14 @@ let test_session_roundtrip () =
       let play =
         List.hd (Natix_workload.Shakespeare.generate (Natix_workload.Shakespeare.scaled 0.01))
       in
-      Natix.Session.with_session path (fun s ->
+      Natix.Session.with_store path (fun s ->
           (match Natix.Session.store_document s ~name:"play" play with
           | Ok _ -> ()
           | Error e -> Alcotest.fail (Error.to_string e));
           check (Alcotest.list Alcotest.string) "documents" [ "play" ]
             (Natix.Session.documents s));
       (* Reopen: the document, the index and the query engine survive. *)
-      Natix.Session.with_session path (fun s ->
+      Natix.Session.with_store path (fun s ->
           let hits =
             match Natix.Session.query s ~doc:"play" "//SCNDESCR" with
             | Ok seq -> List.of_seq seq
@@ -367,17 +367,21 @@ let test_session_stale_index_never_drops_results () =
         | Error e -> Alcotest.fail (Error.to_string e)
       in
       (* Session 1 persists the index covering play-a. *)
-      Natix.Session.with_session path (fun s -> store_play s "play-a");
+      Natix.Session.with_store path (fun s -> store_play s "play-a");
       (* Session 2 loads play-b with the index closed: stale on disk. *)
-      Natix.Session.with_session path ~index:Document_manager.Off (fun s ->
+      Natix.Session.with_store path
+        ~options:{ Natix.Session.Options.default with index = Document_manager.Off }
+        (fun s ->
           store_play s "play-b");
       (* Read-only session: the stale index is skipped, not trusted. *)
-      Natix.Session.with_session path ~index:Document_manager.Fresh_only (fun s ->
+      Natix.Session.with_store path
+        ~options:{ Natix.Session.Options.default with index = Document_manager.Fresh_only }
+        (fun s ->
           checkb "stale index skipped" true
             (Document_manager.index (Natix.Session.manager s) = None);
           checki "play-b found by navigation" 1 (hits s "play-b"));
       (* Default writer session: the index is rebuilt, then seeds correctly. *)
-      Natix.Session.with_session path (fun s ->
+      Natix.Session.with_store path (fun s ->
           checki "play-b found after repair" 1 (hits s "play-b");
           checki "play-a still found" 1 (hits s "play-a")))
 

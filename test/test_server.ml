@@ -59,7 +59,7 @@ let load_docs s names =
     names
 
 let session_with_docs names =
-  let s = Natix.Session.in_memory ~config:(config ()) () in
+  let s = Natix.Session.open_memory ~options:{ Natix.Session.Options.default with config = Some (config ()) } () in
   load_docs s names;
   s
 
@@ -284,7 +284,7 @@ let protocol_tests =
 let exec_tests =
   [
     Alcotest.test_case "every request variant executes against a store" `Quick (fun () ->
-        let s = Natix.Session.in_memory ~config:(config ()) () in
+        let s = Natix.Session.open_memory ~options:{ Natix.Session.Options.default with config = Some (config ()) } () in
         (match Natix.Session.exec s Api.Ping with
         | Api.Pong -> ()
         | r -> Alcotest.failf "ping: %a" Api.pp_response r);
@@ -343,7 +343,7 @@ let exec_tests =
         in
         Alcotest.(check bool) "options: no monitor" true (Natix.Session.mon s1 = None);
         Natix.Session.close s1;
-        let s2 = Natix.Session.in_memory ~monitor:false () in
+        let s2 = Natix.Session.open_memory ~options:{ Natix.Session.Options.default with monitor = false } () in
         Alcotest.(check bool) "shim: no monitor" true (Natix.Session.mon s2 = None);
         Natix.Session.close s2;
         let s3 = Natix.Session.open_memory () in
@@ -376,8 +376,8 @@ let script =
   ]
 
 let differential_at ~jobs () =
-  let serve_sess = Natix.Session.in_memory ~config:(config ()) () in
-  let twin = Natix.Session.in_memory ~config:(config ()) () in
+  let serve_sess = Natix.Session.open_memory ~options:{ Natix.Session.Options.default with config = Some (config ()) } () in
+  let twin = Natix.Session.open_memory ~options:{ Natix.Session.Options.default with config = Some (config ()) } () in
   let registry = Registry.create () in
   Registry.mount registry "t" serve_sess;
   let server =

@@ -253,8 +253,16 @@ let pool_tests =
         List.iter (Buffer_pool.unfix pool) frames);
     Alcotest.test_case "fix_new avoids the disk read" `Quick (fun () ->
         let d, pool = make () in
+        (* Leave dead page-sized garbage on the heap: a fresh frame must
+           not hand it back as the page's content (a transaction's undo
+           image of a fresh page is that content). *)
+        for _ = 1 to 64 do
+          ignore (Sys.opaque_identity (Bytes.make (Disk.payload_size d) 'x'))
+        done;
         let p = Disk.allocate d in
         let f = Buffer_pool.fix_new pool p in
+        Alcotest.(check bool) "fresh frame is zeroed" true
+          (Bytes.for_all (fun c -> c = '\000') f.Buffer_pool.data);
         Buffer_pool.unfix pool f;
         Alcotest.(check int) "no reads" 0 (Disk.stats d).Io_stats.reads);
     Alcotest.test_case "LRU evicts the coldest page" `Quick (fun () ->
@@ -808,6 +816,15 @@ let wal_tests =
         if Sys.file_exists w then Sys.remove w)
       (fun () -> f path)
   in
+  (* An uncommitted transaction's update of page [p], forced and then
+     stolen: the page goes home before the commit that never comes. *)
+  let steal wal d p ~before ~after =
+    let b = Wal.log_begin wal ~txn:1 ~base:(Disk.page_count d) in
+    let lsn = Wal.log_update wal ~txn:1 ~prev_lsn:b ~page:p ~before ~after in
+    Wal.fsync wal;
+    Disk.write ~lsn d p after;
+    lsn
+  in
   [
     Alcotest.test_case "uncommitted steal rolls back to pre-image" `Quick (fun () ->
         with_store_file (fun path ->
@@ -815,21 +832,9 @@ let wal_tests =
             let ps = Disk.payload_size d in
             let p = Disk.allocate d in
             Disk.write d p (Bytes.make ps 'A');
-            let wal =
-              Wal.create ~page_size:(Disk.page_size d) ~base:(Disk.page_count d)
-                (Recovery.wal_path path)
-            in
-            let before = Bytes.create ps in
-            Disk.read d p before;
-            let after = Bytes.make ps 'B' in
-            Alcotest.(check bool) "needs pre-image" true (Wal.needs_before wal p);
-            let lsn = Wal.log_steal wal ~page:p ~before ~after in
+            let wal = Wal.create ~page_size:(Disk.page_size d) (Recovery.wal_path path) in
+            let lsn = steal wal d p ~before:(Bytes.make ps 'A') ~after:(Bytes.make ps 'B') in
             Alcotest.(check bool) "record has an LSN" true (lsn > 0);
-            Alcotest.(check bool) "logged once" false (Wal.needs_before wal p);
-            Alcotest.(check int) "second steal logs nothing" 0
-              (Wal.log_steal wal ~page:p ~before ~after);
-            Wal.fsync wal;
-            Disk.write ~lsn d p after;
             Wal.close wal;
             Disk.close d;
             let d2 = Disk.on_file ~page_size:256 path in
@@ -841,23 +846,24 @@ let wal_tests =
             Disk.read d2 p r;
             Alcotest.(check bytes) "pre-image restored" (Bytes.make ps 'A') r;
             Disk.close d2));
-    Alcotest.test_case "checkpointed batch is preserved" `Quick (fun () ->
+    Alcotest.test_case "checkpointed commits are preserved" `Quick (fun () ->
         with_store_file (fun path ->
             let d = Disk.on_file ~page_size:256 path in
             let ps = Disk.payload_size d in
             let p = Disk.allocate d in
             Disk.write d p (Bytes.make ps 'A');
-            let wal =
-              Wal.create ~page_size:(Disk.page_size d) ~base:(Disk.page_count d)
-                (Recovery.wal_path path)
+            let wal = Wal.create ~page_size:(Disk.page_size d) (Recovery.wal_path path) in
+            let b = Wal.log_begin wal ~txn:1 ~base:(Disk.page_count d) in
+            let u =
+              Wal.log_update wal ~txn:1 ~prev_lsn:b ~page:p ~before:(Bytes.make ps 'A')
+                ~after:(Bytes.make ps 'B')
             in
-            let before = Bytes.create ps in
-            Disk.read d p before;
-            let after = Bytes.make ps 'B' in
-            let lsn = Wal.log_steal wal ~page:p ~before ~after in
+            ignore (Wal.log_commit wal ~txn:1 ~prev_lsn:u ~page_count:(Disk.page_count d));
             Wal.fsync wal;
-            Disk.write ~lsn d p after;
-            Wal.checkpoint wal ~page_count:(Disk.page_count d);
+            Disk.write ~lsn:u d p (Bytes.make ps 'B');
+            Wal.checkpoint wal;
+            Alcotest.(check int) "log truncated to its header" Wal.header_size
+              (Unix.stat (Recovery.wal_path path)).Unix.st_size;
             Wal.close wal;
             Disk.close d;
             let d2 = Disk.on_file ~page_size:256 path in
@@ -875,8 +881,7 @@ let wal_tests =
             let p = Disk.allocate d in
             Disk.write d p (Bytes.make ps 'A');
             let wal =
-              Wal.create ~first_lsn:10 ~page_size:(Disk.page_size d)
-                ~base:(Disk.page_count d) (Recovery.wal_path path)
+              Wal.create ~first_lsn:10 ~page_size:(Disk.page_size d) (Recovery.wal_path path)
             in
             let before = Bytes.create ps in
             Disk.read d p before;
@@ -906,8 +911,7 @@ let wal_tests =
             Disk.write d p (Bytes.make ps 'A');
             Disk.write d q (Bytes.make ps 'C');
             let wal =
-              Wal.create ~first_lsn:10 ~page_size:(Disk.page_size d)
-                ~base:(Disk.page_count d) (Recovery.wal_path path)
+              Wal.create ~first_lsn:10 ~page_size:(Disk.page_size d) (Recovery.wal_path path)
             in
             let img c = Bytes.make ps c in
             let b = Wal.log_begin wal ~txn:7 ~base:(Disk.page_count d) in
@@ -939,16 +943,16 @@ let wal_tests =
             let ps = Disk.payload_size d in
             let p0 = Disk.allocate d in
             Disk.write d p0 (Bytes.make ps 'A');
-            let wal =
-              Wal.create ~page_size:(Disk.page_size d) ~base:(Disk.page_count d)
-                (Recovery.wal_path path)
-            in
+            let wal = Wal.create ~page_size:(Disk.page_size d) (Recovery.wal_path path) in
+            (* The transaction begins at one page and allocates a second. *)
+            let b = Wal.log_begin wal ~txn:1 ~base:(Disk.page_count d) in
             let p1 = Disk.allocate d in
-            Alcotest.(check bool) "fresh page needs no pre-image" false (Wal.needs_before wal p1);
-            Alcotest.(check int) "steal of a fresh page logs nothing" 0
-              (Wal.log_steal wal ~page:p1 ~before:(Bytes.make ps '\000')
-                 ~after:(Bytes.make ps 'N'));
-            Disk.write d p1 (Bytes.make ps 'N');
+            let u =
+              Wal.log_update wal ~txn:1 ~prev_lsn:b ~page:p1 ~before:(Bytes.make ps '\000')
+                ~after:(Bytes.make ps 'N')
+            in
+            Wal.fsync wal;
+            Disk.write ~lsn:u d p1 (Bytes.make ps 'N');
             Wal.close wal;
             Disk.close d;
             let d2 = Disk.on_file ~page_size:256 path in
@@ -962,16 +966,8 @@ let wal_tests =
             let ps = Disk.payload_size d in
             let p = Disk.allocate d in
             Disk.write d p (Bytes.make ps 'A');
-            let wal =
-              Wal.create ~page_size:(Disk.page_size d) ~base:(Disk.page_count d)
-                (Recovery.wal_path path)
-            in
-            let before = Bytes.create ps in
-            Disk.read d p before;
-            let after = Bytes.make ps 'B' in
-            let lsn = Wal.log_steal wal ~page:p ~before ~after in
-            Wal.fsync wal;
-            Disk.write ~lsn d p after;
+            let wal = Wal.create ~page_size:(Disk.page_size d) (Recovery.wal_path path) in
+            ignore (steal wal d p ~before:(Bytes.make ps 'A') ~after:(Bytes.make ps 'B'));
             Wal.close wal;
             Disk.close d;
             (* A crash mid-append leaves a partial entry at the tail. *)
@@ -992,16 +988,8 @@ let wal_tests =
             let ps = Disk.payload_size d in
             let p = Disk.allocate d in
             Disk.write d p (Bytes.make ps 'A');
-            let wal =
-              Wal.create ~page_size:(Disk.page_size d) ~base:(Disk.page_count d)
-                (Recovery.wal_path path)
-            in
-            let before = Bytes.create ps in
-            Disk.read d p before;
-            let after = Bytes.make ps 'B' in
-            let lsn = Wal.log_steal wal ~page:p ~before ~after in
-            Wal.fsync wal;
-            Disk.write ~lsn d p after;
+            let wal = Wal.create ~page_size:(Disk.page_size d) (Recovery.wal_path path) in
+            ignore (steal wal d p ~before:(Bytes.make ps 'A') ~after:(Bytes.make ps 'B'));
             Wal.close wal;
             Disk.close d;
             let d2 = Disk.on_file ~page_size:256 path in
@@ -1018,24 +1006,22 @@ let wal_tests =
             let d = Disk.on_file ~page_size:256 path in
             let ps = Disk.payload_size d in
             let p = Disk.allocate d in
-            let wal =
-              Wal.create ~page_size:(Disk.page_size d) ~base:(Disk.page_count d)
-                (Recovery.wal_path path)
-            in
+            let wal = Wal.create ~page_size:(Disk.page_size d) (Recovery.wal_path path) in
             Disk.write d p (Bytes.make ps 'A');
-            let before = Bytes.make ps 'A' in
-            let after = Bytes.make ps 'B' in
-            let lsn = Wal.log_steal wal ~page:p ~before ~after in
+            let b = Wal.log_begin wal ~txn:1 ~base:(Disk.page_count d) in
+            let lsn =
+              Wal.log_update wal ~txn:1 ~prev_lsn:b ~page:p ~before:(Bytes.make ps 'A')
+                ~after:(Bytes.make ps 'B')
+            in
             Alcotest.(check int) "begin + one update" 2 (Wal.appends wal);
             Alcotest.(check bool) "bytes include both page images" true
               (Wal.bytes_logged wal > Disk.page_size d);
-            (* create fsyncs its begin record; the steal's update is pending
-               until the caller forces the log. *)
-            Alcotest.(check int) "only the begin flush so far" 1 (Wal.flushes wal);
-            Alcotest.(check int) "update record pending" 1 (Wal.pending_records wal);
+            (* Records stay pending until the caller forces the log. *)
+            Alcotest.(check int) "no flush so far" 0 (Wal.flushes wal);
+            Alcotest.(check int) "both records pending" 2 (Wal.pending_records wal);
             Alcotest.(check bool) "update not yet durable" true (Wal.durable_lsn wal < lsn);
             Wal.fsync wal;
-            Alcotest.(check int) "steal forced a second flush" 2 (Wal.flushes wal);
+            Alcotest.(check int) "one flush" 1 (Wal.flushes wal);
             Alcotest.(check int) "both records durable" 2 (Wal.flushed_records wal);
             Alcotest.(check int) "nothing pending" 0 (Wal.pending_records wal);
             Alcotest.(check int) "durable watermark at the update" lsn (Wal.durable_lsn wal);

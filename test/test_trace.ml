@@ -42,7 +42,7 @@ let play_xml name =
 let cold s = Tree_store.clear_buffers (Natix.Session.store s)
 
 let session_with_docs names =
-  let s = Natix.Session.in_memory ~config:(config ()) () in
+  let s = Natix.Session.open_memory ~options:{ Natix.Session.Options.default with config = Some (config ()) } () in
   List.iter
     (fun doc ->
       match

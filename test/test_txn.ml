@@ -1,6 +1,7 @@
 (* Transactional writers: group-commit contract on the simulated clock,
-   store-level transaction semantics (atomicity, poisoning, no-mix), and
-   the byte-by-byte torn-tail regression sweep over the redo+undo log. *)
+   store-level transaction semantics (atomicity, poisoning, explicit and
+   autocommit writers side by side), and the byte-by-byte torn-tail
+   regression sweep over the redo+undo log. *)
 
 open Natix_core
 open Natix_store
@@ -51,7 +52,7 @@ let with_wal f =
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      let wal = Wal.create ~page_size:256 ~base:0 path in
+      let wal = Wal.create ~page_size:256 path in
       Fun.protect ~finally:(fun () -> Wal.close wal) (fun () -> f wal))
 
 let append_commit wal ~txn =
@@ -116,7 +117,7 @@ let group_commit_tests =
           ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
           (fun () ->
             let plan = Faulty_disk.create ~seed:11L () in
-            let wal = Wal.create ~faults:plan ~page_size:256 ~base:0 path in
+            let wal = Wal.create ~faults:plan ~page_size:256 path in
             Fun.protect
               ~finally:(fun () -> Wal.close wal)
               (fun () ->
@@ -142,8 +143,7 @@ let group_commit_tests =
             let p = Disk.allocate d in
             Disk.write d p (Bytes.make ps 'A');
             let wal =
-              Wal.create ~first_lsn:10 ~page_size:(Disk.page_size d)
-                ~base:(Disk.page_count d) (Recovery.wal_path path)
+              Wal.create ~first_lsn:10 ~page_size:(Disk.page_size d) (Recovery.wal_path path)
             in
             let gc = Group_commit.create ~charge:(fun _ -> ()) wal in
             let b = Wal.log_begin wal ~txn:1 ~base:(Disk.page_count d) in
@@ -254,12 +254,13 @@ let txn_tests =
                   (export store2 name))
               reference;
             Tree_store.close ~commit:false store2));
-    Alcotest.test_case "unscoped mutation and checkpoint are rejected mid-transaction" `Quick
-      (fun () ->
+    Alcotest.test_case "checkpoint is rejected mid-transaction, autocommit writes proceed"
+      `Quick (fun () ->
         with_store_file (fun path ->
             let store = open_txn_store path in
-            ignore (Loader.load store ~name:"base" (play ~seed:77 0));
-            Tree_store.checkpoint store;
+            Tree_store.autocommit store ~doc:"base" (fun () ->
+                ignore (Loader.load store ~name:"base" (play ~seed:77 0)));
+            Tree_store.sync store;
             let m = Mutex.create () and c = Condition.create () in
             let started = ref false and release = ref false in
             let signal r =
@@ -284,19 +285,24 @@ let txn_tests =
             in
             wait started;
             Alcotest.(check int) "one transaction in flight" 1 (Tree_store.active_txns store);
-            (match Tree_store.create_document store ~name:"smuggled" ~root:"r" with
-            | exception Error.Error (Error.Storage _) -> ()
-            | _ -> Alcotest.fail "unscoped mutation accepted mid-transaction");
-            (match Tree_store.checkpoint store with
+            (* A write on another document commits beside it. *)
+            Tree_store.autocommit store ~doc:"beside" (fun () ->
+                ignore (Tree_store.create_document store ~name:"beside" ~root:"r"));
+            Alcotest.(check bool) "autocommit write landed" true
+              (Tree_store.document_rid store "beside" <> None);
+            (match Tree_store.sync store with
             | exception Error.Error (Error.Storage _) -> ()
             | () -> Alcotest.fail "checkpoint accepted mid-transaction");
             signal release;
             ignore (Domain.join writer);
             Alcotest.(check int) "transaction drained" 0 (Tree_store.active_txns store);
-            (* With no transaction in flight both work again. *)
-            ignore (Tree_store.create_document store ~name:"ok-now" ~root:"r");
-            Tree_store.checkpoint store;
-            Tree_store.close store));
+            Tree_store.sync store;
+            Tree_store.close store;
+            let store2 = open_txn_store path in
+            Alcotest.(check (list string)) "every write survives" [ "base"; "beside"; "txn-doc" ]
+              (Tree_store.list_documents store2);
+            Alcotest.(check bool) "fsck clean" true (Fsck.ok (Fsck.run store2));
+            Tree_store.close ~commit:false store2));
     Alcotest.test_case "a crashed commit poisons the store with typed errors" `Quick (fun () ->
         with_store_file (fun path ->
             let plan = Faulty_disk.create ~seed:5L () in
@@ -316,9 +322,9 @@ let txn_tests =
             (* Every later operation fails with a typed error — no hang,
                no untyped exception. *)
             (match Document_manager.store_transactional dm ~name:"third" (play ~seed:92 2) with
-            | exception Error.Error (Error.Storage _) -> ()
+            | Error (Error.Storage _) -> ()
             | _ -> Alcotest.fail "poisoned store accepted a transaction");
-            (match Tree_store.checkpoint store with
+            (match Tree_store.sync store with
             | exception Error.Error (Error.Storage _) -> ()
             | () -> Alcotest.fail "poisoned store accepted a checkpoint");
             (* close must NOT checkpoint (that would promote the loser). *)
@@ -370,12 +376,16 @@ let txn_tests =
                           (play ~seed:(70 + i) i))
                    done));
             let reference = export store "play" in
-            (* Survive the checkpoint's commit-record fsync; die on the
-               post-truncation Begin fsync, leaving a bare header. *)
-            Faulty_disk.arm_fsync_crash plan (Faulty_disk.fsyncs_seen plan + 1);
-            (match Tree_store.checkpoint store with
+            (* The checkpoint truncates the log; the next commit's fsync
+               dies, leaving a header and a torn record. *)
+            Tree_store.sync store;
+            Faulty_disk.arm_fsync_crash plan (Faulty_disk.fsyncs_seen plan);
+            (match
+               Tree_store.autocommit store ~doc:"lost" (fun () ->
+                   ignore (Tree_store.create_document store ~name:"lost" ~root:"r"))
+             with
             | exception Faulty_disk.Crash -> ()
-            | () -> Alcotest.fail "checkpoint survived the armed fsync crash");
+            | () -> Alcotest.fail "commit survived the armed fsync crash");
             Tree_store.close ~commit:false store;
             (* Reopen and commit one small document: its transaction
                updates catalog pages whose on-disk trailers carry
@@ -395,13 +405,11 @@ let txn_tests =
             Alcotest.(check string) "first document intact" reference (export store3 "play");
             Alcotest.(check string) "acked commit redone" expected2 (export store3 "play2");
             Tree_store.close ~commit:false store3));
-    Alcotest.test_case "unscoped mutation after a commit is WAL-covered" `Quick (fun () ->
-        (* After the last transaction commits, the pool stays in
-           transaction mode until a checkpoint, where implicit steal
-           logging is off.  Unscoped mutation entering that window must
-           checkpoint out of it first — otherwise its dirty pages reach
-           disk with no WAL coverage and a crash leaves the batch
-           partially applied.  Sweep crash points across the flush. *)
+    Alcotest.test_case "an autocommit write after a commit is WAL-covered" `Quick (fun () ->
+        (* A write right after another transaction commits — the seam
+           where steals of the committed pages and the new write's pages
+           meet — must reach disk only under log records.  Sweep crash
+           points across the write and the checkpoint that flushes it. *)
         let crashed = ref 0 in
         let point = ref 0 in
         let continue = ref true in
@@ -413,12 +421,14 @@ let txn_tests =
                 (Tree_store.with_txn store ~doc:"committed" (fun () ->
                      ignore (Loader.load store ~name:"committed" (play ~seed:80 0))));
               let reference = export store "committed" in
-              (* Unscoped regime: mutate outside any transaction, then
-                 crash partway through flushing the batch home. *)
-              ignore (Loader.load store ~name:"batch" (play ~seed:81 1));
-              let expected_batch = export store "batch" in
+              let acked = ref None in
               Faulty_disk.arm_crash plan (Faulty_disk.writes_seen plan + !point);
-              (match Tree_store.checkpoint store with
+              (match
+                 Tree_store.autocommit store ~doc:"next" (fun () ->
+                     ignore (Loader.load store ~name:"next" (play ~seed:81 1)));
+                 acked := Some (export store "next");
+                 Tree_store.sync store
+               with
               | exception Faulty_disk.Crash ->
                 incr crashed;
                 Tree_store.close ~commit:false store
@@ -434,18 +444,71 @@ let txn_tests =
               Alcotest.(check string)
                 (Printf.sprintf "crash point %d: committed document intact" !point)
                 reference (export store2 "committed");
-              (* The batch is atomic: wholly absent (rolled back to the
-                 checkpoint guard_mutate forced) or wholly present. *)
-              (match Tree_store.document_rid store2 "batch" with
-              | None -> ()
-              | Some _ ->
+              (* The write is atomic — wholly absent or wholly present —
+                 and present once acknowledged. *)
+              (match (Tree_store.document_rid store2 "next", !acked) with
+              | None, None -> ()
+              | None, Some _ ->
+                Alcotest.failf "crash point %d: acknowledged write lost" !point
+              | Some _, _ ->
+                let expected =
+                  match !acked with
+                  | Some x -> x
+                  | None ->
+                    (* In flight at the crash, yet durable: it must equal
+                       the write as a clean run makes it. *)
+                    with_store_file (fun p ->
+                        let s = open_txn_store p in
+                        Tree_store.autocommit s ~doc:"next" (fun () ->
+                            ignore (Loader.load s ~name:"next" (play ~seed:81 1)));
+                        let x = export s "next" in
+                        Tree_store.close ~commit:false s;
+                        x)
+                in
                 Alcotest.(check string)
-                  (Printf.sprintf "crash point %d: batch complete if present" !point)
-                  expected_batch (export store2 "batch"));
+                  (Printf.sprintf "crash point %d: write complete if present" !point)
+                  expected (export store2 "next"));
               Tree_store.close ~commit:false store2);
           incr point
         done;
         Alcotest.(check bool) "sweep hit at least one crash point" true (!crashed > 0));
+    Alcotest.test_case "loading a taken name is a typed error and the next load succeeds" `Quick
+      (fun () ->
+        with_store_file (fun path ->
+            let text i = Natix_xml.Xml_print.to_string ~decl:true (play ~seed:(95 + i) i) in
+            let options = { Natix.Session.Options.default with config = Some (config ()) } in
+            let sess = Natix.Session.open_store ~options path in
+            let store = Natix.Session.store sess in
+            let results files = (Natix.Session.load_files_txn ~jobs:2 sess files).Natix_par.Par.results in
+            (match results [ ("a", text 0) ] with
+            | [ Ok () ] -> ()
+            | _ -> Alcotest.fail "first load of \"a\" failed");
+            let original = export store "a" in
+            (* Through the transactional bulk load: a per-task error. *)
+            (match results [ ("a", text 1); ("b", text 2) ] with
+            | [ Error (Error.Storage _); Ok () ] -> ()
+            | _ -> Alcotest.fail "a taken name in load_files_txn is not a per-task Storage error");
+            Alcotest.(check bool) "not poisoned after load_files_txn" true
+              (Tree_store.poisoned store = None);
+            (* Through the command surface: a typed reply, then a load that
+               works. *)
+            let load doc i =
+              Natix.Session.exec sess (Natix.Api.Load { doc; xml = text i; order = Loader.Preorder })
+            in
+            (match load "b" 3 with
+            | Natix.Api.Err (Error.Storage _) -> ()
+            | r -> Alcotest.failf "Load of a taken name: %a" Natix.Api.pp_response r);
+            (match load "c" 4 with
+            | Natix.Api.Loaded _ -> ()
+            | r -> Alcotest.failf "Load after the rejected one: %a" Natix.Api.pp_response r);
+            Natix.Session.close ~commit:false sess;
+            let store2 = open_txn_store path in
+            Alcotest.(check (list string)) "every acknowledged load survives" [ "a"; "b"; "c" ]
+              (Tree_store.list_documents store2);
+            Alcotest.(check string) "the taken name kept its document" original
+              (export store2 "a");
+            Alcotest.(check bool) "fsck clean" true (Fsck.ok (Fsck.run store2));
+            Tree_store.close ~commit:false store2));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -474,8 +537,7 @@ let torn_tail_tests =
             let p = Disk.allocate d in
             Disk.write d p (Bytes.make ps 'A');
             let wal =
-              Wal.create ~first_lsn:10 ~page_size:(Disk.page_size d)
-                ~base:(Disk.page_count d) (Recovery.wal_path path)
+              Wal.create ~first_lsn:10 ~page_size:(Disk.page_size d) (Recovery.wal_path path)
             in
             let b = Wal.log_begin wal ~txn:1 ~base:(Disk.page_count d) in
             let u =
@@ -519,8 +581,7 @@ let torn_tail_tests =
             let p = Disk.allocate d in
             Disk.write d p (Bytes.make ps 'A');
             let wal =
-              Wal.create ~first_lsn:10 ~page_size:(Disk.page_size d)
-                ~base:(Disk.page_count d) (Recovery.wal_path path)
+              Wal.create ~first_lsn:10 ~page_size:(Disk.page_size d) (Recovery.wal_path path)
             in
             let b = Wal.log_begin wal ~txn:1 ~base:(Disk.page_count d) in
             let u =
@@ -687,8 +748,82 @@ let run_schedule ~seed ~jobs =
         expected;
       Tree_store.close ~commit:false store2)
 
+(* Autocommit and explicit writers at once.  Domain 0 runs autocommit
+   loads and deletes (shared arena, structure lock across each mutation
+   phase); the other domains run explicit transactional loads (private
+   arenas, concurrent mutation phases).  Documents are independent, so a
+   sequential replay of the surviving documents must export identically,
+   whatever the interleaving; the index, folded at the checkpoint, must
+   agree with the documents, and the store must fsck clean after both a
+   checkpoint and crash recovery. *)
+let run_mixed ~seed ~jobs =
+  with_store_file (fun path ->
+      let label what = Printf.sprintf "mixed %d jobs %d: %s" seed jobs what in
+      let text i = Natix_xml.Xml_print.to_string ~decl:true (play ~seed:((seed * 100) + i) i) in
+      let auto = List.init 4 (fun i -> (Printf.sprintf "auto-%d" i, text i)) in
+      let deleted = [ "auto-0"; "auto-2" ] in
+      let explicit = List.init (2 * (jobs - 1)) (fun i -> (Printf.sprintf "txn-%d" i, text (10 + i))) in
+      let store = open_txn_store ~commit_delay:0.25 path in
+      let dm = Document_manager.create store in
+      let ok name = function
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "%s: %s" (label name) (Error.to_string e)
+      in
+      let autocommit_writer () =
+        List.iteri
+          (fun i (name, t) ->
+            ok name (Document_manager.store_document dm ~name (parse t));
+            (* Delete an earlier load while the explicit writers run. *)
+            if i mod 2 = 1 then Document_manager.delete_document dm (Printf.sprintf "auto-%d" (i - 1)))
+          auto
+      in
+      let explicit_writer w () =
+        List.iteri
+          (fun i (name, t) ->
+            if i mod (jobs - 1) = w then
+              ok name (Document_manager.store_transactional dm ~name (parse t)))
+          explicit
+      in
+      let domains = List.init (jobs - 1) (fun w -> Domain.spawn (explicit_writer w)) in
+      autocommit_writer ();
+      List.iter Domain.join domains;
+      let survivors =
+        List.filter (fun (name, _) -> not (List.mem name deleted)) (auto @ explicit)
+        |> List.sort compare
+      in
+      let expected =
+        let ref_store = Tree_store.in_memory ~config:(config ()) () in
+        let ref_dm = Document_manager.create ~index:Document_manager.Off ref_store in
+        List.iter (fun (name, t) -> ok name (Document_manager.store_document ref_dm ~name (parse t))) survivors;
+        let x = List.map (fun (name, _) -> (name, export ref_store name)) survivors in
+        Tree_store.close ~commit:false ref_store;
+        x
+      in
+      let check_store what store =
+        Alcotest.(check (list string)) (label (what ^ ": documents")) (List.map fst expected)
+          (Tree_store.list_documents store);
+        List.iter (fun (d, x) -> Alcotest.(check string) (label (what ^ ": " ^ d)) x (export store d)) expected;
+        let report = Fsck.run store in
+        if not (Fsck.ok report) then Alcotest.failf "%s: %a" (label (what ^ ": fsck")) Fsck.pp report
+      in
+      Document_manager.checkpoint dm;
+      Element_index.check (Option.get (Document_manager.index dm));
+      check_store "after checkpoint" store;
+      Tree_store.close ~commit:false store;
+      let store2 = open_txn_store path in
+      check_store "after recovery" store2;
+      Tree_store.close ~commit:false store2)
+
 let concurrent_tests =
   [
+    Alcotest.test_case "autocommit and explicit writers together match sequential replay" `Quick
+      (fun () ->
+        Lock_rank.enable ();
+        let v0 = Lock_rank.violations () in
+        Fun.protect
+          ~finally:(fun () -> Lock_rank.disable ())
+          (fun () -> List.iter (fun jobs -> for seed = 1 to 3 do run_mixed ~seed ~jobs done) [ 2; 3 ]);
+        Alcotest.(check int) "no lock-rank violations" v0 (Lock_rank.violations ()));
     Alcotest.test_case "randomized schedules match sequential replay at jobs 1/2/4" `Quick
       (fun () ->
         (* 7 seeds x 3 job counts = 21 schedules, all under lock-rank
