@@ -118,7 +118,9 @@ let load_cmd =
         (* one-pass SAX load; the parsed tree is only for the node-count
            report *)
         let xml = Natix_xml.Xml_parser.parse_file xml_path in
-        ignore (Loader.load_stream store ~name:doc text);
+        (match Document_manager.store_stream (Natix.Session.manager sess) ~name:doc text with
+        | Ok _ -> ()
+        | Error e -> fail_error e);
         Natix_xml.Xml_tree.node_count xml
       end
       else

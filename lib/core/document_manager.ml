@@ -85,23 +85,30 @@ let before_start run f =
    caller is already in one. *)
 let write t ~doc ?expect f = before_start (Tree_store.autocommit t.store ~doc ?expect) f
 
+(* A new document [name], grown by [grow] and registered with [dtd], as
+   one write. *)
+let add_document t ~name ?dtd grow =
+  in_context t ~doc:name ~phase:"load" (fun () ->
+      write t ~doc:name ~expect:`Absent (fun () ->
+          let root = grow () in
+          Option.iter
+            (fun d ->
+              Tree_store.meta_put t.store (dtd_key name) (Dtd.encode d);
+              Tree_store.save_catalog_if_unlogged t.store)
+            dtd;
+          Option.iter Element_index.refresh t.index;
+          Stats.record_page_hint t.store name;
+          root))
+
 let store_document t ~name ?dtd ?(infer_dtd = false) ?order xml =
   let dtd = match dtd with Some _ -> dtd | None -> if infer_dtd then Some (Dtd.infer ~name xml) else None in
   let validation = match dtd with None -> Ok () | Some d -> Dtd.validate d xml in
   match validation with
   | Error detail -> Error (Error.Validation { doc = name; detail })
-  | Ok () ->
-    in_context t ~doc:name ~phase:"load" (fun () ->
-        write t ~doc:name ~expect:`Absent (fun () ->
-            let root = Loader.load t.store ~name ?order xml in
-            Option.iter
-              (fun d ->
-                Tree_store.meta_put t.store (dtd_key name) (Dtd.encode d);
-                Tree_store.save_catalog_if_unlogged t.store)
-              dtd;
-            Option.iter Element_index.refresh t.index;
-            Stats.record_page_hint t.store name;
-            root))
+  | Ok () -> add_document t ~name ?dtd (fun () -> Loader.load t.store ~name ?order xml)
+
+let store_stream t ~name text =
+  add_document t ~name (fun () -> Loader.load_stream t.store ~name text)
 
 (* One document, one explicit transaction: the document gets a private
    allocation arena, so concurrent loaders on different documents run

@@ -72,6 +72,14 @@ val store_document :
   Natix_xml.Xml_tree.t ->
   (Phys_node.t, Error.t) result
 
+(** [store_stream t ~name text] loads [text] in one streaming pass
+    ({!Loader.load_stream}), as one write like {!store_document} without
+    a DTD.  A taken name is an [Error (Storage _)].  Malformed input
+    raises after part of the document was written; on a file-backed
+    store that poisons the store, and reopening rolls the partial
+    document back. *)
+val store_stream : t -> name:string -> string -> (Phys_node.t, Error.t) result
+
 (** [store_transactional] is {!store_document} wrapped in
     {!Tree_store.with_txn} on the target document: the document gets a
     private allocation arena, so concurrent loaders on different

@@ -155,20 +155,21 @@ let stored_counts t rid =
       acc := (of_be32 k (1 + Rid.encoded_size), of_count8 v) :: !acc);
   !acc
 
+(* A record's label counts as the index should hold them.  [live]
+   distinguishes a tree record from a reused rid: a freed rid can be
+   re-allocated to a foreign record (including this index's own B+-tree
+   pages), which may well decode — fetching it would index garbage.  The
+   decode guard below is only a backstop for torn reads. *)
+let current_counts ~live t rid =
+  if live && Rm.exists (Tree_store.record_manager t.store) rid then begin
+    match Tree_store.fetch t.store rid with
+    | box -> label_counts box.Phys_node.root
+    | exception _ -> Hashtbl.create 1
+  end
+  else Hashtbl.create 1
+
 let apply_record ?(live = true) t rid =
-  let current =
-    if live && Rm.exists (Tree_store.record_manager t.store) rid then begin
-      (* [live] distinguishes a tree record from a reused rid: a freed
-         rid can be re-allocated to a foreign record (including this
-         index's own B+-tree pages), which may well decode — fetching
-         it would index garbage.  The decode guard below is only a
-         backstop for torn reads. *)
-      match Tree_store.fetch t.store rid with
-      | box -> label_counts box.Phys_node.root
-      | exception _ -> Hashtbl.create 1
-    end
-    else Hashtbl.create 1
-  in
+  let current = current_counts ~live t rid in
   let old = stored_counts t rid in
   (* Remove or adjust stale entries. *)
   List.iter
@@ -192,22 +193,26 @@ let apply_record ?(live = true) t rid =
 
 let pending t = with_pending t (fun () -> Rid.Tbl.length t.pending_changes)
 
+(* The pending changes, [take]n out of the table by a fold. *)
+let pending_events ?(take = false) t =
+  with_pending t (fun () ->
+      let events = Rid.Tbl.fold (fun rid ev acc -> (rid, ev) :: acc) t.pending_changes [] in
+      if take then Rid.Tbl.reset t.pending_changes;
+      events)
+
 let refresh t =
   (* Folding postings writes the B+-tree's shared-arena pages — and
      pending entries can describe records another in-flight transaction
      is still rewriting.  So the fold runs only while no other writer is
      in flight; otherwise it is deferred (the pending table keeps
-     accumulating) to the next refresh on a quiet store — at the latest,
-     the one inside [checkpoint].  Nothing pending, nothing written. *)
+     accumulating) to the next write on a quiet store — at the latest,
+     the checkpoint.  Nothing pending, nothing written.  Only write paths
+     fold: reads merge the pending changes instead ({!postings}). *)
   if pending t > 0 then
     Tree_store.when_exclusive t.store (fun () ->
-        let rids =
-          with_pending t (fun () ->
-              let rids = Rid.Tbl.fold (fun rid ev acc -> (rid, ev) :: acc) t.pending_changes [] in
-              Rid.Tbl.reset t.pending_changes;
-              rids)
-        in
-        List.iter (fun (rid, ev) -> apply_record ~live:(ev = Tree_store.Changed) t rid) rids;
+        List.iter
+          (fun (rid, ev) -> apply_record ~live:(ev = Tree_store.Changed) t rid)
+          (pending_events ~take:true t);
         (* Only a synced index may advance its stamp: pending changes
            cover everything since the last stamp, but not changes from
            before this handle was attached. *)
@@ -226,22 +231,35 @@ let rebuild t =
       t.in_sync <- true;
       stamp_epoch t)
 
-let records_with t label =
-  refresh t;
-  let lo = "F" ^ be32 label in
-  let hi = lo ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff" in
+(* The forward postings [(label, rid, count)] of [label] (of every label
+   when [None]) as a fold would leave them, without folding: a read must
+   not write index pages, which on a logged store takes a transaction.
+   A pending record's stored entries give way to its current label
+   counts.  In key (label, record) order. *)
+let postings ?label t =
+  let overlay = Rid.Tbl.create 16 in
+  List.iter
+    (fun (rid, ev) ->
+      Rid.Tbl.replace overlay rid (current_counts ~live:(ev = Tree_store.Changed) t rid))
+    (pending_events t);
+  let lo = "F" ^ Option.fold ~none:"" ~some:be32 label in
+  let hi = if label = None then "G" else lo ^ String.make 9 '\xff' in
   let acc = ref [] in
-  Btree.iter_range t.tree ~lo:(Some lo) ~hi:(Some hi) (fun k _ ->
-      acc := Rid.read (Bytes.unsafe_of_string k) 5 :: !acc);
-  List.rev !acc
+  Btree.iter_range t.tree ~lo:(Some lo) ~hi:(Some hi) (fun k v ->
+      let rid = Rid.read (Bytes.unsafe_of_string k) 5 in
+      if not (Rid.Tbl.mem overlay rid) then acc := (of_be32 k 1, rid, of_count8 v) :: !acc);
+  if Rid.Tbl.length overlay = 0 then List.rev !acc
+  else begin
+    let wanted l = Option.fold ~none:true ~some:(Label.equal l) label in
+    Rid.Tbl.iter
+      (fun rid counts ->
+        Hashtbl.iter (fun l c -> if wanted l then acc := (l, rid, c) :: !acc) counts)
+      overlay;
+    List.sort (fun (la, ra, _) (lb, rb, _) -> String.compare (fwd_key la ra) (fwd_key lb rb)) !acc
+  end
 
-let count t label =
-  refresh t;
-  let lo = "F" ^ be32 label in
-  let hi = lo ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff" in
-  let n = ref 0 in
-  Btree.iter_range t.tree ~lo:(Some lo) ~hi:(Some hi) (fun _ v -> n := !n + of_count8 v);
-  !n
+let records_with t label = List.map (fun (_, rid, _) -> rid) (postings ~label t)
+let count t label = List.fold_left (fun n (_, _, c) -> n + c) 0 (postings ~label t)
 
 let scan t label =
   let rids = records_with t label in
@@ -261,11 +279,11 @@ let scan t label =
     rids
 
 let labels t =
-  refresh t;
   let acc = Hashtbl.create 16 in
-  Btree.iter_range t.tree ~lo:(Some "F") ~hi:(Some "G") (fun k v ->
-      let label = of_be32 k 1 in
-      Hashtbl.replace acc label (of_count8 v + Option.value ~default:0 (Hashtbl.find_opt acc label)));
+  List.iter
+    (fun (label, _, c) ->
+      Hashtbl.replace acc label (c + Option.value ~default:0 (Hashtbl.find_opt acc label)))
+    (postings t);
   Hashtbl.fold (fun l c acc -> (l, c) :: acc) acc []
   |> List.sort (fun (a, _) (b, _) -> Label.compare a b)
 
@@ -286,14 +304,15 @@ let check t =
               (fun label c -> Hashtbl.replace truth (label, rid) c)
               (label_counts root)))
     (Tree_store.list_documents t.store);
-  let seen = ref 0 in
-  Btree.iter_range t.tree ~lo:(Some "F") ~hi:(Some "G") (fun k v ->
-      let label = of_be32 k 1 in
-      let rid = Rid.read (Bytes.unsafe_of_string k) 5 in
-      incr seen;
+  let postings = postings t in
+  List.iter
+    (fun (label, rid, v) ->
+      let rid_s = Rid.to_string rid in
       match Hashtbl.find_opt truth (label, rid) with
-      | Some c when c = of_count8 v -> ()
-      | Some c -> fail "index %s: label %d rid %s count %d <> %d" t.name label (Rid.to_string rid) (of_count8 v) c
-      | None -> fail "index %s: stale posting for label %d rid %s" t.name label (Rid.to_string rid));
-  if !seen <> Hashtbl.length truth then
-    fail "index %s: %d postings but %d expected" t.name !seen (Hashtbl.length truth)
+      | Some c when c = v -> ()
+      | Some c -> fail "index %s: label %d rid %s count %d <> %d" t.name label rid_s v c
+      | None -> fail "index %s: stale posting for label %d rid %s" t.name label rid_s)
+    postings;
+  let seen = List.length postings in
+  if seen <> Hashtbl.length truth then
+    fail "index %s: %d postings but %d expected" t.name seen (Hashtbl.length truth)

@@ -10,8 +10,11 @@
     queries).
 
     Maintenance is deferred: the index subscribes to the store's record
-    change log and folds pending changes in on {!refresh} (query entry
-    points refresh automatically).  The index roots persist in the store
+    change log and folds pending changes in on {!refresh}, which the
+    document manager's writes and checkpoint call.  Reads never fold —
+    folding writes index pages, which on a file-backed store takes a
+    transaction — but answer as if they had: a pending record's postings
+    are its current label counts.  The index roots persist in the store
     catalog, so the index survives reopening.
 
     {b Staleness.}  Alongside its roots the index stamps the store's
@@ -50,7 +53,10 @@ val stale : t -> bool
     attached).  Re-stamps the epoch. *)
 val rebuild : t -> unit
 
-(** Fold pending record changes into the index. *)
+(** Fold pending record changes into the index — a write: part of the
+    caller's transaction when that is the only one in flight and holds
+    the structure lock, a transaction of its own when none is in flight
+    (see {!Tree_store.when_exclusive}); deferred otherwise. *)
 val refresh : t -> unit
 
 (** Records containing at least one facade node with this label. *)
@@ -68,7 +74,8 @@ val labels : t -> (Label.t * int) list
 (** Number of record changes queued for {!refresh}. *)
 val pending : t -> int
 
-(** Verify the index against a full scan of all documents.
+(** {!refresh}, then verify the index against a full scan of all
+    documents.
     @raise Failure on any divergence. *)
 val check : t -> unit
 

@@ -213,9 +213,15 @@ let open_store ?(config = Config.default ()) disk =
       ~read_ahead:config.read_ahead ~scan_resistant:config.scan_resistant ()
   in
   (* A fresh file's bootstrap page is written like every other page: by
-     a transaction (id 1), so the log covers it. *)
+     a transaction (id 1), so the log covers it.  Its Begin is forced
+     before page 0 is allocated: until the commit is durable, recovery
+     rolls the file back to that Begin's base of 0 pages, so the next
+     open bootstraps again instead of finding an unformatted page 0. *)
   let bootstrap = wal <> None && Disk.page_count disk = 0 in
-  if bootstrap then Buffer_pool.txn_begin pool ~txn:1;
+  if bootstrap then begin
+    Buffer_pool.txn_begin pool ~txn:1;
+    Option.iter Wal.fsync wal
+  end;
   let seg = Segment.create ~batch:config.arena_batch pool in
   if bootstrap then ignore (Buffer_pool.txn_commit_prep pool);
   let rm = Record_manager.create seg in

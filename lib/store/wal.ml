@@ -114,7 +114,6 @@ let decode buf ~off =
 
 type t = {
   fd : Unix.file_descr;
-  path : string;
   page_size : int;
   payload_size : int;
   lock : Mutex.t;
@@ -128,7 +127,7 @@ type t = {
   mutable flushes : int;
   mutable flushed_records : int;
   obs : Natix_obs.Obs.t option;
-  mutable faults : Faulty_disk.t option;
+  faults : Faulty_disk.t option;
 }
 
 let with_lock t f =
@@ -244,7 +243,6 @@ let create ?obs ?faults ?(first_lsn = 1) ~page_size path =
   let t =
     {
       fd;
-      path;
       page_size;
       payload_size = page_size - Disk.trailer_size;
       lock = Mutex.create ();
@@ -264,17 +262,12 @@ let create ?obs ?faults ?(first_lsn = 1) ~page_size path =
   write_header t;
   t
 
-let path t = t.path
-let page_size t = t.page_size
-let payload_size t = t.payload_size
 let appends t = t.appends
 let bytes_logged t = t.bytes_logged
 let flushes t = t.flushes
 let flushed_records t = t.flushed_records
 let durable_lsn t = t.durable_lsn
 let pending_records t = t.pending_count
-let set_faults t faults = t.faults <- faults
-let next_lsn t = Atomic.get t.next_lsn
 
 let check_image t name img =
   if Bytes.length img <> t.payload_size then

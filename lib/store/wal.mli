@@ -40,18 +40,7 @@ val create :
   string ->
   t
 
-val path : t -> string
-
-val page_size : t -> int
-
-(** Bytes per logged page image ([page_size - Disk.trailer_size]): images
-    are payload-only; restores re-seal the trailer. *)
-val payload_size : t -> int
-
 (** {2 LSN sequence} *)
-
-(** Next LSN to be assigned (peek; monotonically increasing). *)
-val next_lsn : t -> int
 
 (** Highest LSN known durable (last record of the last successful
     {!fsync}). *)
@@ -99,7 +88,6 @@ val bytes_logged : t -> int
 val flushes : t -> int
 
 val flushed_records : t -> int
-val set_faults : t -> Faulty_disk.t option -> unit
 val close : t -> unit
 
 (** [reset_file ~page_size ~next_lsn path] rewrites [path] as an empty
@@ -115,7 +103,6 @@ val reset_file : page_size:int -> next_lsn:int -> string -> unit
 val magic : int
 val version : int
 val header_size : int
-val entry_header_size : int
 val kind_begin : int
 val kind_update : int
 val kind_commit : int

@@ -136,7 +136,8 @@ let run_to_crash path k =
   { crashed; completed = !completed; in_write = crashed && !in_write }
 
 (* Reopen after the crash (recovery runs inside [open_store]), fsck, and
-   compare against the reference snapshot. *)
+   compare against the reference snapshot; then the recovered store must
+   take a write and still fsck clean. *)
 let verify_recovered ?obs path k (snapshots : (string * string) list array) outcome =
   let disk = Disk.on_file ?obs ~page_size path in
   let store = Tree_store.open_store ~config:(config ()) disk in
@@ -152,6 +153,13 @@ let verify_recovered ?obs path k (snapshots : (string * string) list array) outc
       outcome.completed
       (if outcome.in_write then " nor its in-flight successor" else "")
       (List.length actual);
+  Tree_store.autocommit store ~doc:"probe" (fun () ->
+      ignore (Tree_store.create_document store ~name:"probe" ~root:"r"));
+  Tree_store.sync store;
+  let report = Fsck.run store in
+  if not (Fsck.ok report) then
+    Alcotest.failf "crash point %d: fsck after a write to the recovered store: %a" k Fsck.pp
+      report;
   Tree_store.close ~commit:false store
 
 let crash_points total =
@@ -171,8 +179,10 @@ let sweep () =
     (fun () ->
       let total_writes, snapshots = reference path in
       Alcotest.(check bool) "workload writes pages" true (total_writes > 0);
-      Alcotest.(check bool) "snapshot per write" true
-        (Array.length snapshots > 1 + rounds);
+      (* The empty store, the load, and every update. *)
+      Alcotest.(check int) "snapshot per write"
+        (2 + (rounds * updates_per_round))
+        (Array.length snapshots);
       let obs =
         Option.map
           (fun p -> Natix_obs.Obs.create ~sink:(Natix_obs.Sink.jsonl p) ())

@@ -322,27 +322,35 @@ let document_manager_tests =
         Alcotest.(check int) "index emptied" 0 (Document_manager.count_elements dm "LINE"));
   ]
 
+(* File-backed stores for the index tests below. *)
+let file_page_size = 1024
+
+let file_config () =
+  { (Config.default ()) with Config.page_size = file_page_size; buffer_bytes = 16 * file_page_size }
+
+let with_path f =
+  let path = Filename.temp_file "natix_index" ".db" in
+  let clean () =
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      [ path; Natix_store.Recovery.wal_path path ]
+  in
+  clean ();
+  Fun.protect ~finally:clean (fun () -> f path)
+
+(* [n] copies of [sample] through the transactional bulk load, whose
+   explicit transactions leave their index postings pending. *)
+let load_all sess n =
+  List.iter
+    (function Ok () -> () | Error e -> Alcotest.failf "load failed: %s" (Error.to_string e))
+    (Natix.Session.load_files_txn ~jobs:2 sess
+       (List.init n (fun i -> (Printf.sprintf "d%d" i, sample))))
+      .Natix_par.Par.results
+
 (* A stale index is not corruption: fsck checks its B-tree structure, and
    the next writable open with [Ensure] rebuilds it. *)
 let stale_index_tests =
-  let page_size = 1024 in
-  let config () = { (Config.default ()) with Config.page_size; buffer_bytes = 16 * page_size } in
-  let with_path f =
-    let path = Filename.temp_file "natix_stale" ".db" in
-    let clean () =
-      List.iter
-        (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ path; Natix_store.Recovery.wal_path path ]
-    in
-    clean ();
-    Fun.protect ~finally:clean (fun () -> f path)
-  in
-  let files n = List.init n (fun i -> (Printf.sprintf "d%d" i, sample)) in
-  let load_all sess n =
-    List.iter
-      (function Ok () -> () | Error e -> Alcotest.failf "load failed: %s" (Error.to_string e))
-      (Natix.Session.load_files_txn ~jobs:2 sess (files n)).Natix_par.Par.results
-  in
+  let page_size = file_page_size and config = file_config in
   (* fsck without an index handle, then a clean check after [Ensure]. *)
   let verify what path =
     let store = Tree_store.open_store ~config:(config ()) (Natix_store.Disk.on_file ~page_size path) in
@@ -403,6 +411,59 @@ let stale_index_tests =
             done));
   ]
 
+(* Reads answer for pending postings without folding them: a fold writes
+   index pages, which on a file-backed store takes a transaction. *)
+let pending_index_tests =
+  [
+    Alcotest.test_case "reads merge pending postings and log nothing" `Quick (fun () ->
+        with_path (fun path ->
+            let options = { Natix.Session.Options.default with config = Some (file_config ()) } in
+            let sess = Natix.Session.open_store ~options path in
+            Fun.protect ~finally:(fun () -> Natix.Session.close ~commit:false sess) (fun () ->
+                let dm = Natix.Session.manager sess in
+                let store = Document_manager.store dm in
+                let idx = Option.get (Document_manager.index dm) in
+                load_all sess 2;
+                Alcotest.(check bool) "postings pending" true (Element_index.pending idx > 0);
+                let wal = Option.get (Natix_store.Buffer_pool.wal (Tree_store.buffer_pool store)) in
+                let appends = Natix_store.Wal.appends wal in
+                let line = Tree_store.label store "LINE" in
+                let reads () =
+                  ( Element_index.count idx line,
+                    List.length (Element_index.records_with idx line),
+                    List.length (Element_index.scan idx line),
+                    List.assoc line (Element_index.labels idx),
+                    Document_manager.count_elements dm "LINE" )
+                in
+                let navigated =
+                  List.length (Path.query store ~doc:"d0" "//LINE")
+                  + List.length (Path.query store ~doc:"d1" "//LINE")
+                in
+                let c, recs, scanned, listed, counted = reads () in
+                Alcotest.(check (list int)) "every read sees both documents"
+                  [ navigated; navigated; navigated; navigated ]
+                  [ c; scanned; listed; counted ];
+                let hits engine =
+                  match Natix_query.Engine.query engine ~doc:"d1" "//LINE" with
+                  | Ok seq ->
+                    List.map (fun c -> Exporter.to_string store (Cursor.node c)) (List.of_seq seq)
+                  | Error e -> Alcotest.failf "query failed: %s" (Error.to_string e)
+                in
+                Alcotest.(check (list string)) "an index-planned query matches navigation"
+                  (hits (Natix_query.Engine.create store))
+                  (hits (Natix_query.Engine.of_manager dm));
+                Alcotest.(check int) "reads logged nothing" appends (Natix_store.Wal.appends wal);
+                Alcotest.(check bool) "still pending" true (Element_index.pending idx > 0);
+                (* The checkpoint folds them, and the reads do not move. *)
+                Document_manager.checkpoint dm;
+                Alcotest.(check int) "folded at the checkpoint" 0 (Element_index.pending idx);
+                Element_index.check idx;
+                let c', recs', scanned', listed', counted' = reads () in
+                Alcotest.(check (list int)) "same answers once folded"
+                  [ c; recs; scanned; listed; counted ]
+                  [ c'; recs'; scanned'; listed'; counted' ])));
+  ]
+
 let dtd_codec_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -436,5 +497,6 @@ let suites =
     ("core.element_index", element_index_tests);
     ("core.document_manager", document_manager_tests);
     ("core.stale_index", stale_index_tests);
+    ("core.pending_index", pending_index_tests);
     ("xml.dtd_codec", dtd_codec_tests);
   ]

@@ -509,6 +509,69 @@ let txn_tests =
               (export store2 "a");
             Alcotest.(check bool) "fsck clean" true (Fsck.ok (Fsck.run store2));
             Tree_store.close ~commit:false store2));
+    Alcotest.test_case "a fresh store that dies before its first commit reopens writable" `Quick
+      (fun () ->
+        (* Page 0 is formatted by the bootstrap transaction.  Until that
+           commits, recovery must roll the file back to no pages, so the
+           next open bootstraps again — an unformatted page 0 would fail
+           every later catalog save. *)
+        let writable what path =
+          let store = open_txn_store path in
+          let report = Fsck.run store in
+          if not (Fsck.ok report) then Alcotest.failf "%s: fsck: %a" what Fsck.pp report;
+          let dm = Document_manager.create store in
+          (match Document_manager.store_document dm ~name:"doc" (play ~seed:97 0) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s: store failed: %s" what (Error.to_string e));
+          let expected = export store "doc" in
+          Document_manager.checkpoint dm;
+          Tree_store.close store;
+          let store = open_txn_store path in
+          let report = Fsck.run store in
+          if not (Fsck.ok report) then
+            Alcotest.failf "%s: fsck after the write: %a" what Fsck.pp report;
+          Alcotest.(check string) (what ^ ": document durable") expected (export store "doc");
+          Tree_store.close ~commit:false store
+        in
+        with_store_file (fun path ->
+            Tree_store.close ~commit:false (open_txn_store path);
+            writable "closed without a commit" path);
+        List.iter
+          (fun (name, mode) ->
+            with_store_file (fun path ->
+                let plan = Faulty_disk.create ~seed:97L () in
+                let store = open_txn_store ~plan path in
+                Faulty_disk.arm_fsync_crash ~mode plan (Faulty_disk.fsyncs_seen plan);
+                (match
+                   Tree_store.autocommit store ~doc:"lost" (fun () ->
+                       ignore (Tree_store.create_document store ~name:"lost" ~root:"r"))
+                 with
+                | exception Faulty_disk.Crash -> ()
+                | () -> Alcotest.fail "commit survived the armed fsync crash");
+                Tree_store.close ~commit:false store;
+                writable ("crash at the first commit, " ^ name) path))
+          [ ("batch lost", `Lose_all); ("tail lost", `Lose_tail); ("subset kept", `Subset) ]);
+    Alcotest.test_case "a streaming load into a file store is one transaction" `Quick (fun () ->
+        with_store_file (fun path ->
+            let text = Natix_xml.Xml_print.to_string (play ~seed:98 0) in
+            let options = { Natix.Session.Options.default with config = Some (config ()) } in
+            let sess = Natix.Session.open_store ~options path in
+            let dm = Natix.Session.manager sess in
+            (match Document_manager.store_stream dm ~name:"s" text with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "stream load failed: %s" (Error.to_string e));
+            (match Document_manager.store_stream dm ~name:"s" text with
+            | Error (Error.Storage _) -> ()
+            | Ok _ | Error _ -> Alcotest.fail "a taken name is not a Storage error");
+            Alcotest.(check bool) "not poisoned" true
+              (Tree_store.poisoned (Natix.Session.store sess) = None);
+            let expected = export (Natix.Session.store sess) "s" in
+            Natix.Session.close ~commit:false sess;
+            let store = open_txn_store path in
+            Alcotest.(check bool) "fsck clean" true (Fsck.ok (Fsck.run store));
+            Alcotest.(check string) "the acknowledged load survives" expected (export store "s");
+            Alcotest.(check string) "export equals the input" text (export store "s");
+            Tree_store.close ~commit:false store));
   ]
 
 (* ------------------------------------------------------------------ *)
