@@ -37,64 +37,38 @@ let tag_of_int = function
   | 9 -> Tag_uri
   | n -> invalid_arg (Printf.sprintf "Node_type_table: bad content tag %d" n)
 
-(* Shared across all transactions; interning is an append-only mutation
-   guarded by an internal leaf mutex (a holder never takes another
-   lock, so the mutex is outside any wait cycle). *)
-type t = {
-  lock : Mutex.t;
-  by_pair : (int * Label.t, int) Hashtbl.t;
-  mutable by_index : (content_tag * Label.t) array;
-  mutable count : int;
-}
+(* A key packs an entry into one int, [label lsl 4 lor tag], so that
+   interning a known entry allocates nothing. *)
+module Table = Natix_util.Intern_table.Make (struct
+  type t = int
+  type value = content_tag * Label.t
 
-let create () =
-  {
-    lock = Mutex.create ();
-    by_pair = Hashtbl.create 64;
-    by_index = Array.make 64 (Tag_aggregate, 0);
-    count = 0;
-  }
+  let compare = Int.compare
+  let value k = (tag_of_int (k land 0xf), k asr 4)
+  let name = "Node_type_table"
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  (* Object headers hold the index in 2 bytes. *)
+  let limit = 0x10000
+end)
 
-let index t tag label =
-  let key = (tag_to_int tag, label) in
-  locked t (fun () ->
-      match Hashtbl.find_opt t.by_pair key with
-      | Some i -> i
-      | None ->
-        if t.count >= 0x10000 then failwith "Node_type_table: full (65536 entries)";
-        if t.count = Array.length t.by_index then begin
-          let bigger = Array.make (2 * t.count) (Tag_aggregate, 0) in
-          Array.blit t.by_index 0 bigger 0 t.count;
-          t.by_index <- bigger
-        end;
-        let i = t.count in
-        Hashtbl.replace t.by_pair key i;
-        t.by_index.(i) <- (tag, label);
-        t.count <- t.count + 1;
-        i)
+type t = Table.t
 
-let entry t i =
-  locked t (fun () ->
-      if i < 0 || i >= t.count then
-        invalid_arg (Printf.sprintf "Node_type_table: unknown index %d" i)
-      else t.by_index.(i))
-
-let size t = locked t (fun () -> t.count)
+let create = Table.create
+let index t tag label = Table.intern t ((label lsl 4) lor tag_to_int tag)
+let entry = Table.get
+let size = Table.size
 
 let encode t =
-  locked t (fun () ->
-      let b = Bytes.create (2 + (t.count * 5)) in
-      Bytes_util.set_u16 b 0 t.count;
-      for i = 0 to t.count - 1 do
-        let tag, label = t.by_index.(i) in
-        Bytes_util.set_u8 b (2 + (5 * i)) (tag_to_int tag);
-        Bytes_util.set_u32 b (2 + (5 * i) + 1) label
-      done;
-      Bytes.unsafe_to_string b)
+  let entries = Table.values t in
+  let count = Array.length entries in
+  let b = Bytes.create (2 + (count * 5)) in
+  Bytes_util.set_u16 b 0 count;
+  Array.iteri
+    (fun i (tag, label) ->
+      Bytes_util.set_u8 b (2 + (5 * i)) (tag_to_int tag);
+      Bytes_util.set_u32 b (2 + (5 * i) + 1) label)
+    entries;
+  Bytes.unsafe_to_string b
 
 let decode s =
   let b = Bytes.unsafe_of_string s in

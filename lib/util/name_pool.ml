@@ -1,70 +1,37 @@
-(* The pool is shared by every transaction in the store, so all access
-   goes through an internal leaf mutex: a holder touches only the two
-   in-memory tables and never acquires another lock, so the mutex cannot
-   participate in any wait cycle regardless of who calls in. *)
-type t = {
-  lock : Mutex.t;
-  by_name : (string, Label.t) Hashtbl.t;
-  mutable by_label : string array;
-  mutable count : int;
-}
+module Table = Intern_table.Make (struct
+  type t = string
+  type value = string
+
+  let compare = String.compare
+  let value name = name
+  let name = "Name_pool"
+  let limit = max_int
+end)
+
+type t = Table.t
 
 let reserved = [| "#scaffold"; "#pcdata" |]
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let create () =
-  let t =
-    { lock = Mutex.create (); by_name = Hashtbl.create 64; by_label = Array.make 64 ""; count = 0 }
-  in
-  Array.iter
-    (fun name ->
-      Hashtbl.replace t.by_name name t.count;
-      t.by_label.(t.count) <- name;
-      t.count <- t.count + 1)
-    reserved;
+  let t = Table.create () in
+  Array.iter (fun name -> ignore (Table.intern t name)) reserved;
   t
 
-let grow t =
-  if t.count = Array.length t.by_label then begin
-    let bigger = Array.make (2 * t.count) "" in
-    Array.blit t.by_label 0 bigger 0 t.count;
-    t.by_label <- bigger
-  end
-
-let intern t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.by_name name with
-      | Some label -> label
-      | None ->
-        grow t;
-        let label = t.count in
-        Hashtbl.replace t.by_name name label;
-        t.by_label.(label) <- name;
-        t.count <- t.count + 1;
-        label)
-
-let find t name = locked t (fun () -> Hashtbl.find_opt t.by_name name)
-
-let name t label =
-  locked t (fun () ->
-      if label < 0 || label >= t.count then invalid_arg "Name_pool.name: unknown label"
-      else t.by_label.(label))
-
-let size t = locked t (fun () -> t.count)
+let intern = Table.intern
+let find = Table.find
+let name = Table.get
+let size = Table.size
 
 let encode t =
-  locked t (fun () ->
-      let buf = Buffer.create 256 in
-      for i = Array.length reserved to t.count - 1 do
-        let s = t.by_label.(i) in
-        Buffer.add_string buf (string_of_int (String.length s));
-        Buffer.add_char buf ':';
-        Buffer.add_string buf s
-      done;
-      Buffer.contents buf)
+  let buf = Buffer.create 256 in
+  let names = Table.values t in
+  for i = Array.length reserved to Array.length names - 1 do
+    let s = names.(i) in
+    Buffer.add_string buf (string_of_int (String.length s));
+    Buffer.add_char buf ':';
+    Buffer.add_string buf s
+  done;
+  Buffer.contents buf
 
 let decode s =
   let t = create () in

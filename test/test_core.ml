@@ -167,6 +167,37 @@ let codec_tests =
         && List.for_all2
              (fun (t, l) i -> Node_type_table.entry tbl' i = (tags.(t), l))
              entries idxs);
+    qtest "type table indices follow first-intern order"
+      QCheck2.Gen.(list_size (int_bound 80) (pair (int_bound 1) (int_bound 20)))
+      (fun entries ->
+        let tbl = Node_type_table.create () in
+        let first = Hashtbl.create 16 in
+        List.for_all
+          (fun (t, l) ->
+            let tag = if t = 0 then Node_type_table.Tag_aggregate else Tag_str in
+            if not (Hashtbl.mem first (t, l)) then Hashtbl.add first (t, l) (Hashtbl.length first);
+            Node_type_table.index tbl tag l = Hashtbl.find first (t, l))
+          entries);
+    Alcotest.test_case "type table holds 65536 entries, then fails" `Quick (fun () ->
+        let tbl = Node_type_table.create () in
+        for l = 0 to 0xffff do
+          Alcotest.(check int) "index" l (Node_type_table.index tbl Tag_str l)
+        done;
+        (match Node_type_table.index tbl Tag_str 0x10000 with
+        | exception Failure _ -> ()
+        | i -> Alcotest.failf "entry 65537 got index %d" i);
+        Alcotest.(check int) "size" 0x10000 (Node_type_table.size tbl);
+        Alcotest.(check int) "known entries still resolve" 0xffff
+          (Node_type_table.index tbl Tag_str 0xffff));
+    Alcotest.test_case "unknown type index is rejected" `Quick (fun () ->
+        let tbl = Node_type_table.create () in
+        ignore (Node_type_table.index tbl Tag_aggregate 2);
+        List.iter
+          (fun bad ->
+            match Node_type_table.entry tbl bad with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.failf "index %d resolved" bad)
+          [ -1; 1; 0x10000 ]);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -23,8 +23,10 @@ module Buffer_pool = Natix_store.Buffer_pool
 module Disk = Natix_store.Disk
 module Lock_rank = Natix_store.Lock_rank
 
-let seeds =
-  match Sys.getenv_opt "NATIX_PAR_SEEDS" with Some s -> int_of_string s | None -> 20
+let seeds_or default =
+  match Sys.getenv_opt "NATIX_PAR_SEEDS" with Some s -> int_of_string s | None -> default
+
+let seeds = seeds_or 20
 
 (* Small pages and a small buffer so even tiny corpora do real I/O and
    eviction under contention. *)
@@ -341,6 +343,102 @@ let deque_semantics () =
   Alcotest.(check (option int)) "empty steal" None (Natix_par.Deque.steal d);
   Alcotest.(check int) "length" 0 (Natix_par.Deque.length d)
 
+(* The store-wide dictionaries under concurrent interning.  Four domains
+   intern overlapping seeded key sets into one name pool and one
+   node-type table, and after each intern resolve their own key and one
+   picked from whatever the tables hold by then.  Reads take no lock, so
+   a reader that could see an index before its slot was written fails
+   here.  NATIX_PAR_SEEDS repeats the race (default 1). *)
+let dict_seeds = seeds_or 1
+
+let dict_race () =
+  let module Name_pool = Natix_util.Name_pool in
+  let module Prng = Natix_util.Prng in
+  let tags = Node_type_table.[| Tag_aggregate; Tag_str; Tag_int8; Tag_uri |] in
+  (* namespaced names too: the pool's framing is length-prefixed *)
+  let name_of k = if k mod 5 = 0 then Printf.sprintf "ns%d:local" k else Printf.sprintf "E%d" k in
+  for seed = 1 to dict_seeds do
+    let rng = Prng.create ~seed:(Int64.of_int (0xD1C7 + seed)) in
+    let universe = 100 + Prng.int rng 400 in
+    let key_sets =
+      List.init 4 (fun _ ->
+          Array.init (2 * universe) (fun _ ->
+              (Prng.int rng universe, Prng.int rng (Array.length tags), Prng.int rng 1_000_000)))
+    in
+    let pool = Name_pool.create () and types = Node_type_table.create () in
+    let started = Atomic.make 0 in
+    let worker keys () =
+      Atomic.incr started;
+      while Atomic.get started < 4 do
+        Domain.cpu_relax ()
+      done;
+      Array.map
+        (fun (k, t, pick) ->
+          let name = name_of k and tag = tags.(t) in
+          let label = Name_pool.intern pool name in
+          let i = Node_type_table.index types tag label in
+          let other_label = pick mod Name_pool.size pool in
+          let other_i = pick mod Node_type_table.size types in
+          let other_tag, l = Node_type_table.entry types other_i in
+          let ok =
+            Name_pool.find pool name = Some label
+            && Name_pool.name pool label = name
+            && Node_type_table.entry types i = (tag, label)
+            && Name_pool.find pool (Name_pool.name pool other_label) = Some other_label
+            && Node_type_table.index types other_tag l = other_i
+          in
+          (name, tag, label, i, ok))
+        keys
+    in
+    let domains = List.map (fun keys -> Domain.spawn (worker keys)) key_sets in
+    let results = List.concat_map (fun d -> Array.to_list (Domain.join d)) domains in
+    let what fmt = Printf.sprintf ("seed %d: " ^^ fmt) seed in
+    Alcotest.(check bool)
+      (what "every read-back during the race agreed")
+      true
+      (List.for_all (fun (_, _, _, _, ok) -> ok) results);
+    (* one index per key, and the indices are exactly 0..n-1 *)
+    let labels = Hashtbl.create 64 and entries = Hashtbl.create 64 in
+    List.iter
+      (fun (name, tag, label, i, _) ->
+        (match Hashtbl.find_opt labels name with
+        | Some l when l <> label -> Alcotest.failf "%s" (what "%S got labels %d and %d" name l label)
+        | _ -> Hashtbl.replace labels name label);
+        match Hashtbl.find_opt entries (tag, label) with
+        | Some j when j <> i -> Alcotest.failf "%s" (what "one type entry got indices %d and %d" j i)
+        | _ -> Hashtbl.replace entries (tag, label) i)
+      results;
+    let sorted tbl = List.sort compare (Hashtbl.fold (fun _ v acc -> v :: acc) tbl []) in
+    Alcotest.(check (list int))
+      (what "labels are exactly 2..n-1")
+      (List.init (Hashtbl.length labels) (fun i -> Natix_util.Label.first_user + i))
+      (sorted labels);
+    Alcotest.(check int) (what "pool size") (Hashtbl.length labels + 2) (Name_pool.size pool);
+    Alcotest.(check (list int))
+      (what "type indices are exactly 0..n-1")
+      (List.init (Hashtbl.length entries) Fun.id)
+      (sorted entries);
+    Alcotest.(check int) (what "type table size") (Hashtbl.length entries)
+      (Node_type_table.size types);
+    (* every lookup round-trips, and the encodings decode to equal tables *)
+    let pool' = Name_pool.decode (Name_pool.encode pool) in
+    Alcotest.(check int) (what "decoded pool size") (Name_pool.size pool) (Name_pool.size pool');
+    for l = 0 to Name_pool.size pool - 1 do
+      let name = Name_pool.name pool l in
+      Alcotest.(check (option int)) (what "find (name %d)" l) (Some l) (Name_pool.find pool name);
+      Alcotest.(check string) (what "decoded name %d" l) name (Name_pool.name pool' l)
+    done;
+    let types' = Node_type_table.decode (Node_type_table.encode types) in
+    Alcotest.(check int) (what "decoded type table size") (Node_type_table.size types)
+      (Node_type_table.size types');
+    for i = 0 to Node_type_table.size types - 1 do
+      let tag, label = Node_type_table.entry types i in
+      Alcotest.(check int) (what "index (entry %d)" i) i (Node_type_table.index types tag label);
+      Alcotest.(check bool) (what "decoded entry %d" i) true
+        (Node_type_table.entry types' i = (tag, label))
+    done
+  done
+
 let suites =
   [
     ( "par.differential",
@@ -356,5 +454,11 @@ let suites =
         Alcotest.test_case "reset_stats rejected inside a parallel region" `Quick reset_rejected;
         Alcotest.test_case "scan regions refcount across domains" `Quick scan_refcount;
         Alcotest.test_case "deque: owner LIFO, thief FIFO, bounded" `Quick deque_semantics;
+      ] );
+    ( "par.dict",
+      [
+        Alcotest.test_case
+          (Printf.sprintf "4 domains intern one name pool and one type table, %d seeds" dict_seeds)
+          `Quick dict_race;
       ] );
   ]

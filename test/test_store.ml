@@ -73,13 +73,32 @@ let name_pool_tests =
     Alcotest.test_case "find on unknown name" `Quick (fun () ->
         let p = Name_pool.create () in
         Alcotest.(check (option int)) "absent" None (Name_pool.find p "nope"));
+    Alcotest.test_case "unknown label is rejected" `Quick (fun () ->
+        let p = Name_pool.create () in
+        let l = Name_pool.intern p "SPEECH" in
+        List.iter
+          (fun bad ->
+            match Name_pool.name p bad with
+            | exception Invalid_argument _ -> ()
+            | s -> Alcotest.failf "label %d resolved to %S" bad s)
+          [ -1; l + 1; max_int ]);
+    qtest "labels follow first-intern order"
+      QCheck2.Gen.(list_size (int_bound 80) (int_bound 30))
+      (fun keys ->
+        let p = Name_pool.create () in
+        let first = Hashtbl.create 16 in
+        List.for_all
+          (fun k ->
+            let name = "n" ^ string_of_int k in
+            if not (Hashtbl.mem first name) then
+              Hashtbl.add first name (Label.first_user + Hashtbl.length first);
+            Name_pool.intern p name = Hashtbl.find first name)
+          keys);
     qtest "encode/decode roundtrip"
       QCheck2.Gen.(list_size (int_bound 50) (string_size ~gen:printable (int_range 1 20)))
       (fun names ->
         let p = Name_pool.create () in
-        (* ':' is the only forbidden character for this simple framing of
-           symbol names; it never occurs in XML names anyway. *)
-        let names = List.map (String.map (fun c -> if c = ':' then '_' else c)) names in
+        let names = "xlink:href" :: names in
         let labels = List.map (Name_pool.intern p) names in
         let p' = Name_pool.decode (Name_pool.encode p) in
         Name_pool.size p = Name_pool.size p'
@@ -637,8 +656,31 @@ let suites = suites @ [ ("store.tombstone", tombstone_tests) ]
 (* ------------------------------------------------------------------ *)
 (* Checksums (page trailers, WAL entries)                              *)
 
+(* Byte-at-a-time CRC-32, the reference the sliced implementation must
+   equal on every input. *)
+let crc32_reference ?(init = 0) buf ~off ~len =
+  let crc = ref (init lxor 0xffffffff) in
+  for i = off to off + len - 1 do
+    let c = ref ((!crc lxor Char.code (Bytes.get buf i)) land 0xff) in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    crc := !c lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xffffffff
+
 let checksum_tests =
   [
+    qtest ~count:500 "sliced equals byte-at-a-time at any offset and length"
+      QCheck2.Gen.(
+        triple (string_size (int_bound 300)) (pair nat nat) (int_bound 0xffffffff))
+      (fun (s, (a, b), init) ->
+        let buf = Bytes.of_string s in
+        let n = Bytes.length buf in
+        let off = a mod (n + 1) in
+        let len = b mod (n - off + 1) in
+        Checksum.crc32 buf ~off ~len = crc32_reference buf ~off ~len
+        && Checksum.crc32 ~init buf ~off ~len = crc32_reference ~init buf ~off ~len);
     Alcotest.test_case "known test vector" `Quick (fun () ->
         (* The canonical CRC-32 check value. *)
         Alcotest.(check int) "123456789" 0xcbf43926 (Checksum.crc32_string "123456789"));
