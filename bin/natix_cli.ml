@@ -1050,6 +1050,8 @@ let top_cmd =
     else begin
     let open Natix_mon in
     let sess = open_session store_path in
+    let pool = Tree_store.buffer_pool (Natix.Session.store sess) in
+    Natix_store.Buffer_pool.reset_stats pool;
     run_probe ~cold sess queries jobs;
     let mon = mon_of sess in
     let at_ms = sim_now sess in
@@ -1058,12 +1060,13 @@ let top_cmd =
     let wsum name =
       match series name with None -> 0. | Some s -> s.Registry.window.Window.sum
     in
-    let fixes = wsum "fixes" in
-    let hit_ratio = if fixes > 0. then wsum "fix_hits" /. fixes else 1. in
     Printf.printf "natix top — %s  (sim clock %.1f ms, window %.0f ms)\n" store_path at_ms
       snap.Registry.span_ms;
-    Printf.printf "window: reads %.0f  writes %.0f  wal bytes %.0f  fixes %.0f  hit ratio %.3f\n"
-      (wsum "reads") (wsum "writes") (wsum "wal_bytes") fixes hit_ratio;
+    Printf.printf "window: reads %.0f  writes %.0f  wal bytes %.0f\n" (wsum "reads")
+      (wsum "writes") (wsum "wal_bytes");
+    Printf.printf "pool since the probe began: fixes %d  hit ratio %.3f\n"
+      (Natix_store.Buffer_pool.fixes pool)
+      (Natix_store.Buffer_pool.hit_ratio pool);
     (match series "query_sim_ms" with
     | Some { Registry.quantiles = Some (p50, p95, p99); _ } ->
       Printf.printf "query sim-ms: p50 %.2f  p95 %.2f  p99 %.2f\n" p50 p95 p99

@@ -24,40 +24,116 @@ let write_literal b off (v : Phys_node.literal) =
   | Int64 v -> Bytes_util.set_i64 b off v
   | Float v -> Bytes_util.set_f64 b off v
 
-let encode tbl ~parent_rid (root : Phys_node.t) =
+let type_index tbl (n : Phys_node.t) = Node_type_table.index tbl (tag_of_node n) n.label
+
+(* Write the embedded node [n] with its subtree at record offset [off] of
+   the image starting at [b.(base)], its parent's header being at
+   [parent_off]; returns the offset just past it. *)
+let rec write_node tbl b ~base off parent_off (n : Phys_node.t) =
+  Bytes_util.set_u16 b (base + off) (type_index tbl n);
+  Bytes_util.set_u16 b (base + off + 2) n.size;
+  Bytes_util.set_u16 b (base + off + 4) parent_off;
+  let stop = write_payload tbl b ~base (off + Phys_node.embedded_header_size) off n in
+  assert (stop = off + n.size);
+  stop
+
+(* The payload of [n], whose header is at [self_off], from offset [pos]. *)
+and write_payload tbl b ~base pos self_off (n : Phys_node.t) =
+  match n.kind with
+  | Aggregate { children } | Frag_aggregate { children } ->
+    List.fold_left (fun pos c -> write_node tbl b ~base pos self_off c) pos children
+  | Literal v ->
+    write_literal b (base + pos) v;
+    pos + Phys_node.literal_size v
+  | Proxy rid ->
+    Rid.write b (base + pos) rid;
+    pos + Rid.encoded_size
+
+(* The whole record image of [root] at [b.(base)].  The root's header
+   starts at offset 0; its children reference it. *)
+let write_record tbl ~parent_rid (root : Phys_node.t) b base =
   (match root.kind with
   | Proxy _ -> invalid_arg "Node_codec.encode: proxy root"
   | Aggregate _ | Frag_aggregate _ | Literal _ -> ());
-  let size = Phys_node.record_size root in
-  let b = Bytes.create size in
-  Bytes_util.set_u16 b 0 (Node_type_table.index tbl (tag_of_node root) root.label);
-  Rid.write b parent_rid_offset parent_rid;
-  let pos = ref Phys_node.standalone_header_size in
-  (* The root's header starts at offset 0; its children reference it. *)
-  let rec emit parent_off (n : Phys_node.t) =
-    let off = !pos in
-    Bytes_util.set_u16 b off (Node_type_table.index tbl (tag_of_node n) n.label);
-    Bytes_util.set_u16 b (off + 2) n.size;
-    Bytes_util.set_u16 b (off + 4) parent_off;
-    pos := off + Phys_node.embedded_header_size;
-    (match n.kind with
-    | Aggregate { children } | Frag_aggregate { children } -> List.iter (emit off) children
-    | Literal v ->
-      write_literal b !pos v;
-      pos := !pos + Phys_node.literal_size v
-    | Proxy rid ->
-      Rid.write b !pos rid;
-      pos := !pos + Rid.encoded_size);
-    assert (!pos = off + n.size)
-  in
-  (match root.kind with
-  | Aggregate { children } | Frag_aggregate { children } -> List.iter (emit 0) children
-  | Literal v ->
-    write_literal b !pos v;
-    pos := !pos + Phys_node.literal_size v
-  | Proxy _ -> assert false);
-  assert (!pos = size);
+  Bytes_util.set_u16 b base (type_index tbl root);
+  Rid.write b (base + parent_rid_offset) parent_rid;
+  let stop = write_payload tbl b ~base Phys_node.standalone_header_size 0 root in
+  assert (stop = Phys_node.record_size root)
+
+let encode tbl ~parent_rid (root : Phys_node.t) =
+  let b = Bytes.create (Phys_node.record_size root) in
+  write_record tbl ~parent_rid root b 0;
   Bytes.unsafe_to_string b
+
+let header_size (n : Phys_node.t) =
+  match n.parent with
+  | None -> Phys_node.standalone_header_size
+  | Some _ -> Phys_node.embedded_header_size
+
+(* [(n, header offset of n)] for [n] and each of its ancestors up to the
+   record root, [n] first.  A child's header follows its parent's header
+   and the subtrees of its earlier siblings. *)
+let rec path_offsets (n : Phys_node.t) =
+  match n.parent with
+  | None -> [ (n, 0) ]
+  | Some p ->
+    let up = path_offsets p in
+    let rec before off = function
+      | [] -> invalid_arg "Node_codec.splice: broken parent link"
+      | (c : Phys_node.t) :: rest -> if c == n then off else before (off + c.size) rest
+    in
+    (n, before (snd (List.hd up) + header_size p) (Phys_node.children p)) :: up
+
+let splice tbl (node : Phys_node.t) ~old ~old_len dst at =
+  let root = Phys_node.record_root node in
+  let grow = node.size in
+  if old_len + grow <> Phys_node.record_size root then
+    (* The stored image is not the tree without [node]: an earlier
+       insertion failed halfway in a store without a log.  Write the
+       tree, as a full encode would. *)
+    write_record tbl ~parent_rid:(Rid.read old parent_rid_offset) root dst at
+  else begin
+    let path = path_offsets node in
+    let pos = snd (List.hd path) in
+    let parent_off = match path with _ :: (_, p) :: _ -> p | _ -> 0 in
+    Bytes.blit old 0 dst at pos;
+    ignore (write_node tbl dst ~base:at pos parent_off node);
+    Bytes.blit old pos dst (at + pos + grow) (old_len - pos);
+    (* Inside the subtree [n], at [n_off] past the gap, every parent
+       moved by [grow]. *)
+    let rec repoint (n : Phys_node.t) n_off =
+      ignore
+        (List.fold_left
+           (fun c_off (c : Phys_node.t) ->
+             Bytes_util.set_u16 dst (at + c_off + 4) n_off;
+             repoint c c_off;
+             c_off + c.size)
+           (n_off + Phys_node.embedded_header_size)
+           (Phys_node.children n))
+    in
+    let rec siblings_after child = function
+      | [] -> []
+      | c :: rest -> if c == child then rest else siblings_after child rest
+    in
+    (* At every level up to the root: the ancestor's size (the root has
+       no size field), then the subtrees after the path child. *)
+    let rec fix_level = function
+      | ((child : Phys_node.t), child_off) :: (((anc : Phys_node.t), anc_off) :: _ as up) ->
+        (match anc.parent with
+        | Some _ -> Bytes_util.set_u16 dst (at + anc_off + 2) anc.size
+        | None -> ());
+        ignore
+          (List.fold_left
+             (fun off (c : Phys_node.t) ->
+               repoint c off;
+               off + c.size)
+             (child_off + child.size)
+             (siblings_after child (Phys_node.children anc)));
+        fix_level up
+      | [ _ ] | [] -> ()
+    in
+    fix_level path
+  end
 
 let read_literal tag b off len : Phys_node.literal =
   match (tag : Node_type_table.content_tag) with

@@ -26,6 +26,20 @@ val parent_rid_offset : int
     @raise Invalid_argument on a proxy root. *)
 val encode : Node_type_table.t -> parent_rid:Rid.t -> Phys_node.t -> string
 
+(** [splice tbl node] is the record-image fill (see
+    {!Natix_store.Record_manager.fill}) for tree growth: [node] has just
+    been inserted into a record's cached tree, and the old image is
+    [encode] of that tree without it.  The fill copies the old image with
+    [node]'s encoding spliced in at its offset, rewrites the 2-byte size
+    of each ancestor below the record root, and rewrites the parent
+    offsets inside every subtree that follows the insertion point (their
+    parents moved).  Offsets come from the cached sizes along [node]'s
+    path.  The result equals [encode] of the whole tree, byte for byte.
+    If the old image's length is not the tree's minus [node]'s, the fill
+    writes the whole tree instead. *)
+val splice :
+  Node_type_table.t -> Phys_node.t -> old:bytes -> old_len:int -> bytes -> int -> unit
+
 (** [decode tbl body] rebuilds the subtree and returns it with the parent
     record RID from the standalone header.  The returned nodes are fresh
     and carry correct cached sizes and parent links.

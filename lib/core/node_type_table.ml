@@ -47,8 +47,9 @@ module Table = Natix_util.Intern_table.Make (struct
   let value k = (tag_of_int (k land 0xf), k asr 4)
   let name = "Node_type_table"
 
-  (* Object headers hold the index in 2 bytes. *)
-  let limit = 0x10000
+  (* Object headers hold an index in 2 bytes, and the catalog holds the
+     count in 2 bytes: at most 65,535 entries, indices 0..65,534. *)
+  let limit = 0xffff
 end)
 
 type t = Table.t

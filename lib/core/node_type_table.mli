@@ -29,7 +29,8 @@ type t
 val create : unit -> t
 
 (** [index t tag label] returns the entry's index, interning it if new.
-    @raise Failure after 65536 distinct entries. *)
+    @raise Failure after 65,535 distinct entries (the catalog stores the
+    count in 2 bytes). *)
 val index : t -> content_tag -> Label.t -> int
 
 (** [entry t idx] decodes an index.

@@ -631,7 +631,7 @@ let fetch t rid : Phys_node.box =
 
 let flush_box t (box : Phys_node.box) =
   let body = Node_codec.encode t.catalog.Catalog.types ~parent_rid:box.parent_rid box.root in
-  Record_manager.update t.rm box.rid body;
+  Record_manager.update_string t.rm box.rid body;
   notify t box.rid Changed
 
 (* Repoint the on-disk parent RID of a subtree record (cheap patch). *)
@@ -1131,9 +1131,20 @@ let payload_label = function
   | Text _ -> Label.pcdata
   | Lit (l, _) -> l
 
+(* Tree growth (§3.2.1): while the record still fits, the new node is
+   spliced into the stored image, a local edit since every offset is
+   record-relative (Appendix A), instead of re-encoding the record.  The
+   update sees only the new length, so placement is what a full encode
+   would have got. *)
 let insert_embedded t host ~index node =
   Phys_node.insert_child host ~index node;
-  grow_check t (box_of t host)
+  let box = box_of t host in
+  let len = Phys_node.record_size box.root in
+  if len <= max_record_size t then begin
+    Record_manager.update t.rm box.rid ~len (Node_codec.splice t.catalog.Catalog.types node);
+    notify t box.rid Changed
+  end
+  else grow_check t box
 
 let insert_node t point payload =
   let node = mk_payload payload in
@@ -1356,11 +1367,15 @@ let check_document t name =
       if Phys_node.record_size box.root > max_record_size t then
         fail "record %s exceeds a page (%d > %d)" (Rid.to_string rid)
           (Phys_node.record_size box.root) (max_record_size t);
-      (* Round-trip the byte image. *)
+      (* Round-trip the byte image, and require it to be exactly the
+         encoding of the cached tree: tree growth splices nodes into
+         stored images instead of re-encoding them. *)
       let body = Record_manager.read t.rm rid in
       let decoded, _ = Node_codec.decode t.catalog.Catalog.types body in
       if not (Node_codec.structural_equal decoded box.root) then
         fail "record %s: decoded image differs from the cached tree" (Rid.to_string rid);
+      if body <> Node_codec.encode t.catalog.Catalog.types ~parent_rid:box.parent_rid box.root then
+        fail "record %s: stored image differs from the encoded tree" (Rid.to_string rid);
       iter_proxies box.root (fun target -> check_record target rid)
     in
     check_record root_rid Rid.null

@@ -78,7 +78,7 @@ let insert_at t b ~off data =
       (match before with
       | last :: _ when last.len + String.length data <= t.target ->
         let old = Record_manager.read t.rm last.rid in
-        Record_manager.update t.rm last.rid (old ^ data);
+        Record_manager.update_string t.rm last.rid (old ^ data);
         last.len <- last.len + String.length data;
         b.chunks <- List.rev_append before after
       | _ ->
@@ -88,7 +88,7 @@ let insert_at t b ~off data =
       let old = Record_manager.read t.rm c.rid in
       let combined = String.sub old 0 inner ^ data ^ String.sub old inner (c.len - inner) in
       if String.length combined <= Record_manager.max_len t.rm then begin
-        Record_manager.update t.rm c.rid combined;
+        Record_manager.update_string t.rm c.rid combined;
         c.len <- String.length combined;
         b.chunks <- List.rev_append before (c :: after)
       end
@@ -96,7 +96,7 @@ let insert_at t b ~off data =
         (* Split at an arbitrary byte position: rewrite this chunk with the
            first target-full and spill the rest into fresh records. *)
         let keep = min t.target (String.length combined) in
-        Record_manager.update t.rm c.rid (String.sub combined 0 keep);
+        Record_manager.update_string t.rm c.rid (String.sub combined 0 keep);
         c.len <- keep;
         let spill =
           store_pieces t ~near:(Rid.page c.rid)
@@ -127,7 +127,7 @@ let delete_range t b ~off ~len =
         else begin
           let old = Record_manager.read t.rm c.rid in
           let kept = String.sub old 0 off ^ String.sub old (off + cut) (c.len - off - cut) in
-          Record_manager.update t.rm c.rid kept;
+          Record_manager.update_string t.rm c.rid kept;
           c.len <- String.length kept;
           go (c :: acc) rest 0 (remaining - cut)
         end

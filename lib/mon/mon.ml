@@ -37,9 +37,6 @@ let on_event t (ev : Event.t) =
           if breaches <> [] then t.pending <- t.pending @ breaches
         | _ -> ())
       | Event.Io { write = true; _ } -> record "writes" 1.
-      | Event.Page_fix { hit; _ } ->
-        record "fixes" 1.;
-        if hit then record "fix_hits" 1.
       | Event.Wal_append { bytes; _ } -> record "wal_bytes" (float_of_int bytes)
       | _ -> ())
 

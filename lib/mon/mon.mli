@@ -4,11 +4,12 @@
     three structures from the event stream and from session-level
     operation records:
 
-    - a {!Registry} of sliding-window series — [reads], [writes],
-      [fixes], [fix_hits] (windowed hit ratio = [fix_hits]/[fixes]),
+    - a {!Registry} of sliding-window series — [reads], [writes] and
       [wal_bytes] from events, keyed by the emitting [(doc, phase)]
       context; [ops] and [query_sim_ms] (with moving p50/p95/p99) from
-      operation records;
+      operation records.  Page fixes are not consumed: they are the
+      hottest events, and the pool counts fixes and hits itself
+      ({!Natix_store.Buffer_pool.fixes}, {!Natix_store.Buffer_pool.hit_ratio});
     - an {!Account} per document: reads fed from the event stream (the
       context attributes them even inside parallel batches), simulated
       time and peak pages-pinned from operation records, each cumulative

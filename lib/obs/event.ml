@@ -66,6 +66,32 @@ let type_name = function
   | Recovery_done _ -> "recovery_done"
   | Budget_exceeded _ -> "budget_exceeded"
 
+(* ["ev." ^ type_name kind], as constants: counting an event allocates
+   nothing. *)
+let counter_name = function
+  | Io _ -> "ev.io"
+  | Page_fix _ -> "ev.page_fix"
+  | Page_evict _ -> "ev.page_evict"
+  | Page_flush _ -> "ev.page_flush"
+  | Record_alloc _ -> "ev.record_alloc"
+  | Record_relocate _ -> "ev.record_relocate"
+  | Record_free _ -> "ev.record_free"
+  | Split _ -> "ev.split"
+  | Merge _ -> "ev.merge"
+  | Proxy_hop _ -> "ev.proxy_hop"
+  | Btree_node _ -> "ev.btree_node"
+  | Span _ -> "ev.span"
+  | Checksum_fail _ -> "ev.checksum_fail"
+  | Read_retry _ -> "ev.read_retry"
+  | Read_ahead _ -> "ev.read_ahead"
+  | Wal_append _ -> "ev.wal_append"
+  | Wal_fsync _ -> "ev.wal_fsync"
+  | Wal_torn _ -> "ev.wal_torn"
+  | Recovery_redo _ -> "ev.recovery_redo"
+  | Recovery_undo _ -> "ev.recovery_undo"
+  | Recovery_done _ -> "ev.recovery_done"
+  | Budget_exceeded _ -> "ev.budget_exceeded"
+
 let rid_json rid = Json.String (Rid.to_string rid)
 
 let kind_fields = function

@@ -92,5 +92,9 @@ val decision_name : decision -> string
     per-event-type metrics counter suffix. *)
 val type_name : kind -> string
 
+(** ["ev." ^ type_name kind], the kind's event counter, as a constant
+    string (no allocation). *)
+val counter_name : kind -> string
+
 val to_json : t -> Json.t
 val pp : Format.formatter -> t -> unit

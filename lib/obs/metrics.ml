@@ -13,9 +13,9 @@ type t = {
 let create () = { counters = Hashtbl.create 32; histograms = Hashtbl.create 16 }
 
 let incr ?(by = 1) t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.replace t.counters name (ref by)
+  match Hashtbl.find t.counters name with
+  | r -> r := !r + by
+  | exception Not_found -> Hashtbl.replace t.counters name (ref by)
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with

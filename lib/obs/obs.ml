@@ -1,6 +1,6 @@
 type t = {
   sink : Sink.t option;
-  mutable subscribers : (Event.t -> unit) list;  (* newest first; called in reverse *)
+  mutable subscribers : (Event.t -> unit) list;  (* in delivery (subscription) order *)
   metrics : Metrics.t;
   mutable now : unit -> float;
   mutable seq : int;
@@ -60,25 +60,38 @@ let with_context t ?doc ~phase f =
   slot.ctx <- Some { Event.doc; phase };
   Fun.protect ~finally:(fun () -> slot.ctx <- saved) f
 
-let subscribe t f = t.subscribers <- f :: t.subscribers
+let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+let rec notify event = function
+  | [] -> ()
+  | f :: rest ->
+    f event;
+    notify event rest
+
 (* Subscribers run under the handle's lock (they are part of delivery);
    they must not call back into [emit]/[incr]/[observe] on this handle. *)
 let deliver t event =
   (match t.sink with None -> () | Some sink -> Sink.emit sink event);
-  List.iter (fun f -> f event) (List.rev t.subscribers)
+  notify event t.subscribers
 
+(* The per-event path: besides the event record, nothing is allocated. *)
 let emit t kind =
-  locked t (fun () ->
-      Metrics.incr t.metrics ("ev." ^ Event.type_name kind);
-      if t.sink <> None || t.subscribers <> [] then begin
-        t.seq <- t.seq + 1;
-        deliver t { Event.seq = t.seq; at_ms = t.now (); kind; ctx = (tls t).ctx }
-      end)
+  Mutex.lock t.lock;
+  match
+    Metrics.incr t.metrics (Event.counter_name kind);
+    if t.sink <> None || t.subscribers <> [] then begin
+      t.seq <- t.seq + 1;
+      deliver t { Event.seq = t.seq; at_ms = t.now (); kind; ctx = (tls t).ctx }
+    end
+  with
+  | () -> Mutex.unlock t.lock
+  | exception e ->
+    Mutex.unlock t.lock;
+    raise e
 
 let incr ?by t name = locked t (fun () -> Metrics.incr ?by t.metrics name)
 let observe t name v = locked t (fun () -> Metrics.observe t.metrics name v)

@@ -38,6 +38,11 @@ let classify key =
   else if List.mem key [ "hits"; "plays"; "nodes"; "bytes"; "scale"; "page_size" ] then `Exact
   else `Info
 
+(* The paper's figures ([cells]) are simulated and deterministic for a
+   fixed build and input, so a tolerance would only hide drift: every
+   numeric leaf there must be equal, wall time aside. *)
+let classify_cell key = if has_suffix key "_wall_s" then `Skip else `Exact
+
 let num = function
   | Json.Int i -> Some (float_of_int i)
   | Json.Float f -> Some f
@@ -75,14 +80,15 @@ let diff ?(threshold_pct = 10.) ~baseline ~current () =
         else add path Change detail
     end
   in
-  let rec walk path cls base cur =
+  let rec walk ~exact path cls base cur =
     match (base, cur) with
     | Json.Obj bfields, Json.Obj cfields ->
       List.iter
         (fun (k, bv) ->
           let sub = if path = "" then k else path ^ "." ^ k in
+          let exact = exact || (path = "" && k = "cells") in
           match List.assoc_opt k cfields with
-          | Some cv -> walk sub (classify k) bv cv
+          | Some cv -> walk ~exact sub (if exact then classify_cell k else classify k) bv cv
           | None -> add sub Mismatch "missing in current")
         bfields;
       List.iter
@@ -96,7 +102,7 @@ let diff ?(threshold_pct = 10.) ~baseline ~current () =
           (Printf.sprintf "array length %d -> %d" (List.length bs) (List.length cs))
       else
         List.iteri
-          (fun i (bv, cv) -> walk (Printf.sprintf "%s[%d]" path i) cls bv cv)
+          (fun i (bv, cv) -> walk ~exact (Printf.sprintf "%s[%d]" path i) cls bv cv)
           (List.combine bs cs)
     | _ when cls = `Skip -> ()
     | b, c -> (
@@ -113,7 +119,7 @@ let diff ?(threshold_pct = 10.) ~baseline ~current () =
         | Json.Null, Json.Null -> ()
         | _ -> add path Mismatch "type changed"))
   in
-  walk "" `Info baseline current;
+  walk ~exact:false "" `Info baseline current;
   let verdicts = List.rev !verdicts in
   let count k = List.length (List.filter (fun v -> v.kind = k) verdicts) in
   {

@@ -14,7 +14,11 @@
     - result shape ([hits], corpus figures, strings, array lengths, the
       set of keys) must match exactly — a difference is a {e mismatch};
     - wall-clock figures ([*_wall_s]) are skipped; anything else numeric
-      is reported as an informational change.
+      is reported as an informational change;
+    - under the top-level [cells] (the paper's figures, e.g.
+      [BENCH_figures.json]) every numeric leaf but [*_wall_s] must be
+      equal, [splits] included: any difference is a {e mismatch},
+      whatever the threshold.
 
     The gate fails (see {!ok}) on any regression or mismatch;
     improvements and informational changes are reported but pass. *)

@@ -114,7 +114,7 @@ let read_node t rid =
 
 let write_node t rid node =
   note t rid Natix_obs.Event.Bt_write node;
-  Record_manager.update t.rm rid (encode node)
+  Record_manager.update_string t.rm rid (encode node)
 
 let alloc_node t ?near node =
   let rid = Record_manager.insert t.rm ?near (encode node) in

@@ -603,16 +603,16 @@ let rec fix_aux t ~count page_id =
   | Some f ->
     (* Hit.  The pin is taken under the pool lock (all pin transitions
        are), which also excludes eviction: once pinned the frame cannot go
-       away, so the stripe can be released before waiting out a load. *)
+       away, so the stripe can be released before waiting out a load.  The
+       event goes out after both locks are released: a hit causes no other
+       event, so the order of one domain's events is unchanged. *)
     lock_pool t;
-    if count then begin
-      t.fixes <- t.fixes + 1;
-      note_fix t page_id ~hit:true
-    end;
+    if count then t.fixes <- t.fixes + 1;
     f.pins <- f.pins + 1;
     on_hit t f;
     unlock_pool t;
     unlock_stripe t si;
+    if count then note_fix t page_id ~hit:true;
     (* Wait for an in-flight load (no-op when the latch is free). *)
     lock_frame f;
     unlock_frame f;
@@ -669,11 +669,11 @@ let fix_new t page_id =
   | Some f ->
     lock_pool t;
     t.fixes <- t.fixes + 1;
-    note_fix t page_id ~hit:true;
     f.pins <- f.pins + 1;
     on_hit t f;
     unlock_pool t;
     unlock_stripe t si;
+    note_fix t page_id ~hit:true;
     f
   | None ->
     (* Freshly allocated page: its content is zeroes, so no read is

@@ -9,9 +9,7 @@ let segment t = t.seg
 let obs t = t.obs
 let max_len t = Segment.max_record_len t.seg
 
-let check_len t data =
-  let len = String.length data in
-  if len > max_len t then raise (Record_too_large len)
+let check_len t len = if len > max_len t then raise (Record_too_large len)
 
 let tombstone_body rid =
   let b = Bytes.create Rid.encoded_size in
@@ -22,10 +20,10 @@ let tombstone_body rid =
    [owner] pins the allocation arena (else it follows [near]'s page, else
    the shared arena — see {!Segment.find_space}).
    [Slotted_page.free_for_insert] (which the inventory tracks) already
-   accounts for the slot entry, so the requirement is exactly the data
-   length. *)
+   accounts for the slot entry, so the requirement is exactly the
+   record's extent. *)
 let place t ?owner ?near ?policy data flags =
-  let need = String.length data in
+  let need = Slotted_page.extent (String.length data) in
   let page = Segment.find_space t.seg ?owner ?near ?policy need in
   Segment.with_page_mut t.seg page (fun b ->
       match Slotted_page.insert b data flags with
@@ -33,7 +31,7 @@ let place t ?owner ?near ?policy data flags =
       | None -> failwith "Record_manager.place: inventory out of sync")
 
 let insert t ?owner ?near ?policy data =
-  check_len t data;
+  check_len t (String.length data);
   let rid = place t ?owner ?near ?policy data Slotted_page.no_flags in
   (match t.obs with
   | None -> ()
@@ -75,94 +73,77 @@ let home_page t rid =
 
 (* Write [data] into an existing slot if the page can hold it. *)
 let try_write t page slot data flags =
-  Segment.with_page_mut t.seg page (fun b -> Slotted_page.write b slot data flags)
+  Segment.with_page_mut t.seg page (fun b ->
+      Slotted_page.write b slot ~len:(String.length data) (Slotted_page.blit data) flags)
 
-(* Make room on a full page by forwarding one resident record (larger
-   than a tombstone, unflagged) to another page; its slot keeps a
-   tombstone, so its RID stays valid.  Returns false when no suitable
-   victim exists. *)
-let evict_one t page ~avoid =
-  let victim =
-    Segment.with_page t.seg page (fun b ->
-        let found = ref None in
-        Slotted_page.iter b (fun slot _off len flags ->
-            if
-              !found = None && slot <> avoid
-              && len > Rid.encoded_size
-              && (not flags.Slotted_page.forward)
-              && not flags.Slotted_page.moved
-            then found := Some slot);
-        !found)
-  in
-  match victim with
-  | None -> false
-  | Some slot ->
-    let rid = Rid.make ~page ~slot in
-    let body = read t rid in
-    (* The victim stays in its document's arena: relocation must not
-       leak a page of one arena into another writer's working set. *)
-    let target = place t ~owner:(Segment.owner_of t.seg page) body Slotted_page.moved_flag in
+type fill = old:bytes -> old_len:int -> bytes -> int -> unit
+
+(* The calling domain's copy of the image being replaced, reused across
+   updates: concurrent writers share nothing, and an update allocates no
+   image unless it relocates. *)
+let scratch_key = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
+let scratch t len =
+  let r = Domain.DLS.get scratch_key in
+  if Bytes.length !r < len then r := Bytes.create (max len (max_len t));
+  !r
+
+(* The new image did not fit where the record lives.  Every record owns
+   at least a tombstone's extent ({!Slotted_page.extent}), so the
+   tombstone written in its place always fits.  A moved body stays in
+   the home page's arena. *)
+let relocate t rid ~target data =
+  let home = Rid.page rid in
+  let move () = place t ~owner:(Segment.owner_of t.seg home) data Slotted_page.moved_flag in
+  let forward_to fresh =
     (match t.obs with
     | None -> ()
     | Some obs ->
       Natix_obs.Obs.emit obs
-        (Natix_obs.Event.Record_relocate { rid; target; bytes = String.length body }));
-    if not (try_write t page slot (tombstone_body target) Slotted_page.forward_flag) then
-      failwith "Record_manager: victim eviction failed";
-    true
-
-let update t rid data =
-  check_len t data;
-  match forward_target t rid with
-  | None ->
-    if not (try_write t (Rid.page rid) (Rid.slot rid) data Slotted_page.no_flags) then begin
-      (* Move the record out and leave a tombstone.  A tombstone fits
-         whenever the old body was at least 8 bytes; a smaller body on a
-         completely full page needs room made first by evicting a
-         neighbouring record.  The moved body stays in the home page's
-         arena. *)
-      let target =
-        place t ~owner:(Segment.owner_of t.seg (Rid.page rid)) data Slotted_page.moved_flag
-      in
-      (match t.obs with
-      | None -> ()
-      | Some obs ->
-        Natix_obs.Obs.emit obs
-          (Natix_obs.Event.Record_relocate { rid; target; bytes = String.length data }));
-      let tombstone = tombstone_body target in
-      let rec settle () =
-        if not (try_write t (Rid.page rid) (Rid.slot rid) tombstone Slotted_page.forward_flag)
-        then
-          if evict_one t (Rid.page rid) ~avoid:(Rid.slot rid) then settle ()
-          else failwith "Record_manager.update: cannot place tombstone"
-      in
-      settle ()
-    end
+        (Natix_obs.Event.Record_relocate { rid; target = fresh; bytes = String.length data }));
+    if not (try_write t home (Rid.slot rid) (tombstone_body fresh) Slotted_page.forward_flag) then
+      failwith "Record_manager.update: cannot place tombstone"
+  in
+  match target with
+  | None -> forward_to (move ())
   | Some target ->
-    (* Try the current out-of-home location first. *)
-    if not (try_write t (Rid.page target) (Rid.slot target) data Slotted_page.moved_flag) then begin
-      (* Does it fit back home (collapsing the forwarding)? *)
-      let home_fits =
-        Segment.with_page_mut t.seg (Rid.page rid) (fun b ->
-            Slotted_page.write b (Rid.slot rid) data Slotted_page.no_flags)
-      in
-      Segment.with_page_mut t.seg (Rid.page target) (fun b ->
-          Slotted_page.delete b (Rid.slot target));
-      if not home_fits then begin
-        let fresh =
-          place t ~owner:(Segment.owner_of t.seg (Rid.page rid)) data Slotted_page.moved_flag
-        in
-        (match t.obs with
-        | None -> ()
-        | Some obs ->
-          Natix_obs.Obs.emit obs
-            (Natix_obs.Event.Record_relocate { rid; target = fresh; bytes = String.length data }));
-        let ok =
-          try_write t (Rid.page rid) (Rid.slot rid) (tombstone_body fresh) Slotted_page.forward_flag
-        in
-        if not ok then failwith "Record_manager.update: cannot repoint tombstone"
-      end
-    end
+    (* Does it fit back home (collapsing the forwarding)? *)
+    let home_fits = try_write t home (Rid.slot rid) data Slotted_page.no_flags in
+    Segment.with_page_mut t.seg (Rid.page target) (fun b ->
+        Slotted_page.delete b (Rid.slot target));
+    if not home_fits then forward_to (move ())
+
+(* The first attempt writes in place, where the record's bytes live now:
+   the home page, or the current out-of-home page of a forwarded record.
+   Within that one page fix the old image is copied to scratch (the write
+   may move or overwrite it before [fill] runs), and [fill] writes the new
+   image straight into the page.  Any other outcome builds the image from
+   the scratch copy and relocates, so placement depends on [len] alone. *)
+let update t rid ~len fill =
+  check_len t len;
+  let target = forward_target t rid in
+  let page, slot, flags =
+    match target with
+    | None -> (Rid.page rid, Rid.slot rid, Slotted_page.no_flags)
+    | Some target -> (Rid.page target, Rid.slot target, Slotted_page.moved_flag)
+  in
+  let old_len = ref 0 in
+  let written =
+    Segment.with_page_mut t.seg page (fun b ->
+        let off, n, _ = Slotted_page.read b slot in
+        let old = scratch t n in
+        Bytes.blit b off old 0 n;
+        old_len := n;
+        Slotted_page.write b slot ~len (fun dst at -> fill ~old ~old_len:n dst at) flags)
+  in
+  if not written then begin
+    let image = Bytes.create len in
+    fill ~old:(scratch t !old_len) ~old_len:!old_len image 0;
+    relocate t rid ~target (Bytes.unsafe_to_string image)
+  end
+
+let update_string t rid data =
+  update t rid ~len:(String.length data) (fun ~old:_ ~old_len:_ -> Slotted_page.blit data)
 
 let patch t rid ~off data =
   let write_at page slot =

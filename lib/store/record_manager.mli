@@ -41,10 +41,23 @@ val read : t -> Rid.t -> string
     copy. *)
 val with_record : t -> Rid.t -> (bytes -> off:int -> len:int -> 'a) -> 'a
 
-(** [update t rid data] replaces the record's contents, moving it to
-    another page behind a tombstone when necessary.  The RID stays valid.
-    @raise Record_too_large if [data] exceeds {!max_len}. *)
-val update : t -> Rid.t -> string -> unit
+(** A record-image writer: [fill ~old ~old_len dst off] writes the new
+    image into [dst] at [off].  [old] holds the image being replaced in
+    its first [old_len] bytes (a scratch copy owned by the calling domain;
+    it is not the page). *)
+type fill = old:bytes -> old_len:int -> bytes -> int -> unit
+
+(** [update t rid ~len fill] replaces the record's contents with the [len]
+    bytes [fill] writes, moving it to another page behind a tombstone when
+    necessary.  The RID stays valid.  Placement, relocation and tombstone
+    decisions depend on [len] only; [fill] runs once, straight into the
+    page when the record stays where it is.
+    @raise Record_too_large if [len] exceeds {!max_len}. *)
+val update : t -> Rid.t -> len:int -> fill -> unit
+
+(** [update_string t rid data] is {!update} with a fill that writes
+    [data]. *)
+val update_string : t -> Rid.t -> string -> unit
 
 (** [patch t rid ~off data] overwrites [length data] bytes of the record
     body in place at offset [off], without resizing.  Used for cheap

@@ -10,7 +10,11 @@ open Natix_util
    Slot entry (4 bytes): u16 offset | moved_flag in bit 15,
                          u16 length | forward_flag in bit 15.
    A free slot entry has offset = 0xffff and length = 0; records of length
-   zero are forbidden so the encoding is unambiguous. *)
+   zero are forbidden so the encoding is unambiguous.
+
+   A record's extent (the data bytes it owns) is its length, but never
+   less than [min_extent], a forward tombstone's size: a record can then
+   always be replaced in place by the tombstone that forwards it. *)
 
 let header_size = 12
 let slot_size = 4
@@ -18,6 +22,8 @@ let flag_bit = 0x8000
 let flag_mask = 0x7fff
 let free_sentinel = 0xffff
 let max_record_len ~page_size = page_size - header_size - slot_size
+let min_extent = 8
+let extent len = max len min_extent
 
 let slot_count b = Bytes_util.get_u16 b 0
 let set_slot_count b v = Bytes_util.set_u16 b 0 v
@@ -107,7 +113,7 @@ let compact b =
   let dest = ref (Bytes.length b) in
   List.iter
     (fun (i, off, len, flags) ->
-      dest := !dest - len;
+      dest := !dest - extent len;
       if off <> !dest then begin
         Bytes.blit b off b !dest len;
         set_entry b i ~off:!dest ~len ~flags
@@ -180,12 +186,12 @@ let place b len =
 let insert b data flags =
   let len = String.length data in
   assert (len > 0);
-  if free_for_insert b < len then None
+  if free_for_insert b < extent len then None
   else
     match take_slot b with
     | None -> None
     | Some i ->
-      let off = place b len in
+      let off = place b (extent len) in
       Bytes.blit_string data 0 b off len;
       set_entry b i ~off ~len ~flags;
       Some i
@@ -197,28 +203,30 @@ let free_extent b off len =
 
 let delete b i =
   let off, len, _flags = read b i in
-  free_extent b off len;
+  free_extent b off (extent len);
   release_slot b i
 
-let write b i data flags =
+let blit data dst off = Bytes.blit_string data 0 dst off (String.length data)
+
+let write b i ~len:new_len fill flags =
   let off, len, _old = read b i in
-  let new_len = String.length data in
   assert (new_len > 0);
-  if new_len <= len then begin
+  let old_ext = extent len and new_ext = extent new_len in
+  if new_ext <= old_ext then begin
     (* Shrink in place; the tail becomes an interior gap. *)
-    Bytes.blit_string data 0 b off new_len;
-    if new_len < len then set_gap_bytes b (gap_bytes b + (len - new_len));
+    fill b off;
+    if new_ext < old_ext then set_gap_bytes b (gap_bytes b + (old_ext - new_ext));
     set_entry b i ~off ~len:new_len ~flags;
     true
   end
-  else if total_free b + len < new_len then false
+  else if total_free b + old_ext < new_ext then false
   else begin
     (* Free the old extent first so compaction can reclaim it; mark the
        slot free meanwhile so [compact] skips the stale extent. *)
-    free_extent b off len;
+    free_extent b off old_ext;
     set_free b i;
-    let new_off = place b new_len in
-    Bytes.blit_string data 0 b new_off new_len;
+    let new_off = place b new_ext in
+    fill b new_off;
     set_entry b i ~off:new_off ~len:new_len ~flags;
     true
   end
@@ -235,10 +243,11 @@ let check b =
     else begin
       let off = off_f land flag_mask and len = len_f land flag_mask in
       if len = 0 then fail "slot %d has zero length" i;
-      if off < data_start b || off + len > page_size then
-        fail "slot %d extent [%d,%d) outside data area [%d,%d)" i off (off + len) (data_start b)
+      let ext = extent len in
+      if off < data_start b || off + ext > page_size then
+        fail "slot %d extent [%d,%d) outside data area [%d,%d)" i off (off + ext) (data_start b)
           page_size;
-      extents := (off, len) :: !extents
+      extents := (off, ext) :: !extents
     end
   done;
   if !free_entries <> free_slots b then

@@ -20,6 +20,16 @@ val slot_size : int
 (** Largest record storable on an otherwise empty page of [page_size]. *)
 val max_record_len : page_size:int -> int
 
+(** Smallest extent a record occupies: a forward tombstone's 8 bytes.  A
+    shorter record keeps its real length in its slot but owns
+    [min_extent] bytes of the data area, so it can always be replaced in
+    place by the tombstone that forwards it. *)
+val min_extent : int
+
+(** [extent len] is [max len min_extent]: the data-area bytes a record of
+    [len] bytes occupies, and what {!free_for_insert} must cover for it. *)
+val extent : int -> int
+
 (** Initialise an all-zero page as an empty slotted page. *)
 val format : bytes -> unit
 
@@ -61,10 +71,18 @@ val read : bytes -> int -> int * int * flags
 
 val is_live : bytes -> int -> bool
 
-(** [write page slot data flags] replaces the record's contents, growing or
-    shrinking it (with compaction if needed).  Returns [false] if the new
-    size does not fit on the page; the old record is then left intact. *)
-val write : bytes -> int -> string -> flags -> bool
+(** [write page slot ~len fill flags] replaces the record's contents with
+    [len] bytes, growing or shrinking it (with compaction if needed), and
+    calls [fill page off] to write them at [off].  The old image may be
+    moved or overwritten before [fill] runs, so a fill that derives the
+    new image from the old one must read a copy.  Returns [false] if the
+    new size does not fit on the page; [fill] is then not called and the
+    old record is left intact. *)
+val write : bytes -> int -> len:int -> (bytes -> int -> unit) -> flags -> bool
+
+(** [blit data] is the fill that writes [data]: pass it with
+    [~len:(String.length data)]. *)
+val blit : string -> bytes -> int -> unit
 
 val delete : bytes -> int -> unit
 

@@ -178,17 +178,28 @@ let codec_tests =
             if not (Hashtbl.mem first (t, l)) then Hashtbl.add first (t, l) (Hashtbl.length first);
             Node_type_table.index tbl tag l = Hashtbl.find first (t, l))
           entries);
-    Alcotest.test_case "type table holds 65536 entries, then fails" `Quick (fun () ->
+    Alcotest.test_case "type table holds 65535 entries, then fails" `Quick (fun () ->
         let tbl = Node_type_table.create () in
-        for l = 0 to 0xffff do
+        for l = 0 to 0xfffe do
           Alcotest.(check int) "index" l (Node_type_table.index tbl Tag_str l)
         done;
-        (match Node_type_table.index tbl Tag_str 0x10000 with
+        (match Node_type_table.index tbl Tag_str 0xffff with
         | exception Failure _ -> ()
-        | i -> Alcotest.failf "entry 65537 got index %d" i);
-        Alcotest.(check int) "size" 0x10000 (Node_type_table.size tbl);
-        Alcotest.(check int) "known entries still resolve" 0xffff
-          (Node_type_table.index tbl Tag_str 0xffff));
+        | i -> Alcotest.failf "entry 65536 got index %d" i);
+        Alcotest.(check int) "size" 0xffff (Node_type_table.size tbl);
+        Alcotest.(check int) "known entries still resolve" 0xfffe
+          (Node_type_table.index tbl Tag_str 0xfffe));
+    Alcotest.test_case "a full type table roundtrips through encode/decode" `Quick (fun () ->
+        let tbl = Node_type_table.create () in
+        for l = 0 to 0xfffe do
+          ignore (Node_type_table.index tbl (if l mod 2 = 0 then Tag_str else Tag_aggregate) l)
+        done;
+        let tbl' = Node_type_table.decode (Node_type_table.encode tbl) in
+        Alcotest.(check int) "size" 0xffff (Node_type_table.size tbl');
+        for i = 0 to 0xfffe do
+          if Node_type_table.entry tbl' i <> Node_type_table.entry tbl i then
+            Alcotest.failf "entry %d differs" i
+        done);
     Alcotest.test_case "unknown type index is rejected" `Quick (fun () ->
         let tbl = Node_type_table.create () in
         ignore (Node_type_table.index tbl Tag_aggregate 2);
@@ -423,6 +434,17 @@ let tree_store_tests =
         ignore act;
         Tree_store.check_document store "d";
         Alcotest.(check int) "three scenes" 3 (List.length (Path.query store ~doc:"d" "//SCENE")));
+    Alcotest.test_case "an image that lags its tree is rewritten whole" `Quick (fun () ->
+        (* A failed insertion in a store without a log can leave a node in
+           the cached tree that was never stored; the next insertion into
+           that record must not splice into the stale image. *)
+        let store = mem_store ~page_size:2048 () in
+        let root = Tree_store.create_document store ~name:"d" ~root:"R" in
+        let first = Tree_store.insert_node store (Tree_store.First_under root) (Tree_store.Text "one") in
+        Phys_node.insert_child root ~index:1 (Phys_node.literal (Str "never stored"));
+        ignore (Tree_store.insert_node store (Tree_store.After first) (Tree_store.Text "two"));
+        Tree_store.check_document store "d";
+        Alcotest.(check int) "three children" 3 (List.length (Phys_node.children root)));
     qtest ~count:40 "random documents roundtrip at random page sizes"
       QCheck2.Gen.(
         pair (int_range 512 4096)
@@ -447,6 +469,115 @@ let tree_store_tests =
         let _ = Loader.load store ~name:"d" ~order doc in
         Tree_store.check_document store "d";
         Xml_tree.equal doc (Option.get (Exporter.document_to_xml store "d")));
+  ]
+
+(* Tree growth splices each inserted node into the stored record image.
+   After every insertion, [check_document] requires each image to equal
+   the encoding of its cached tree, byte for byte.  Three insertion
+   patterns: preorder (appends), BFS over the binary tree (inserts land
+   mid-record with later siblings behind them), and random [First_under]
+   / [After] points. *)
+type grow = Grow of Tree_store.payload * grow list
+
+let splice_property_tests =
+  (* The loader's pre-insertion form: attributes become "@k" literals
+     ahead of an element's children. *)
+  let rec grow store : Xml_tree.t -> grow = function
+    | Xml_tree.Text s -> Grow (Tree_store.Text s, [])
+    | Xml_tree.Element e ->
+      let attr (k, v) = Grow (Tree_store.Lit (Tree_store.label store ("@" ^ k), Str v), []) in
+      Grow
+        ( Tree_store.Elem (Tree_store.label store e.name),
+          List.map attr e.attrs @ List.map (grow store) e.children )
+  in
+  let insert store point payload =
+    let n = Tree_store.insert_node store point payload in
+    Tree_store.check_document store "d";
+    n
+  in
+  let rec preorder store point (Grow (payload, kids)) =
+    let n = insert store point payload in
+    ignore
+      (List.fold_left
+         (fun point k -> Tree_store.After (preorder store point k))
+         (Tree_store.First_under n) kids);
+    n
+  in
+  let bfs store root xs =
+    let q = Queue.create () in
+    (match xs with x :: rest -> Queue.add (Tree_store.First_under root, x, rest) q | [] -> ());
+    while not (Queue.is_empty q) do
+      let point, Grow (payload, kids), right = Queue.pop q in
+      let n = insert store point payload in
+      (match kids with k :: ks -> Queue.add (Tree_store.First_under n, k, ks) q | [] -> ());
+      match right with r :: rs -> Queue.add (Tree_store.After n, r, rs) q | [] -> ()
+    done
+  in
+  let gen_tree =
+    QCheck2.Gen.(
+      fix
+        (fun self depth ->
+          let text = map Xml_tree.text (string_size ~gen:printable (int_range 1 50)) in
+          if depth = 0 then text
+          else
+            frequency
+              [
+                (2, text);
+                ( 3,
+                  map3
+                    (fun name attrs cs -> Xml_tree.element ~attrs name cs)
+                    (oneofl [ "A"; "B"; "C" ])
+                    (list_size (int_bound 1)
+                       (pair (oneofl [ "k"; "id" ]) (string_size ~gen:printable (int_range 1 12))))
+                    (list_size (int_bound 5) (self (depth - 1))) );
+              ])
+        4)
+  in
+  [
+    qtest ~count:60 "preorder and bfs growth keep every image equal to encode"
+      QCheck2.Gen.(triple (oneofl [ 512; 2048 ]) bool (list_size (int_range 1 8) gen_tree))
+      (fun (page_size, bfs_order, xs) ->
+        let store = mem_store ~page_size () in
+        let root = Tree_store.create_document store ~name:"d" ~root:"R" in
+        let xs = List.map (grow store) xs in
+        if bfs_order then bfs store root xs
+        else
+          ignore
+            (List.fold_left
+               (fun point x -> Tree_store.After (preorder store point x))
+               (Tree_store.First_under root) xs);
+        Tree_store.check_document store "d";
+        true);
+    qtest ~count:60 "random-point growth keeps every image equal to encode"
+      QCheck2.Gen.(
+        pair (oneofl [ 512; 2048 ])
+          (list_size (int_range 1 150)
+             (quad (int_bound 1) nat (int_bound 2) (string_size ~gen:printable (int_range 1 40)))))
+      (fun (page_size, ops) ->
+        let store = mem_store ~page_size () in
+        let root = Tree_store.create_document store ~name:"d" ~root:"R" in
+        (* Inserted nodes, newest first, with whether each is an element. *)
+        let nodes = ref [ (root, true) ] in
+        List.iter
+          (fun (where, pick, kind, text) ->
+            let elements = List.filter snd !nodes in
+            let others = List.filter (fun (n, _) -> n != root) !nodes in
+            let point =
+              if where = 0 || others = [] then
+                Tree_store.First_under (fst (List.nth elements (pick mod List.length elements)))
+              else Tree_store.After (fst (List.nth others (pick mod List.length others)))
+            in
+            let p : Tree_store.payload =
+              match kind with
+              | 0 -> Elem (Tree_store.label store (if String.length text mod 2 = 0 then "A" else "B"))
+              | 1 -> Text text
+              | _ -> Lit (Tree_store.label store "@k", Phys_node.Str text)
+            in
+            let n = Tree_store.insert_node store point p in
+            Tree_store.check_document store "d";
+            nodes := (n, kind = 0) :: !nodes)
+          ops;
+        true);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -544,7 +675,7 @@ let suites =
     ("core.phys_node", phys_node_tests);
     ("core.codec", codec_tests);
     ("core.split_matrix", split_matrix_tests);
-    ("core.tree_store", tree_store_tests);
+    ("core.tree_store", tree_store_tests @ splice_property_tests);
     ("core.cursor", cursor_tests);
     ("core.path", path_tests);
   ]

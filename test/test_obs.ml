@@ -210,6 +210,36 @@ let obs_tests =
         Alcotest.(check int) "fix counter" 2 (Metrics.counter (Obs.metrics obs) "ev.page_fix");
         Alcotest.(check (list int)) "sequence" [ 1; 2; 3 ]
           (List.map (fun (e : Event.t) -> e.seq) (Obs.events obs)));
+    Alcotest.test_case "counter names and delivery order are per kind and per subscription"
+      `Quick (fun () ->
+        let kinds =
+          [
+            Event.Io { page = 0; write = false; sequential = false };
+            Event.Page_fix { page = 0; hit = true };
+            Event.Wal_append { lsn = 1; page = 0; bytes = 8 };
+            Event.Budget_exceeded { doc = "d"; resource = "reads"; used = 2.; limit = 1. };
+          ]
+        in
+        List.iter
+          (fun k ->
+            Alcotest.(check string) "counter" ("ev." ^ Event.type_name k) (Event.counter_name k))
+          kinds;
+        let obs = Obs.create () in
+        let seen = ref [] in
+        List.iter (fun tag -> Obs.subscribe obs (fun _ -> seen := tag :: !seen)) [ 1; 2; 3 ];
+        Obs.emit obs (List.hd kinds);
+        Alcotest.(check (list int)) "subscription order" [ 1; 2; 3 ] (List.rev !seen));
+    Alcotest.test_case "emit allocates nothing without a consumer" `Quick (fun () ->
+        let obs = Obs.create () in
+        let kind = Event.Page_fix { page = 3; hit = true } in
+        Obs.emit obs kind;
+        let before = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          Obs.emit obs kind
+        done;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check bool) (Printf.sprintf "%.0f words for 10000 emits" words) true (words < 100.);
+        Alcotest.(check int) "counted" 10_001 (Metrics.counter (Obs.metrics obs) "ev.page_fix"));
     Alcotest.test_case "span measures the installed clock" `Quick (fun () ->
         let obs = Obs.create ~sink:(Sink.ring ()) () in
         let now = ref 100. in

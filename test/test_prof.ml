@@ -464,6 +464,36 @@ let bench_diff_tests =
         let r = Bench_diff.diff ~baseline:base ~current:cur () in
         Alcotest.(check bool) "ok" true (Bench_diff.ok r);
         Alcotest.(check int) "no verdicts" 0 (List.length r.Bench_diff.verdicts));
+    Alcotest.test_case "a one-read change inside a cell is a mismatch" `Quick (fun () ->
+        let cell reads splits =
+          Printf.sprintf
+            {|{"cells":[{"page_size":2048,"series":"1:n append","splits":%d,"q1_io":{"reads":%d,"sim_ms":12.5}}]}|}
+            splits reads
+        in
+        let r =
+          Bench_diff.diff ~threshold_pct:20. ~baseline:(parse (cell 100 7))
+            ~current:(parse (cell 101 7)) ()
+        in
+        Alcotest.(check bool) "fails" false (Bench_diff.ok r);
+        Alcotest.(check int) "one mismatch" 1 r.Bench_diff.mismatches;
+        let r =
+          Bench_diff.diff ~threshold_pct:20. ~baseline:(parse (cell 100 7))
+            ~current:(parse (cell 100 8)) ()
+        in
+        Alcotest.(check int) "splits are gated too" 1 r.Bench_diff.mismatches);
+    Alcotest.test_case "the same change outside cells stays within the threshold" `Quick
+      (fun () ->
+        let base = parse {|{"query_bench":{"q1_io":{"reads":100,"sim_ms":12.5}}}|} in
+        let cur = parse {|{"query_bench":{"q1_io":{"reads":101,"sim_ms":12.5}}}|} in
+        let r = Bench_diff.diff ~threshold_pct:20. ~baseline:base ~current:cur () in
+        Alcotest.(check bool) "ok" true (Bench_diff.ok r);
+        Alcotest.(check int) "no mismatch" 0 r.Bench_diff.mismatches);
+    Alcotest.test_case "cell wall time is skipped" `Quick (fun () ->
+        let base = parse {|{"cells":[{"build_wall_s":1.0,"disk_bytes":4096}]}|} in
+        let cur = parse {|{"cells":[{"build_wall_s":3.5,"disk_bytes":4096}]}|} in
+        let r = Bench_diff.diff ~threshold_pct:20. ~baseline:base ~current:cur () in
+        Alcotest.(check bool) "ok" true (Bench_diff.ok r);
+        Alcotest.(check int) "no verdicts" 0 (List.length r.Bench_diff.verdicts));
     Alcotest.test_case "verdict json carries the gate outcome" `Quick (fun () ->
         let base = parse {|{"reads":10}|} in
         let cur = parse {|{"reads":100}|} in

@@ -306,6 +306,9 @@ let page_of_size n =
   Slotted_page.format b;
   b
 
+let write_string b slot data flags =
+  Slotted_page.write b slot ~len:(String.length data) (Slotted_page.blit data) flags
+
 let slotted_page_tests =
   [
     Alcotest.test_case "insert then read" `Quick (fun () ->
@@ -341,7 +344,7 @@ let slotted_page_tests =
         Slotted_page.delete b s0;
         (* Growing s1 to 60 requires reclaiming s0's extent. *)
         Alcotest.(check bool) "grow ok" true
-          (Slotted_page.write b s1 (String.make 60 'c') Slotted_page.no_flags);
+          (write_string b s1 (String.make 60 'c') Slotted_page.no_flags);
         let off, len, _ = Slotted_page.read b s1 in
         Alcotest.(check string) "content" (String.make 60 'c') (Bytes.sub_string b off len);
         Slotted_page.check b);
@@ -349,7 +352,7 @@ let slotted_page_tests =
         let b = page_of_size 64 in
         let s = Option.get (Slotted_page.insert b (String.make 40 'x') Slotted_page.no_flags) in
         Alcotest.(check bool) "cannot grow" false
-          (Slotted_page.write b s (String.make 60 'y') Slotted_page.no_flags);
+          (write_string b s (String.make 60 'y') Slotted_page.no_flags);
         let off, len, _ = Slotted_page.read b s in
         Alcotest.(check string) "old intact" (String.make 40 'x') (Bytes.sub_string b off len);
         Slotted_page.check b);
@@ -369,7 +372,7 @@ let slotted_page_tests =
         Alcotest.(check bool) "forward" true flags.Slotted_page.forward;
         Alcotest.(check bool) "not moved" false flags.Slotted_page.moved;
         Alcotest.(check bool) "rewrite as moved" true
-          (Slotted_page.write b s "12345678" Slotted_page.moved_flag);
+          (write_string b s "12345678" Slotted_page.moved_flag);
         let _, _, flags = Slotted_page.read b s in
         Alcotest.(check bool) "moved now" true flags.Slotted_page.moved;
         Alcotest.(check bool) "forward cleared" false flags.Slotted_page.forward);
@@ -400,7 +403,7 @@ let slotted_page_tests =
               match !live with
               | [] -> ()
               | s :: _ ->
-                if Slotted_page.write b s payload Slotted_page.no_flags then
+                if write_string b s payload Slotted_page.no_flags then
                   Hashtbl.replace reference s payload))
           ops;
         Slotted_page.check b;
@@ -492,7 +495,7 @@ let record_manager_tests =
     Alcotest.test_case "update in place" `Quick (fun () ->
         let rm = make () in
         let rid = Record_manager.insert rm "short" in
-        Record_manager.update rm rid "a slightly longer payload";
+        Record_manager.update_string rm rid "a slightly longer payload";
         Alcotest.(check string) "new content" "a slightly longer payload"
           (Record_manager.read rm rid);
         Alcotest.(check bool) "not forwarded" false (Record_manager.is_forwarded rm rid));
@@ -504,7 +507,7 @@ let record_manager_tests =
         let fillers = List.init 3 (fun _ -> Record_manager.insert rm (String.make 50 'f')) in
         let same_page = List.for_all (fun r -> Rid.page r = Rid.page r0) fillers in
         Alcotest.(check bool) "setup: records share a page" true same_page;
-        Record_manager.update rm r0 (String.make 150 'A');
+        Record_manager.update_string rm r0 (String.make 150 'A');
         Alcotest.(check bool) "forwarded" true (Record_manager.is_forwarded rm r0);
         Alcotest.(check string) "content via old rid" (String.make 150 'A')
           (Record_manager.read rm r0);
@@ -513,17 +516,35 @@ let record_manager_tests =
         let rm = make ~page_size:256 () in
         let r0 = Record_manager.insert rm (String.make 60 'a') in
         let _fill = List.init 3 (fun _ -> Record_manager.insert rm (String.make 50 'f')) in
-        Record_manager.update rm r0 (String.make 150 'A');
+        Record_manager.update_string rm r0 (String.make 150 'A');
         Alcotest.(check bool) "forwarded" true (Record_manager.is_forwarded rm r0);
         (* Grow even further so the moved body must relocate; it should
            first try to fall back home where only the tombstone sits. *)
-        Record_manager.update rm r0 (String.make 20 'b');
+        Record_manager.update_string rm r0 (String.make 20 'b');
         Alcotest.(check string) "content" (String.make 20 'b') (Record_manager.read rm r0));
+    Alcotest.test_case "a fill sees the old image, in place and when the record moves" `Quick
+      (fun () ->
+        let rm = make ~page_size:256 () in
+        let r0 = Record_manager.insert rm (String.make 60 'a') in
+        let _fill = List.init 3 (fun _ -> Record_manager.insert rm (String.make 40 'f')) in
+        let append n =
+          Record_manager.update rm r0 ~len:(Record_manager.length rm r0 + n)
+            (fun ~old ~old_len dst off ->
+              Bytes.blit old 0 dst off old_len;
+              Bytes.fill dst (off + old_len) n 'b')
+        in
+        append 10;
+        Alcotest.(check bool) "grown at home" false (Record_manager.is_forwarded rm r0);
+        append 80;
+        Alcotest.(check bool) "moved out" true (Record_manager.is_forwarded rm r0);
+        append 5;
+        Alcotest.(check string) "content" (String.make 60 'a' ^ String.make 95 'b')
+          (Record_manager.read rm r0));
     Alcotest.test_case "delete removes forwarded bodies too" `Quick (fun () ->
         let rm = make ~page_size:256 () in
         let r0 = Record_manager.insert rm (String.make 60 'a') in
         let _fill = List.init 3 (fun _ -> Record_manager.insert rm (String.make 50 'f')) in
-        Record_manager.update rm r0 (String.make 150 'A');
+        Record_manager.update_string rm r0 (String.make 150 'A');
         let body_page = Record_manager.home_page rm r0 in
         Record_manager.delete rm r0;
         Alcotest.(check bool) "gone" false (Record_manager.exists rm r0);
@@ -558,7 +579,7 @@ let record_manager_tests =
               match !rids with
               | [] -> ()
               | rid :: _ ->
-                Record_manager.update rm rid payload;
+                Record_manager.update_string rm rid payload;
                 Hashtbl.replace reference rid payload)
             | _ -> (
               match !rids with
@@ -590,7 +611,7 @@ let suites =
 
 (* Regression: a tombstone (8 bytes) must be placeable even when the
    record being moved was smaller than 8 bytes on a completely full page
-   (fixed by victim eviction). *)
+   (every record owns at least a tombstone's extent). *)
 let tombstone_tests =
   let make ?(page_size = 128) () =
     let d = Disk.in_memory ~model:Io_model.free ~page_size () in
@@ -614,10 +635,10 @@ let tombstone_tests =
         let seg = Record_manager.segment rm in
         let free = Natix_store.Segment.free_bytes seg (Rid.page tiny) in
         (match !fillers with
-        | f :: _ when free > 0 -> Record_manager.update rm f (String.make (20 + free) 'F')
+        | f :: _ when free > 0 -> Record_manager.update_string rm f (String.make (20 + free) 'F')
         | _ -> ());
         (* Now grow the tiny record beyond the page. *)
-        Record_manager.update rm tiny (String.make 60 'T');
+        Record_manager.update_string rm tiny (String.make 60 'T');
         Alcotest.(check string) "content" (String.make 60 'T') (Record_manager.read rm tiny);
         List.iter
           (fun r ->
@@ -641,7 +662,7 @@ let tombstone_tests =
                  Hashtbl.replace reference rid payload;
                  rids := rid :: !rids
                | 1, rid :: _ | 2, rid :: _ ->
-                 Record_manager.update rm rid payload;
+                 Record_manager.update_string rm rid payload;
                  Hashtbl.replace reference rid payload
                | _, rid :: rest ->
                  Record_manager.delete rm rid;
