@@ -467,25 +467,11 @@ let pp_trace_report ppf (r : Natix_trace.Trace.report) =
     Format.fprintf ppf "@\n";
     List.iter (fun l -> Format.fprintf ppf "@\n  | %s" l) (String.split_on_char '\n' plan)
 
-(* Merge per-request folded stacks into one aggregate profile: identical
-   stacks sum their simulated-µs weights, and the byte order is the
-   sorted stack order, so identical workloads export identical bytes. *)
-let merge_folded reports =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      String.split_on_char '\n' (Natix_trace.Trace.folded r)
-      |> List.iter (fun line ->
-             match String.rindex_opt line ' ' with
-             | None -> ()
-             | Some i ->
-               let stack = String.sub line 0 i in
-               let n = int_of_string (String.sub line (i + 1) (String.length line - i - 1)) in
-               Hashtbl.replace tbl stack
-                 (n + Option.value ~default:0 (Hashtbl.find_opt tbl stack))))
-    reports;
-  let lines = Hashtbl.fold (fun stack n acc -> Printf.sprintf "%s %d" stack n :: acc) tbl [] in
-  String.concat "" (List.map (fun l -> l ^ "\n") (List.sort String.compare lines))
+let write_folded path reports =
+  let oc = open_out path in
+  output_string oc (Natix_trace.Trace.folded reports);
+  close_out oc;
+  Printf.printf "wrote folded stacks to %s\n" path
 
 let tenant_arg =
   Arg.(
@@ -554,13 +540,7 @@ let trace_cmd =
             reports;
           close_out oc;
           Printf.printf "wrote %d trace report(s) to %s\n" (List.length reports) path);
-        match folded with
-        | None -> ()
-        | Some path ->
-          let oc = open_out path in
-          output_string oc (merge_folded reports);
-          close_out oc;
-          Printf.printf "wrote folded stacks to %s\n" path)
+        Option.iter (fun path -> write_folded path reports) folded)
   in
   let run xml_path page_size order jsonl last folded kind docf since_ms summary serve tenant
       queries serve_jobs slow_ms =
@@ -568,8 +548,8 @@ let trace_cmd =
     else begin
     let keep = Natix_prof.Trace_view.keep_event ?kind ?doc:docf ?since_ms in
     let ring = Natix_obs.Sink.ring ~capacity:65536 () in
-    (* The ring keeps the unfiltered stream (metrics and folded stacks
-       need all of it); filters apply to what is written and printed. *)
+    (* The ring keeps the unfiltered stream (the summary and the tail
+       filter it); filters apply to what is written and printed. *)
     let jsonl_sink = Option.map Natix_obs.Sink.jsonl jsonl in
     let sink =
       match jsonl_sink with
@@ -585,36 +565,55 @@ let trace_cmd =
     let store = Tree_store.in_memory ~config () in
     let xml = Natix_xml.Xml_parser.parse_file xml_path in
     let doc = Filename.remove_extension (Filename.basename xml_path) in
-    ignore (Loader.load store ~name:doc ~order xml);
-    Tree_store.sync store;
-    Format.printf "== load ==@.";
-    Format.printf "%s: %a@." doc Stats.pp_doc (Stats.document store doc);
-    Format.printf "io: %a@." Natix_store.Io_stats.pp (Tree_store.io_stats store);
-    Format.printf "splits=%d merges=%d@." (Tree_store.split_count store)
-      (Tree_store.merge_count store);
-    (* Cold full traversal under the paper's measurement protocol: clear
-       the buffer (and the decoded-record memo), reset the fix/miss
-       counters, then read the hit ratio of that one operation. *)
-    let pool = Tree_store.buffer_pool store in
-    Tree_store.clear_buffers store;
-    Natix_store.Buffer_pool.reset_stats pool;
-    let before = Natix_store.Io_stats.copy (Tree_store.io_stats store) in
-    let visited = ref 0 in
-    (match Tree_store.open_document store doc with
-    | None -> ()
-    | Some root ->
-      let rec walk n =
-        incr visited;
-        Seq.iter walk (Tree_store.logical_children store n)
-      in
-      walk root);
-    let delta =
-      Natix_store.Io_stats.diff (Natix_store.Io_stats.copy (Tree_store.io_stats store)) before
+    (* One trace on the store's simulated clock: the load (with the sync
+       that writes its pages) and the cold traversal are its spans. *)
+    let stats () = Tree_store.io_stats store in
+    let tr =
+      Natix_trace.Trace.create ~trace_id:doc ~tenant:"-" ~kind:"file" ~detail:xml_path
+        ~clock:(fun () -> (stats ()).Natix_store.Io_stats.sim_ms)
     in
-    Format.printf "@.== traversal (cold buffers) ==@.";
-    Format.printf "visited %d logical nodes@." !visited;
-    Format.printf "io: %a@." Natix_store.Io_stats.pp delta;
-    Format.printf "buffer hit ratio: %.3f@." (Natix_store.Buffer_pool.hit_ratio pool);
+    let io () =
+      let s = stats () in
+      {
+        Natix_trace.Trace.reads = s.Natix_store.Io_stats.reads;
+        writes = s.Natix_store.Io_stats.writes;
+        io_ms = s.Natix_store.Io_stats.sim_ms;
+      }
+    in
+    Natix_trace.Trace.run tr ~io (fun () ->
+        Natix_trace.Trace.span tr "load" (fun () ->
+            ignore (Loader.load store ~name:doc ~order xml);
+            Tree_store.sync store);
+        Format.printf "== load ==@.";
+        Format.printf "%s: %a@." doc Stats.pp_doc (Stats.document store doc);
+        Format.printf "io: %a@." Natix_store.Io_stats.pp (stats ());
+        Format.printf "splits=%d merges=%d@." (Tree_store.split_count store)
+          (Tree_store.merge_count store);
+        (* Cold full traversal under the paper's measurement protocol:
+           clear the buffer (and the decoded-record memo), reset the
+           fix/miss counters, then read the hit ratio of that one
+           operation. *)
+        let pool = Tree_store.buffer_pool store in
+        Tree_store.clear_buffers store;
+        Natix_store.Buffer_pool.reset_stats pool;
+        let before = Natix_store.Io_stats.copy (stats ()) in
+        let visited = ref 0 in
+        Natix_trace.Trace.span tr "traversal" (fun () ->
+            match Tree_store.open_document store doc with
+            | None -> ()
+            | Some root ->
+              let rec walk n =
+                incr visited;
+                Seq.iter walk (Tree_store.logical_children store n)
+              in
+              walk root);
+        let delta = Natix_store.Io_stats.diff (Natix_store.Io_stats.copy (stats ())) before in
+        Format.printf "@.== traversal (cold buffers) ==@.";
+        Format.printf "visited %d logical nodes@." !visited;
+        Format.printf "io: %a@." Natix_store.Io_stats.pp delta;
+        Format.printf "buffer hit ratio: %.3f@." (Natix_store.Buffer_pool.hit_ratio pool));
+    let report = Natix_trace.Trace.finish tr in
+    Format.printf "@.== trace ==@.%a@." pp_trace_report report;
     Format.printf "@.== metrics ==@.%a@." Natix_obs.Metrics.pp (Natix_obs.Obs.metrics obs);
     (if summary then begin
        (* Aggregate the (filtered) event stream per (kind, doc) through
@@ -628,19 +627,13 @@ let trace_cmd =
              let doc = match e.ctx with Some c -> c.Natix_obs.Event.doc | None -> None in
              let kind = Natix_obs.Event.type_name e.kind in
              let ctx = { Natix_obs.Event.doc; phase = kind } in
-             Natix_mon.Registry.record reg ~ctx ~at_ms:e.at_ms "events" 1.;
-             match e.kind with
-             | Natix_obs.Event.Span { name; dur_ms; _ } ->
-               Natix_mon.Registry.record reg
-                 ~ctx:{ Natix_obs.Event.doc; phase = name }
-                 ~at_ms:e.at_ms "span_sim_ms" dur_ms
-             | _ -> ()
+             Natix_mon.Registry.record reg ~ctx ~at_ms:e.at_ms "events" 1.
            end)
          (Natix_obs.Obs.events obs);
        let snap = Natix_mon.Registry.snapshot reg ~at_ms:0. in
-       let by_ctx name =
+       let events =
          match
-           List.find_opt (fun s -> s.Natix_mon.Registry.name = name)
+           List.find_opt (fun s -> s.Natix_mon.Registry.name = "events")
              snap.Natix_mon.Registry.series
          with
          | None -> []
@@ -650,16 +643,7 @@ let trace_cmd =
        List.iter
          (fun ((doc, kind), (a : Natix_mon.Window.agg)) ->
            Format.printf "%-18s %-18s %8d@." kind (Option.value doc ~default:"-") a.count)
-         (by_ctx "events");
-       match by_ctx "span_sim_ms" with
-       | [] -> ()
-       | spans ->
-         Format.printf "@.== summary: sim-ms per (span, doc) ==@.";
-         List.iter
-           (fun ((doc, name), (a : Natix_mon.Window.agg)) ->
-             Format.printf "%-18s %-18s %8d %12.3f@." name (Option.value doc ~default:"-")
-               a.count a.sum)
-           spans
+         events
      end);
     (if last > 0 then begin
        let events = List.filter keep (Natix_obs.Obs.events obs) in
@@ -670,14 +654,7 @@ let trace_cmd =
          (Natix_obs.Sink.emitted ring);
        List.iter (fun e -> Format.printf "%a@." Natix_obs.Event.pp e) tail
      end);
-    (match folded with
-    | None -> ()
-    | Some path ->
-      let spans = Natix_prof.Flame.spans_of_events (Natix_obs.Obs.events obs) in
-      let oc = open_out path in
-      output_string oc (Natix_prof.Flame.to_string spans);
-      close_out oc;
-      Printf.printf "wrote folded stacks (%d spans) to %s\n" (List.length spans) path);
+    Option.iter (fun path -> write_folded path [ report ]) folded;
     match (jsonl, jsonl_sink) with
     | Some path, Some js ->
       (* A final line with the metrics snapshot follows the event stream. *)
@@ -711,8 +688,8 @@ let trace_cmd =
       & opt (some string) None
       & info [ "folded" ] ~docv:"FILE"
           ~doc:
-            "Write the span nesting as folded stacks (simulated µs weights), the format \
-             flamegraph.pl and speedscope consume.")
+            "Write the trace's span nesting as folded stacks (simulated µs self weights), the \
+             format flamegraph.pl and speedscope consume.")
   in
   let kind_arg =
     Arg.(
@@ -739,8 +716,7 @@ let trace_cmd =
       value & flag
       & info [ "summary" ]
           ~doc:
-            "Aggregate the (filtered) event stream: event counts per (kind, doc) and simulated \
-             milliseconds per (span, doc).")
+            "Aggregate the (filtered) event stream: event counts per (kind, doc).")
   in
   let serve_jobs_arg =
     Arg.(
@@ -761,10 +737,13 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Load an XML file into an instrumented in-memory store and report traces and metrics \
-          (splits, fill factors, buffer hit ratio).  --kind/--doc/--since-ms filter the JSONL \
-          output and the printed tail; --folded exports a flamegraph; --summary aggregates per \
-          (kind, doc).  With $(b,--serve ROOT), trace a query workload end to end through the \
+         "Load an XML file into an instrumented in-memory store, traverse it cold, and report \
+          events, metrics (splits, fill factors, buffer hit ratio) and one span tree on the \
+          simulated clock whose $(b,load) span covers the load and the sync writing its pages \
+          and whose $(b,traversal) span covers the cold traversal.  --kind/--doc/--since-ms \
+          filter the JSONL event stream and the printed tail; --folded exports the span tree \
+          as a flamegraph; --summary counts events per (kind, doc).  With $(b,--serve ROOT), \
+          trace a query workload end to end through the \
           multi-tenant dispatcher instead: per-request span trees (queue wait, tenant gate, \
           per-operator execution, commit fsync) whose I/O figures reconcile exactly with each \
           request's private disk stream; --jsonl and --folded then export the trace reports \
@@ -876,7 +855,7 @@ let doctor_cmd =
     (Cmd.info "doctor"
        ~doc:
          "Tree-health report: per-document stats and clustering scores, fill-factor histogram, \
-          proxy-chain and span quantiles, split-decision tallies, WAL write amplification, and \
+          proxy-chain quantiles, split-decision tallies, WAL write amplification, and \
           a page-heat breakdown.  Read-only.")
     Term.(const run $ store_arg $ top_arg)
 

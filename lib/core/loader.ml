@@ -2,20 +2,15 @@ open Natix_xml
 
 type order = Preorder | Bfs_binary
 
-(* Wrap a whole load in a span when the store is instrumented; the span's
-   duration is simulated I/O time, making loads comparable across runs of
-   the cost model.  Single-document loads also install a (doc, "load")
-   context so emitted events are attributable even when the loader is
-   called directly, without a document manager.  (The BFS collection load
-   interleaves documents page by page, so it carries no document label.) *)
-let spanned ?doc store name f =
+(* Single-document loads install a (doc, "load") context when the store
+   is instrumented, so emitted events are attributable even when the
+   loader is called directly, without a document manager.  (The BFS
+   collection load interleaves documents page by page, so it carries no
+   document label.) *)
+let with_load_context store doc f =
   match Tree_store.obs store with
   | None -> f ()
-  | Some obs -> (
-    let run () = Natix_obs.Obs.span obs name f in
-    match doc with
-    | None -> run ()
-    | Some d -> Natix_obs.Obs.with_context obs ~doc:d ~phase:"load" run)
+  | Some obs -> Natix_obs.Obs.with_context obs ~doc ~phase:"load" f
 
 let order_to_string = function
   | Preorder -> "preorder"
@@ -77,7 +72,7 @@ let insert_fragment store point xml = insert_preorder store point (pre_of_xml st
 (* Streaming load: a stack of (element node, last inserted child) frames
    turns each SAX event into one tree-growth insertion. *)
 let load_stream store ~name input =
-  spanned ~doc:name store "load_stream" @@ fun () ->
+  with_load_context store name @@ fun () ->
   let lexer = Xml_lexer.of_string input in
   let is_ws s =
     let ok = ref true in
@@ -151,7 +146,7 @@ let load_stream store ~name input =
   root
 
 let load store ~name ?(order = Preorder) (xml : Xml_tree.t) =
-  spanned ~doc:name store "load" @@ fun () ->
+  with_load_context store name @@ fun () ->
   match xml with
   | Xml_tree.Text _ -> invalid_arg "Loader.load: document root must be an element"
   | Xml_tree.Element e ->
@@ -169,7 +164,6 @@ let load store ~name ?(order = Preorder) (xml : Xml_tree.t) =
     root
 
 let load_collection store docs ~order =
-  spanned store "load_collection" @@ fun () ->
   match order with
   | Preorder -> List.iter (fun (name, xml) -> ignore (load store ~name xml)) docs
   | Bfs_binary ->

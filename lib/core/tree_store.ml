@@ -268,8 +268,9 @@ let in_memory ?(config = Config.default ()) ?model () =
    the store's main piece of shared mutable state ([fetch] installs boxes
    and rewires [root.box] back-pointers), so worker domains each get their
    own.  Stats are unaffected — [fetch] charges the page access even on a
-   decoded-cache hit — and the observability handle is detached because
-   its context/span state is single-domain. *)
+   decoded-cache hit.  The view carries no observability handle, so it
+   emits no proxy-hop events; [proxy_hops] still counts its
+   dereferences. *)
 let reader t =
   {
     t with
@@ -697,51 +698,64 @@ let is_scaffold_group (n : Phys_node.t) =
 (* ------------------------------------------------------------------ *)
 (* Logical navigation                                                  *)
 
-let rec expand t (items : Phys_node.t list) () : Phys_node.t Seq.node =
-  match items with
-  | [] -> Seq.Nil
-  | item :: rest -> (
-    match item.Phys_node.kind with
-    | Proxy rid ->
-      let root = (fetch t rid).root in
-      if is_scaffold_group root then expand t (Phys_node.children root @ rest) ()
-      else Seq.Cons (root, expand t rest)
-    | Aggregate _ when Phys_node.is_scaffolding item ->
-      (* Defensive: embedded scaffolding groups are not normally created. *)
-      expand t (Phys_node.children item @ rest) ()
-    | Aggregate _ | Frag_aggregate _ | Literal _ -> Seq.Cons (item, expand t rest))
+(* Proxy dereferences on this domain, cumulative. *)
+let hop_count : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
-(* Traced variant of [expand]: each item carries the number of record hops
-   taken to reach it, so the proxy-chain-length histogram counts how many
-   fetches a logical child is away from its facade parent (scaffolding
-   groups add hops without producing logical nodes). *)
-let rec expand_traced t obs (items : (Phys_node.t * int) list) () : Phys_node.t Seq.node =
+let proxy_hops () = !(Domain.DLS.get hop_count)
+
+(* Where a sibling list sits in a logical-children walk.  [Top] is the
+   facade's own children, 0 record fetches away.  Inside a scaffolding
+   group, [hops] counts the fetches from the facade parent to the group's
+   list, and [resume] holds the siblings after the group, which belong to
+   [outer]. *)
+type group_path = Top | Group of { hops : int; resume : Phys_node.t list; outer : group_path }
+
+let hops_of = function Top -> 0 | Group g -> g.hops
+
+(* Logical children: the physical children with every proxy dereferenced
+   and every scaffolding group flattened in place.  The hop counts let
+   the proxy-chain histogram see how many fetches a logical child is away
+   from its parent. *)
+let rec expand t path items () : Phys_node.t Seq.node =
   match items with
-  | [] -> Seq.Nil
-  | (item, hops) :: rest -> (
-    match item.Phys_node.kind with
+  | [] -> (
+    match path with
+    | Top -> Seq.Nil
+    | Group { resume; outer; _ } -> expand t outer resume ())
+  | (item : Phys_node.t) :: rest -> (
+    match item.kind with
     | Proxy rid ->
       let root = (fetch t rid).root in
-      let hops = hops + 1 in
-      Natix_obs.Obs.emit obs (Natix_obs.Event.Proxy_hop { rid; chain = hops });
+      let chain = hops_of path + 1 in
+      incr (Domain.DLS.get hop_count);
+      (match t.obs with
+      | None -> ()
+      | Some obs -> Natix_obs.Obs.emit obs (Natix_obs.Event.Proxy_hop { rid; chain }));
       if is_scaffold_group root then
-        expand_traced t obs
-          (List.map (fun c -> (c, hops)) (Phys_node.children root) @ rest)
-          ()
+        expand t (Group { hops = chain; resume = rest; outer = path }) (Phys_node.children root) ()
       else begin
-        Natix_obs.Obs.observe obs Natix_obs.Obs.proxy_chain_hist (float_of_int hops);
-        Seq.Cons (root, expand_traced t obs rest)
+        (match t.obs with
+        | None -> ()
+        | Some obs ->
+          Natix_obs.Obs.observe obs Natix_obs.Obs.proxy_chain_hist (float_of_int chain));
+        Seq.Cons (root, next t path rest)
       end
     | Aggregate _ when Phys_node.is_scaffolding item ->
-      expand_traced t obs (List.map (fun c -> (c, hops)) (Phys_node.children item) @ rest) ()
-    | Aggregate _ | Frag_aggregate _ | Literal _ -> Seq.Cons (item, expand_traced t obs rest))
+      (* Defensive: embedded scaffolding groups are not normally created. *)
+      expand t
+        (Group { hops = hops_of path; resume = rest; outer = path })
+        (Phys_node.children item) ()
+    | Aggregate _ | Frag_aggregate _ | Literal _ -> Seq.Cons (item, next t path rest))
+
+(* The rest of the walk after a yielded child.  At the top level the
+   suspended tail captures no path, so a walk outside scaffolding groups
+   allocates per child only the cons cell and a two-value closure. *)
+and next t path rest = match path with Top -> expand_top t rest | Group _ -> expand t path rest
+and expand_top t items () = expand t Top items ()
 
 let logical_children t (n : Phys_node.t) : Phys_node.t Seq.t =
   match n.kind with
-  | Aggregate _ when Phys_node.is_facade n -> (
-    match t.obs with
-    | None -> expand t (Phys_node.children n)
-    | Some obs -> expand_traced t obs (List.map (fun c -> (c, 0)) (Phys_node.children n)))
+  | Aggregate _ when Phys_node.is_facade n -> expand_top t (Phys_node.children n)
   | Aggregate _ | Frag_aggregate _ | Literal _ | Proxy _ -> Seq.empty
 
 let is_element (n : Phys_node.t) =

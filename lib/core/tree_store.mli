@@ -210,8 +210,18 @@ val label_name : t -> Label.t -> string
     across splits — splits move node objects between records without
     copying them — and are invalidated only by deleting the subtree. *)
 
+(** Children in document order: proxies are dereferenced and scaffolding
+    groups flattened.  With an obs handle, each dereference emits
+    [Proxy_hop] and each child reached through proxies observes its
+    fetch count into [proxy_chain_len]. *)
 val logical_children : t -> Phys_node.t -> Phys_node.t Seq.t
+
 val logical_parent : t -> Phys_node.t -> Phys_node.t option
+
+(** Proxy dereferences made by {!logical_children} on the calling domain
+    since it started, with or without an obs handle; difference it
+    around a region to count that region's hops. *)
+val proxy_hops : unit -> int
 
 (** True for element nodes (facade aggregates). *)
 val is_element : Phys_node.t -> bool

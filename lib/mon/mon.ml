@@ -25,20 +25,25 @@ let locked t f =
    Document read accounting comes from here rather than from operation
    records: the event context attributes reads per document even inside
    a parallel batch, and read {e counts} are schedule-independent. *)
-let on_event t (ev : Event.t) =
+let feed t (ev : Event.t) =
   let record name v = Registry.record t.registry ?ctx:ev.ctx ~at_ms:ev.at_ms name v in
-  locked t (fun () ->
-      match ev.kind with
-      | Event.Io { write = false; _ } ->
-        record "reads" 1.;
-        (match ev.ctx with
-        | Some { Event.doc = Some doc; _ } ->
-          let breaches = Account.charge_reads t.account ~doc ~at_ms:ev.at_ms 1 in
-          if breaches <> [] then t.pending <- t.pending @ breaches
-        | _ -> ())
-      | Event.Io { write = true; _ } -> record "writes" 1.
-      | Event.Wal_append { bytes; _ } -> record "wal_bytes" (float_of_int bytes)
-      | _ -> ())
+  match ev.kind with
+  | Event.Io { write = false; _ } ->
+    record "reads" 1.;
+    (match ev.ctx with
+    | Some { Event.doc = Some doc; _ } ->
+      let breaches = Account.charge_reads t.account ~doc ~at_ms:ev.at_ms 1 in
+      if breaches <> [] then t.pending <- t.pending @ breaches
+    | _ -> ())
+  | Event.Io { write = true; _ } -> record "writes" 1.
+  | Event.Wal_append { bytes; _ } -> record "wal_bytes" (float_of_int bytes)
+  | _ -> ()
+
+(* The kinds [feed] ignores (page fixes above all) take no lock. *)
+let on_event t (ev : Event.t) =
+  match ev.kind with
+  | Event.Io _ | Event.Wal_append _ -> locked t (fun () -> feed t ev)
+  | _ -> ()
 
 (* Emit breaches (as events + callbacks) with no lock held: emitting
    re-enters the handle, and thus this monitor's own subscriber. *)

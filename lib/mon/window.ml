@@ -14,11 +14,8 @@ type t = {
 let create ~bucket_ms ~buckets ?(quantile_edges = [||]) () =
   if not (bucket_ms > 0.) then invalid_arg "Window.create: bucket_ms must be positive";
   if buckets <= 0 then invalid_arg "Window.create: buckets must be positive";
-  Array.iteri
-    (fun i e ->
-      if (not (Float.is_finite e)) || (i > 0 && e <= quantile_edges.(i - 1)) then
-        invalid_arg "Window.create: quantile edges must be finite and strictly increasing")
-    quantile_edges;
+  if not (Natix_obs.Metrics.edges_valid quantile_edges) then
+    invalid_arg "Window.create: quantile edges must be finite and strictly increasing";
   let hist_len = if Array.length quantile_edges = 0 then 0 else Array.length quantile_edges + 1 in
   {
     bucket_ms;
@@ -38,18 +35,6 @@ let reset_bucket b epoch =
   b.sum <- 0.;
   Array.fill b.hist 0 (Array.length b.hist) 0
 
-(* Same upper-inclusive bucketing as [Metrics]. *)
-let hist_slot edges v =
-  let n = Array.length edges in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if v <= edges.(mid) then go lo mid else go (mid + 1) hi
-    end
-  in
-  go 0 n
-
 let add t ~at_ms v =
   if Float.is_finite v && Float.is_finite at_ms then begin
     let epoch = abs_index t at_ms in
@@ -62,7 +47,7 @@ let add t ~at_ms v =
       b.count <- b.count + 1;
       b.sum <- b.sum +. v;
       if Array.length t.edges > 0 then begin
-        let s = hist_slot t.edges v in
+        let s = Natix_obs.Metrics.bucket_of t.edges v in
         b.hist.(s) <- b.hist.(s) + 1
       end
     end
@@ -92,31 +77,11 @@ let quantile t ~at_ms q =
   if not (q >= 0. && q <= 1.) then invalid_arg "Window.quantile: q must be in [0, 1]";
   if Array.length t.edges = 0 then None
   else begin
-    let bs = live t ~at_ms in
-    let nslots = Array.length t.edges + 1 in
-    let counts = Array.make nslots 0 in
-    List.iter (fun b -> Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) b.hist) bs;
-    let n = Array.fold_left ( + ) 0 counts in
-    if n = 0 then None
-    else begin
-      let rank = q *. float_of_int n in
-      let rec go i cum =
-        if i >= nslots then Some t.edges.(Array.length t.edges - 1)
-        else begin
-          let cum' = cum +. float_of_int counts.(i) in
-          if cum' >= rank && counts.(i) > 0 then
-            if i >= Array.length t.edges then Some t.edges.(Array.length t.edges - 1)
-            else begin
-              let lo = if i = 0 then 0. else t.edges.(i - 1) in
-              let hi = t.edges.(i) in
-              let frac = (rank -. cum) /. float_of_int counts.(i) in
-              Some (lo +. (frac *. (hi -. lo)))
-            end
-          else go (i + 1) cum'
-        end
-      in
-      go 0 0.
-    end
+    let counts = Array.make (Array.length t.edges + 1) 0 in
+    List.iter
+      (fun b -> Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) b.hist)
+      (live t ~at_ms);
+    Natix_obs.Metrics.quantile_of_counts t.edges counts q
   end
 
 let p50_95_99 t ~at_ms =

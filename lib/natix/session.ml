@@ -81,10 +81,12 @@ let open_store ?(options = Options.default) path =
   in
   let config = ensure_obs ~monitor config in
   let disk = Natix_store.Disk.on_file ~page_size path in
-  (* Attach the monitor before the store opens so crash recovery's events
-     land in its flight ring; if recovery (or any other part of opening)
-     fails, the ring is dumped next to the store before the exception
-     propagates — the only trace of a store that cannot even open. *)
+  (* Attach the monitor before the store opens so crash recovery's page
+     I/O feeds its registry's reads and writes series.  If recovery (or
+     any other part of opening) fails, a flight dump (the disk's I/O
+     counters and the ring's operation records) is written next to the
+     store before the exception propagates — the only trace of a store
+     that cannot even open. *)
   let mon = if monitor then Option.map Mon.attach config.Config.obs else None in
   let store =
     try Tree_store.open_store ~config disk

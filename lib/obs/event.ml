@@ -18,7 +18,6 @@ type kind =
   | Merge of { rid : Rid.t; absorbed : Rid.t }
   | Proxy_hop of { rid : Rid.t; chain : int }
   | Btree_node of { rid : Rid.t; op : btree_op; leaf : bool }
-  | Span of { name : string; dur_ms : float; id : int; parent : int; depth : int }
   | Checksum_fail of { page : int }
   | Read_retry of { page : int; attempt : int }
   | Read_ahead of { first : int; pages : int }
@@ -54,7 +53,6 @@ let type_name = function
   | Merge _ -> "merge"
   | Proxy_hop _ -> "proxy_hop"
   | Btree_node _ -> "btree_node"
-  | Span _ -> "span"
   | Checksum_fail _ -> "checksum_fail"
   | Read_retry _ -> "read_retry"
   | Read_ahead _ -> "read_ahead"
@@ -80,7 +78,6 @@ let counter_name = function
   | Merge _ -> "ev.merge"
   | Proxy_hop _ -> "ev.proxy_hop"
   | Btree_node _ -> "ev.btree_node"
-  | Span _ -> "ev.span"
   | Checksum_fail _ -> "ev.checksum_fail"
   | Read_retry _ -> "ev.read_retry"
   | Read_ahead _ -> "ev.read_ahead"
@@ -115,14 +112,6 @@ let kind_fields = function
   | Proxy_hop { rid; chain } -> [ ("rid", rid_json rid); ("chain", Json.Int chain) ]
   | Btree_node { rid; op; leaf } ->
     [ ("rid", rid_json rid); ("op", Json.String (btree_op_name op)); ("leaf", Json.Bool leaf) ]
-  | Span { name; dur_ms; id; parent; depth } ->
-    [
-      ("name", Json.String name);
-      ("dur_ms", Json.Float dur_ms);
-      ("id", Json.Int id);
-      ("parent", Json.Int parent);
-      ("depth", Json.Int depth);
-    ]
   | Checksum_fail { page } -> [ ("page", Json.Int page) ]
   | Read_retry { page; attempt } -> [ ("page", Json.Int page); ("attempt", Json.Int attempt) ]
   | Read_ahead { first; pages } -> [ ("first", Json.Int first); ("pages", Json.Int pages) ]

@@ -47,13 +47,6 @@ type kind =
           number of consecutive record fetches needed to resolve the
           logical child list position (> 1 through scaffolding groups). *)
   | Btree_node of { rid : Rid.t; op : btree_op; leaf : bool }
-  | Span of { name : string; dur_ms : float; id : int; parent : int; depth : int }
-      (** A timed region, measured on the simulated clock.  Spans nest:
-          [id] is unique per handle, [parent] is the id of the enclosing
-          open span (0 at top level) and [depth] its nesting depth (0 at
-          top level).  The event is emitted when the region {e closes}, so
-          its start is [at_ms -. dur_ms] and children precede parents in
-          the stream. *)
   | Checksum_fail of { page : int }
       (** A page trailer failed verification on read; the read raises
           [Disk.Bad_page] right after this event. *)

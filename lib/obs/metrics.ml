@@ -22,15 +22,12 @@ let counter t name =
   | Some r -> !r
   | None -> 0
 
-let check_edges edges =
-  let ok = ref (Array.length edges > 0) in
+let edges_valid edges =
+  let ok = ref true in
   Array.iteri
-    (fun i e ->
-      if not (Float.is_finite e) then ok := false;
-      if i > 0 && e <= edges.(i - 1) then ok := false)
+    (fun i e -> if (not (Float.is_finite e)) || (i > 0 && e <= edges.(i - 1)) then ok := false)
     edges;
-  if not !ok then
-    invalid_arg "Metrics.register_histogram: edges must be finite and strictly increasing"
+  !ok
 
 let register_histogram t name ~edges =
   match Hashtbl.find_opt t.histograms name with
@@ -38,7 +35,8 @@ let register_histogram t name ~edges =
     if h.edges <> edges then
       invalid_arg (Printf.sprintf "Metrics.register_histogram: %S re-registered with different edges" name)
   | None ->
-    check_edges edges;
+    if Array.length edges = 0 || not (edges_valid edges) then
+      invalid_arg "Metrics.register_histogram: edges must be finite and strictly increasing";
     Hashtbl.replace t.histograms name
       { edges; counts = Array.make (Array.length edges + 1) 0; sum = 0.; n = 0 }
 
@@ -84,30 +82,34 @@ let histogram t name =
 (* The true quantile is only known up to the bucket; interpolate linearly
    inside it, taking the first bucket's lower edge as 0 and collapsing the
    unbounded overflow bucket to the last edge. *)
-let quantile t name q =
-  if not (q >= 0. && q <= 1.) then invalid_arg "Metrics.quantile: q must be in [0, 1]";
-  match Hashtbl.find_opt t.histograms name with
-  | None -> None
-  | Some h when h.n = 0 -> None
-  | Some h ->
-    let rank = q *. float_of_int h.n in
-    let nbuckets = Array.length h.counts in
+let quantile_of_counts edges counts q =
+  let n = Array.fold_left ( + ) 0 counts in
+  if n = 0 then None
+  else begin
+    let rank = q *. float_of_int n in
+    let nedges = Array.length edges in
     let rec go i cum =
-      if i >= nbuckets then Some h.edges.(Array.length h.edges - 1)
+      if i >= Array.length counts then Some edges.(nedges - 1)
       else begin
-        let cum' = cum +. float_of_int h.counts.(i) in
-        if cum' >= rank && h.counts.(i) > 0 then
-          if i >= Array.length h.edges then Some h.edges.(Array.length h.edges - 1)
+        let cum' = cum +. float_of_int counts.(i) in
+        if cum' >= rank && counts.(i) > 0 then
+          if i >= nedges then Some edges.(nedges - 1)
           else begin
-            let lo = if i = 0 then 0. else h.edges.(i - 1) in
-            let hi = h.edges.(i) in
-            let frac = (rank -. cum) /. float_of_int h.counts.(i) in
-            Some (lo +. (frac *. (hi -. lo)))
+            let lo = if i = 0 then 0. else edges.(i - 1) in
+            let frac = (rank -. cum) /. float_of_int counts.(i) in
+            Some (lo +. (frac *. (edges.(i) -. lo)))
           end
         else go (i + 1) cum'
       end
     in
     go 0 0.
+  end
+
+let quantile t name q =
+  if not (q >= 0. && q <= 1.) then invalid_arg "Metrics.quantile: q must be in [0, 1]";
+  match Hashtbl.find_opt t.histograms name with
+  | None -> None
+  | Some h -> quantile_of_counts h.edges h.counts q
 
 let sorted_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort String.compare
 let counter_names t = sorted_keys t.counters

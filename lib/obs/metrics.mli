@@ -48,6 +48,25 @@ val histogram : t -> string -> (float array * int array * float * int) option
     [Invalid_argument] if [q] is outside [0, 1]. *)
 val quantile : t -> string -> float -> float option
 
+(** {2 The fixed-edge kernel}
+
+    The bucketing and interpolation behind {!observe} and {!quantile},
+    for other fixed-edge histograms (the monitor's windows). *)
+
+(** Edges are finite and strictly increasing (vacuously for [[||]]). *)
+val edges_valid : float array -> bool
+
+(** [bucket_of edges v] is the first index whose upper-inclusive edge
+    admits [v]; [Array.length edges] (the overflow bucket) when none
+    does. *)
+val bucket_of : float array -> float -> int
+
+(** [quantile_of_counts edges counts q] interpolates the [q]-quantile
+    from per-bucket [counts] ([Array.length edges + 1] cells, overflow
+    last) exactly as {!quantile} does; [None] when every count is 0.
+    [q] must already be in [0, 1] and [edges] non-empty. *)
+val quantile_of_counts : float array -> int array -> float -> float option
+
 (** Names of all registered counters (resp. histograms), sorted. *)
 val counter_names : t -> string list
 

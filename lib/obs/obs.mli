@@ -8,17 +8,17 @@
 
     The clock is the {e simulated} I/O clock: when the handle is attached
     to a disk (see [Natix_store.Disk.set_obs]) it reads the disk's
-    accumulated [Io_stats.sim_ms], so event timestamps and {!span}
-    durations are commensurable with the paper's cost model, not with
-    wall time.
+    accumulated [Io_stats.sim_ms], so event timestamps are commensurable
+    with the paper's cost model, not with wall time.  Timed regions are
+    [Natix_trace.Trace] spans, on the same clock; the handle carries
+    events, counters and histograms only.
 
     {b Domain safety.}  One handle may be shared by several worker
     domains (the latch-striped buffer pool emits through the store's
     handle from whichever domain fixes a page).  Metric updates, sequence
     stamping and sink delivery are serialised by an internal mutex, while
-    the operation context ({!with_context}) and the open-span stack are
-    {e domain-local} — each domain attributes its own events, with no
-    cross-domain bleed.  Single-domain behaviour is unchanged. *)
+    the operation context ({!with_context}) is {e domain-local} — each
+    domain attributes its own events, with no cross-domain bleed. *)
 
 type t
 
@@ -37,7 +37,7 @@ val sink : t -> Sink.t option
     the sink.  Events are constructed (and sequence-stamped) whenever a
     sink or at least one subscriber is present.  [f] runs under the
     handle's delivery lock — it must be fast and must not call back into
-    this handle ({!emit}/{!incr}/{!observe}/{!span}).  The monitoring
+    this handle ({!emit}/{!incr}/{!observe}).  The monitoring
     layer ([Natix_mon]) is the intended consumer.  Subscriptions cannot
     be removed; they live as long as the handle. *)
 val subscribe : t -> (Event.t -> unit) -> unit
@@ -71,22 +71,6 @@ val incr : ?by:int -> t -> string -> unit
 
 val observe : t -> string -> float -> unit
 
-(** [span t name f] runs [f] and emits a [Span] event whose duration is
-    the simulated milliseconds elapsed inside [f] (also bumps the
-    ["span.<name>"] counter and observes the duration into the
-    [span_ms] histogram).  Spans nest: the event carries a per-handle id,
-    the id of the enclosing open span and the nesting depth, so folded
-    stacks can be rebuilt from the stream.  The event is emitted even when
-    [f] raises. *)
-val span : t -> string -> (unit -> 'a) -> 'a
-
-(** [child_span t name ~dur_ms] emits a synthetic closed span as a child
-    of the innermost open span, with an externally measured duration —
-    used by EXPLAIN ANALYZE to report per-operator self times of a lazy
-    pipeline whose operator executions interleave and therefore cannot be
-    wrapped in {!span} individually. *)
-val child_span : t -> string -> dur_ms:float -> unit
-
 (** Events retained by the sink (ring sinks only); [] without a sink. *)
 val events : t -> Event.t list
 
@@ -106,4 +90,3 @@ val record_size_hist : string
 
 val split_fill_hist : string
 val proxy_chain_hist : string
-val span_ms_hist : string

@@ -47,9 +47,7 @@ let run ?(top_pages = 5) store =
     in
     match obs with
     | None -> work ()
-    | Some o ->
-      Natix_obs.Obs.with_context o ~doc ~phase:"doctor" (fun () ->
-          Natix_obs.Obs.span o "doctor.probe" work)
+    | Some o -> Natix_obs.Obs.with_context o ~doc ~phase:"doctor" work
   in
   let probed = List.map probe docs in
   let buf = Buffer.create 4096 in
@@ -113,15 +111,13 @@ let run ?(top_pages = 5) store =
   (match obs with
   | None ->
     Format.fprintf ppf
-      "@,== instrumentation ==@,store opened without an obs handle; proxy-chain, span and heat \
-       sections unavailable@,"
+      "@,== instrumentation ==@,store opened without an obs handle; proxy-chain and heat sections \
+       unavailable@,"
   | Some o ->
     let metrics = Natix_obs.Obs.metrics o in
     Format.fprintf ppf "@,== distributions (simulated clock) ==@,";
     Format.fprintf ppf "proxy_chain_len: ";
     quantiles_line ppf metrics Natix_obs.Obs.proxy_chain_hist;
-    Format.fprintf ppf "@,span_ms:         ";
-    quantiles_line ppf metrics Natix_obs.Obs.span_ms_hist;
     Format.fprintf ppf "@,";
     (* Split-decision tallies from the retained trace (ring sinks); the
        counter covers splits since the handle was attached. *)

@@ -4,16 +4,15 @@
     stats, clustering scores, a fill-factor histogram over the pages
     holding records, WAL write amplification) with trace-derived sections
     available when the store carries an {!Natix_obs.Obs.t} handle
-    (proxy-chain and span-duration quantiles, split-decision tallies,
+    (proxy-chain quantiles, split-decision tallies,
     checksum-failure/read-retry counters, and the page-heat breakdown by
     (document, phase)).
 
     {!run} probes every document with a clustering walk — under a
-    [(doc, "doctor")] context and a ["doctor.probe"] span when
-    instrumented — so the trace-derived sections are populated even on a
-    freshly opened store.  Everything is keyed on sorted names and the
-    simulated clock: the same store contents and workload produce a
-    byte-identical report. *)
+    [(doc, "doctor")] context when instrumented — so the trace-derived
+    sections are populated even on a freshly opened store.  Everything
+    is keyed on sorted names and the simulated clock: the same store
+    contents and workload produce a byte-identical report. *)
 
 (** [run ?top_pages store] renders the report; [top_pages] (default 5)
     bounds each heat row's hottest-pages list.  Read-only: probing fixes

@@ -131,18 +131,12 @@ let analyze_query t ~doc path =
     let pool = Tree_store.buffer_pool t.store in
     let disk = Natix_store.Buffer_pool.disk pool in
     let stats () = Natix_store.Disk.active_stats disk in
-    let obs = Tree_store.obs t.store in
-    let hops () =
-      match obs with
-      | None -> 0
-      | Some o -> Natix_obs.Metrics.counter (Natix_obs.Obs.metrics o) "ev.proxy_hop"
-    in
     let run () =
       (* Snapshot before the root fetch so the setup line covers it. *)
       let s0 = Natix_store.Io_stats.copy (stats ()) in
       let fixes0 = Natix_store.Buffer_pool.fixes pool in
       let misses0 = Natix_store.Buffer_pool.misses pool in
-      let hops0 = hops () in
+      let hops0 = Tree_store.proxy_hops () in
       match root_of t doc with
       | Error e -> Error e
       | Ok root ->
@@ -160,13 +154,16 @@ let analyze_query t ~doc path =
         let last =
           match List.rev accs with [] -> Exec.fresh_acc () | acc :: _ -> acc
         in
-        (match obs with
+        (* Inside a traced request, the operator rows become spans of its
+           innermost open span. *)
+        (match Natix_trace.Trace.active () with
         | None -> ()
-        | Some o ->
+        | Some tr ->
           List.iteri
             (fun i (op : op_report) ->
-              Natix_obs.Obs.child_span o
+              Natix_trace.Trace.io_child tr
                 (Printf.sprintf "op%d.%s" (i + 1) (Ast.step_to_string op.step.Plan.step))
+                ~io:{ Natix_trace.Trace.reads = op.reads; writes = 0; io_ms = op.sim_ms }
                 ~dur_ms:op.sim_ms)
             ops);
         Ok
@@ -180,18 +177,16 @@ let analyze_query t ~doc path =
               total_ms = delta.Natix_store.Io_stats.sim_ms;
               total_fixes;
               total_hits = total_fixes - total_misses;
-              total_proxy_hops = hops () - hops0;
+              total_proxy_hops = Tree_store.proxy_hops () - hops0;
               rows;
             } )
     in
-    let traced () =
-      match obs with
+    let in_context () =
+      match Tree_store.obs t.store with
       | None -> run ()
-      | Some o ->
-        Natix_obs.Obs.with_context o ~doc ~phase:"query" (fun () ->
-            Natix_obs.Obs.span o "query.analyze" run)
+      | Some o -> Natix_obs.Obs.with_context o ~doc ~phase:"query" run
     in
-    match traced () with
+    match in_context () with
     | result -> result
     | exception Error.Error e -> Error e)
 

@@ -76,10 +76,12 @@ type analysis = {
 }
 
 (** Run the query strictly (scan plans inside the pool's scan mode, like
-    {!query}) and report per-operator estimated vs actual cost.  When the
-    store has an obs handle the run is wrapped in a ["query.analyze"]
-    span with one synthetic child span per operator, and events emitted
-    during it carry a [(doc, "query")] context.
+    {!query}) and report per-operator estimated vs actual cost.  Inside a
+    traced request ({!Natix_trace.Trace.active}) each operator row is
+    attached to the innermost open span as an ["op<i>.<step>"] child
+    carrying the row's reads and simulated milliseconds.  When the store
+    has an obs handle, events emitted during the run carry a
+    [(doc, "query")] context.
 
     Counters come from {!Natix_store.Disk.active_stats}, so on a domain
     inside a parallel region the analysis reconciles with that domain's
@@ -90,7 +92,7 @@ val analyze : t -> doc:string -> string -> (analysis, Error.t) result
 (** {!analyze}, also returning the materialised result cursors — one
     execution serves both the reply and the report.  This is what the
     server's traced query path uses: hits for the [Hits] response, the
-    analysis for per-operator spans and the slow-request log. *)
+    analysis for the slow-request log. *)
 val analyze_query :
   t -> doc:string -> string -> (Natix_core.Cursor.t list * analysis, Error.t) result
 

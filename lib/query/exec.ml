@@ -161,11 +161,6 @@ let fresh_acc () = { rows = 0; reads = 0; sim_ms = 0.; fixes = 0; hits = 0; prox
 let store_probe store : probe =
   let pool = Tree_store.buffer_pool store in
   let disk = Natix_store.Buffer_pool.disk pool in
-  let hops () =
-    match Tree_store.obs store with
-    | None -> 0
-    | Some obs -> Natix_obs.Metrics.counter (Natix_obs.Obs.metrics obs) "ev.proxy_hop"
-  in
   fun () ->
     (* [active_stats] resolves per call: on a worker inside a parallel
        region it is the domain's private stream (so per-operator figures
@@ -180,7 +175,7 @@ let store_probe store : probe =
       sim_ms = stats.Natix_store.Io_stats.sim_ms;
       fixes;
       hits = fixes - misses;
-      proxy_hops = hops ();
+      proxy_hops = Tree_store.proxy_hops ();
     }
 
 (* Charge the counter movement across one pull to [acc].  Pulls nest —

@@ -33,8 +33,9 @@ val eval_naive : Ast.t -> Cursor.t -> Cursor.t list
 
     Per-operator measurement for EXPLAIN ANALYZE.  Every figure is taken
     from live engine counters (the disk's {!Natix_store.Io_stats}, the
-    buffer pool's fix/miss totals, the obs proxy-hop counter), snapshotted
-    around each pull of each operator's output. *)
+    buffer pool's fix/miss totals, the domain's
+    {!Tree_store.proxy_hops}), snapshotted around each pull of
+    each operator's output. *)
 
 type op_acc = {
   mutable rows : int;  (** results this operator yielded *)
@@ -42,7 +43,7 @@ type op_acc = {
   mutable sim_ms : float;  (** simulated I/O milliseconds during its pulls *)
   mutable fixes : int;  (** buffer-pool fixes during its pulls *)
   mutable hits : int;  (** fixes served without a read *)
-  mutable proxy_hops : int;  (** proxy dereferences (0 without an obs handle) *)
+  mutable proxy_hops : int;  (** proxy dereferences *)
 }
 
 (** A zeroed accumulator (the differencing base for the first operator). *)

@@ -136,21 +136,13 @@ let run_query (tenant : Registry.tenant) ~doc ~path ~texts =
       | Ok seq -> Api.Hits (List.map render (List.of_seq seq)))
     | Some tr -> (
       (* Traced: one instrumented execution serves the reply, the
-         per-operator spans and the slow log's EXPLAIN ANALYZE.  The
-         operator rows are [Exec.eval_instrumented]'s, reconciling with
-         this request's private stream because the probes read
-         [Disk.active_stats]. *)
+         per-operator spans (attached by the engine to this request's
+         trace) and the slow log's EXPLAIN ANALYZE.  The operator rows
+         reconcile with this request's private stream because the probes
+         read [Disk.active_stats]. *)
       match Natix_query.Engine.analyze_query engine ~doc path with
       | Error e -> Api.Err e
       | Ok (hits, a) ->
-        List.iteri
-          (fun i (op : Natix_query.Engine.op_report) ->
-            Trace.io_child tr
-              (Printf.sprintf "op%d.%s" (i + 1)
-                 (Natix_query.Ast.step_to_string op.step.Natix_query.Plan.step))
-              ~io:{ Trace.reads = op.reads; writes = 0; io_ms = op.sim_ms }
-              ~dur_ms:op.sim_ms)
-          a.Natix_query.Engine.ops;
         Trace.set_plan tr (Natix_query.Engine.analysis_to_string a);
         Api.Hits (List.map render hits))
   in

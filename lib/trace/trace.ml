@@ -103,8 +103,6 @@ let active () = !(Domain.DLS.get ambient)
 
 let span_here name f = match active () with None -> f () | Some t -> span t name f
 
-let set_plan_here plan = match active () with None -> () | Some t -> set_plan t plan
-
 let run t ~io body =
   let slot = Domain.DLS.get ambient in
   let saved = !slot in
@@ -228,34 +226,39 @@ let report_to_json (r : report) =
     @ (match r.plan with None -> [] | Some p -> [ ("plan", Json.String p) ])
     @ [ ("spans", Json.List (List.map span_to_json r.spans)) ])
 
-(* Same folding rules as Natix_prof.Flame: self weight in integer
-   simulated microseconds, one line per stack, sorted bytewise. *)
-let folded (r : report) =
-  let by_id = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.replace by_id s.id s) r.spans;
-  let rec stack s =
-    if s.parent = 0 then [ s.name ]
-    else
-      match Hashtbl.find_opt by_id s.parent with
-      | None -> [ s.name ]
-      | Some p -> s.name :: stack p
-  in
-  let child_dur = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      if s.parent <> 0 then
-        let prev = Option.value ~default:0. (Hashtbl.find_opt child_dur s.parent) in
-        Hashtbl.replace child_dur s.parent (prev +. s.dur_ms))
-    r.spans;
+(* Each span weighs its self duration (its own minus its direct
+   children's) in integer simulated microseconds under its
+   semicolon-joined ancestor stack; weights sum per stack across
+   reports.  A span with no positive self weight adds no line. *)
+let folded reports =
+  let weights = Hashtbl.create 64 in
   let sim_us ms = int_of_float (Float.round (ms *. 1000.)) in
-  let lines =
-    List.filter_map
-      (fun s ->
-        let children = Option.value ~default:0. (Hashtbl.find_opt child_dur s.id) in
-        let self = sim_us (s.dur_ms -. children) in
-        if self <= 0 then None
-        else
-          Some (Printf.sprintf "%s %d" (String.concat ";" (List.rev (stack s))) self))
-      r.spans
-  in
-  String.concat "\n" (List.sort String.compare lines)
+  List.iter
+    (fun (r : report) ->
+      let by_id = Hashtbl.create 16 in
+      List.iter (fun s -> Hashtbl.replace by_id s.id s) r.spans;
+      let rec stack s acc =
+        let acc = s.name :: acc in
+        if s.parent = 0 then acc
+        else match Hashtbl.find_opt by_id s.parent with None -> acc | Some p -> stack p acc
+      in
+      let child_dur = Hashtbl.create 16 in
+      List.iter
+        (fun s ->
+          if s.parent <> 0 then
+            let prev = Option.value ~default:0. (Hashtbl.find_opt child_dur s.parent) in
+            Hashtbl.replace child_dur s.parent (prev +. s.dur_ms))
+        r.spans;
+      List.iter
+        (fun s ->
+          let children = Option.value ~default:0. (Hashtbl.find_opt child_dur s.id) in
+          let self = sim_us (s.dur_ms -. children) in
+          if self > 0 then begin
+            let key = String.concat ";" (stack s []) in
+            Hashtbl.replace weights key
+              (self + Option.value ~default:0 (Hashtbl.find_opt weights key))
+          end)
+        r.spans)
+    reports;
+  Hashtbl.fold (fun stack w acc -> Printf.sprintf "%s %d\n" stack w :: acc) weights []
+  |> List.sort String.compare |> String.concat ""

@@ -1,4 +1,5 @@
-(** Per-request causal tracing on the simulated clock.
+(** Per-request causal tracing on the simulated clock, the engine's one
+    span model.
 
     A trace follows one served request from admission to reply: every
     phase the request passes through (queue wait, tenant gate, engine
@@ -19,9 +20,9 @@
 
     Layering: this module depends only on [Natix_util]/[Natix_obs]
     (for JSON) and receives its clocks as closures, so deep layers
-    (the store's group-commit daemon, the server's tenant gate) can
-    depend on it and emit spans through the ambient per-domain trace
-    installed by the dispatcher. *)
+    (the store's group-commit daemon, the query engine's EXPLAIN
+    ANALYZE, the server's tenant gate) can depend on it and emit spans
+    through the ambient per-domain trace installed by the dispatcher. *)
 
 (** Private-stream I/O figures (cumulative or delta). *)
 type io = { reads : int; writes : int; io_ms : float }
@@ -82,8 +83,6 @@ val io_child : t -> string -> io:io -> dur_ms:float -> unit
     log). *)
 val set_plan : t -> string -> unit
 
-val set_plan_here : string -> unit
-
 (** {1 Reports} *)
 
 type span_report = {
@@ -118,7 +117,11 @@ val finish : t -> report
 (** Deterministic single-line JSON rendering (stable field order). *)
 val report_to_json : report -> Natix_obs.Json.t
 
-(** Folded flamegraph lines for one report, ["stack;path value"] with
-    integer simulated-microsecond weights, sorted — the same dialect
-    [Natix_prof.Flame] emits. *)
-val folded : report -> string
+(** The folded flamegraph of [reports], the format [flamegraph.pl] and
+    speedscope consume: one newline-terminated ["stack;path weight"]
+    line per distinct stack, sorted bytewise.  A stack's weight is the
+    self duration (duration minus direct children's) of its spans, in
+    integer simulated microseconds, summed across [reports]; stacks
+    without positive weight are dropped.  Identical workloads fold to
+    identical bytes. *)
+val folded : report list -> string

@@ -159,7 +159,7 @@ let sink_tests =
             mk_event 3
               (Event.Split
                  { rid = rid 3 1; decision = Event.Cluster; fill = 0.875; record_bytes = 4000 });
-            mk_event 4 (Event.Span { name = "load"; dur_ms = 12.5; id = 1; parent = 0; depth = 0 });
+            mk_event 4 (Event.Proxy_hop { rid = rid 3 1; chain = 2 });
           ]
         in
         List.iter (Sink.emit s) emitted;
@@ -240,18 +240,16 @@ let obs_tests =
         let words = Gc.minor_words () -. before in
         Alcotest.(check bool) (Printf.sprintf "%.0f words for 10000 emits" words) true (words < 100.);
         Alcotest.(check int) "counted" 10_001 (Metrics.counter (Obs.metrics obs) "ev.page_fix"));
-    Alcotest.test_case "span measures the installed clock" `Quick (fun () ->
+    Alcotest.test_case "emit stamps the installed clock" `Quick (fun () ->
         let obs = Obs.create ~sink:(Sink.ring ()) () in
         let now = ref 100. in
         Obs.set_clock obs (fun () -> !now);
-        let v = Obs.span obs "work" (fun () -> now := 250.; "done") in
-        Alcotest.(check string) "result passes through" "done" v;
-        match Obs.events obs with
-        | [ { Event.kind = Event.Span { name; dur_ms; _ }; at_ms; _ } ] ->
-          Alcotest.(check string) "name" "work" name;
-          Alcotest.(check (float 1e-9)) "duration" 150. dur_ms;
-          Alcotest.(check (float 1e-9)) "stamped at end" 250. at_ms
-        | _ -> Alcotest.fail "expected exactly one span event");
+        Obs.emit obs (Event.Page_flush { page = 1 });
+        now := 250.;
+        Obs.emit obs (Event.Page_flush { page = 2 });
+        Alcotest.(check (float 1e-9)) "now_ms reads it" 250. (Obs.now_ms obs);
+        Alcotest.(check (list (float 1e-9))) "stamped at emit" [ 100.; 250. ]
+          (List.map (fun (e : Event.t) -> e.at_ms) (Obs.events obs)));
     Alcotest.test_case "sinkless handle still counts" `Quick (fun () ->
         let obs = Obs.create () in
         Obs.emit obs (Event.Page_flush { page = 9 });

@@ -1,7 +1,6 @@
-(* Natix_prof: quantiles, span nesting, trace filters, page heat, folded
-   flamegraph export, EXPLAIN ANALYZE reconciliation, doctor determinism,
-   clustering quality across split configurations, and the bench-diff
-   regression gate. *)
+(* Natix_prof: quantiles, operation context, trace filters, page heat,
+   EXPLAIN ANALYZE reconciliation, doctor determinism, clustering quality
+   across split configurations, and the bench-diff regression gate. *)
 
 open Natix_core
 open Natix_obs
@@ -58,52 +57,10 @@ let quantile_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Span nesting and operation context in the obs layer *)
-
-(* (name, dur_ms, id, parent, depth) — the Span payload is an inline
-   record, so it is flattened into a tuple here. *)
-let spans_of obs =
-  List.filter_map
-    (fun (e : Event.t) ->
-      match e.kind with
-      | Event.Span { name; dur_ms; id; parent; depth } -> Some (name, dur_ms, id, parent, depth)
-      | _ -> None)
-    (Obs.events obs)
+(* Operation context and live delivery in the obs layer *)
 
 let span_tests =
   [
-    Alcotest.test_case "nested spans carry parent ids and depth" `Quick (fun () ->
-        let obs = Obs.create ~sink:(Sink.ring ()) () in
-        Obs.span obs "outer" (fun () ->
-            Obs.span obs "inner" (fun () -> ());
-            Obs.span obs "inner2" (fun () -> ()));
-        match spans_of obs with
-        | [ inner; inner2; outer ] ->
-          (* Children close first, so they precede the parent. *)
-          let name (n, _, _, _, _) = n in
-          let id (_, _, i, _, _) = i in
-          Alcotest.(check string) "first child" "inner" (name inner);
-          Alcotest.(check string) "outer last" "outer" (name outer);
-          (match outer with
-          | _, _, _, parent, depth ->
-            Alcotest.(check int) "outer top-level" 0 parent;
-            Alcotest.(check int) "outer depth" 0 depth);
-          List.iter
-            (fun (_, _, child_id, parent, depth) ->
-              Alcotest.(check int) "child parent" (id outer) parent;
-              Alcotest.(check int) "child depth" 1 depth;
-              Alcotest.(check bool) "parent id smaller" true (parent < child_id))
-            [ inner; inner2 ]
-        | l -> Alcotest.failf "expected 3 spans, got %d" (List.length l));
-    Alcotest.test_case "child_span attaches to the innermost open span" `Quick (fun () ->
-        let obs = Obs.create ~sink:(Sink.ring ()) () in
-        Obs.span obs "parent" (fun () -> Obs.child_span obs "op" ~dur_ms:2.5);
-        match spans_of obs with
-        | [ ("op", dur_ms, _, parent, depth); ("parent", _, id, _, _) ] ->
-          Alcotest.(check int) "linked" id parent;
-          Alcotest.(check int) "depth" 1 depth;
-          Alcotest.(check (float 1e-9)) "externally measured" 2.5 dur_ms
-        | _ -> Alcotest.fail "expected child then parent span");
     Alcotest.test_case "with_context stamps events and restores on exit" `Quick (fun () ->
         let obs = Obs.create ~sink:(Sink.ring ()) () in
         Obs.with_context obs ~doc:"d1" ~phase:"load" (fun () -> Obs.emit obs (io_kind 7));
@@ -184,34 +141,6 @@ let heat_tests =
           Alcotest.(check (list (pair int int))) "hottest first" [ (1, 2); (2, 1) ]
             doc_row.Heat.hottest
         | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Folded flamegraph export *)
-
-let span id parent name dur_ms = { Flame.id; parent; name; dur_ms }
-
-let flame_tests =
-  [
-    Alcotest.test_case "self time subtracts direct children" `Quick (fun () ->
-        let spans =
-          [ span 3 2 "grand" 1.; span 2 1 "child" 4.; span 1 0 "root" 10. ]
-        in
-        Alcotest.(check string) "folded"
-          "root 6000\nroot;child 3000\nroot;child;grand 1000\n" (Flame.to_string spans));
-    Alcotest.test_case "zero-self stacks are kept" `Quick (fun () ->
-        let spans = [ span 2 1 "all" 5.; span 1 0 "root" 5. ] in
-        Alcotest.(check (list (pair string int))) "weights"
-          [ ("root", 0); ("root;all", 5000) ]
-          (Flame.folded spans));
-    Alcotest.test_case "json spans roundtrip through the exporter" `Quick (fun () ->
-        let obs = Obs.create ~sink:(Sink.ring ()) () in
-        Obs.span obs "a" (fun () -> Obs.span obs "b" (fun () -> ()));
-        let lines = List.map Event.to_json (Obs.events obs) in
-        let from_json = Flame.spans_of_json lines in
-        let from_events = Flame.spans_of_events (Obs.events obs) in
-        Alcotest.(check string) "same folded output" (Flame.to_string from_events)
-          (Flame.to_string from_json));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -327,14 +256,10 @@ let analyze_tests =
 let doctor_tests =
   [
     Alcotest.test_case "identical builds produce byte-identical reports" `Quick (fun () ->
-        let store1, _, obs1 = instrumented_store () in
-        let store2, _, obs2 = instrumented_store () in
+        let store1, _, _ = instrumented_store () in
+        let store2, _, _ = instrumented_store () in
         let r1 = Doctor.run store1 and r2 = Doctor.run store2 in
-        Alcotest.(check string) "doctor deterministic" r1 r2;
-        let f1 = Flame.to_string (Flame.spans_of_events (Obs.events obs1)) in
-        let f2 = Flame.to_string (Flame.spans_of_events (Obs.events obs2)) in
-        Alcotest.(check string) "folded deterministic" f1 f2;
-        Alcotest.(check bool) "folded non-empty" true (String.length f1 > 0));
+        Alcotest.(check string) "doctor deterministic" r1 r2);
     Alcotest.test_case "report covers store, documents, fill and heat" `Quick (fun () ->
         let store, _, _obs = instrumented_store ~plays:1 () in
         let r = Doctor.run store in
@@ -510,7 +435,6 @@ let suites =
     ("prof.spans", span_tests);
     ("prof.trace_view", filter_tests);
     ("prof.heat", heat_tests);
-    ("prof.flame", flame_tests);
     ("prof.analyze", analyze_tests);
     ("prof.doctor", doctor_tests);
     ("prof.cluster", cluster_tests);

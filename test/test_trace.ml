@@ -177,11 +177,37 @@ let unit_tests =
           "request 1000\n\
            request;exec.query 5000\n\
            request;exec.query;op1.scan 1000\n\
-           request;queue.wait 2000"
-          (Trace.folded r);
+           request;queue.wait 2000\n"
+          (Trace.folded [ r ]);
         Alcotest.(check string) "json is deterministic"
           (Json.to_string (Trace.report_to_json (scripted ())))
           (Json.to_string (Trace.report_to_json r)));
+    Alcotest.test_case "folding reports sums shared stacks and drops weightless ones" `Quick
+      (fun () ->
+        (* Picked up at submission, one exec span [10,13] holding an
+           instantaneous gate wait: queue.wait and gate.read weigh 0, the
+           root's self is 0, exec.query's self is 3 ms. *)
+        let instant =
+          let now = ref 10. in
+          let tr =
+            Trace.create ~trace_id:"t-instant" ~tenant:"t" ~kind:"query" ~detail:"//y"
+              ~clock:(fun () -> !now)
+          in
+          Trace.run tr
+            ~io:(fun () -> Trace.zero_io)
+            (fun () ->
+              Trace.span tr "exec.query" (fun () ->
+                  Trace.interval tr "gate.read" ~t0:10. ~t1:10.;
+                  now := 13.));
+          Trace.finish tr
+        in
+        Alcotest.(check string) "summed, sorted, newline-terminated"
+          "request 1000\n\
+           request;exec.query 8000\n\
+           request;exec.query;op1.scan 1000\n\
+           request;queue.wait 2000\n"
+          (Trace.folded [ scripted (); instant ]);
+        Alcotest.(check string) "no report, no line" "" (Trace.folded []));
     Alcotest.test_case "ambient install, restore, and exception safety" `Quick (fun () ->
         Alcotest.(check bool) "no ambient trace outside run" true (Trace.active () = None);
         let now = ref 0. in
@@ -322,13 +348,38 @@ let server_tests =
               call_mix server;
               let reports = Server.trace_reports server in
               ( List.map (fun r -> Json.to_string (Trace.report_to_json r)) reports,
-                List.map Trace.folded reports ))
+                Trace.folded reports ))
         in
         let json1, folded1 = run_once () in
         let json2, folded2 = run_once () in
         Alcotest.(check bool) "traces exported" true (json1 <> []);
         Alcotest.(check (list string)) "json byte-identical" json1 json2;
-        Alcotest.(check (list string)) "folded byte-identical" folded1 folded2);
+        Alcotest.(check bool) "folded non-empty" true (folded1 <> "");
+        Alcotest.(check string) "folded byte-identical" folded1 folded2);
+    Alcotest.test_case "a served plan counts the proxy hops Session.analyze counts" `Quick
+      (fun () ->
+        with_traced_server ~jobs:0 (fun server s ->
+            let path = "//SPEAKER" in
+            let conn = Server.Loopback.connect server ~tenant:"t" in
+            (match Server.Loopback.call conn (Api.Query { doc = "a"; path; texts = false }) with
+            | Api.Hits _ -> ()
+            | r -> Alcotest.failf "query: %a" Api.pp_response r);
+            (* The plan's last line is "total: ... proxy_hops=N". *)
+            let served_hops =
+              match Server.trace_reports server with
+              | [ { Trace.plan = Some plan; _ } ] -> (
+                match List.rev (String.split_on_char '=' plan) with
+                | n :: _ -> int_of_string (String.trim n)
+                | [] -> Alcotest.fail "empty plan")
+              | _ -> Alcotest.fail "expected one report with a plan"
+            in
+            match Natix.Session.analyze s ~doc:"a" path with
+            | Error e -> Alcotest.fail (Error.to_string e)
+            | Ok a ->
+              Alcotest.(check bool) "the query crosses proxies" true
+                (a.Natix_query.Engine.total_proxy_hops > 0);
+              Alcotest.(check int) "served proxy_hops" a.Natix_query.Engine.total_proxy_hops
+                served_hops));
     Alcotest.test_case "client trace ids ride the frame; the ring caps; slow log" `Quick
       (fun () ->
         with_traced_server
