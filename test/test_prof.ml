@@ -59,7 +59,7 @@ let quantile_tests =
 (* ------------------------------------------------------------------ *)
 (* Operation context and live delivery in the obs layer *)
 
-let span_tests =
+let context_tests =
   [
     Alcotest.test_case "with_context stamps events and restores on exit" `Quick (fun () ->
         let obs = Obs.create ~sink:(Sink.ring ()) () in
@@ -432,7 +432,7 @@ let bench_diff_tests =
 let suites =
   [
     ("prof.quantile", quantile_tests);
-    ("prof.spans", span_tests);
+    ("prof.spans", context_tests);
     ("prof.trace_view", filter_tests);
     ("prof.heat", heat_tests);
     ("prof.analyze", analyze_tests);
