@@ -583,7 +583,7 @@ let trace_cmd =
     Natix_trace.Trace.run tr ~io (fun () ->
         Natix_trace.Trace.span tr "load" (fun () ->
             ignore (Loader.load store ~name:doc ~order xml);
-            Tree_store.sync store);
+            Natix_obs.Obs.with_context obs ~doc ~phase:"load" (fun () -> Tree_store.sync store));
         Format.printf "== load ==@.";
         Format.printf "%s: %a@." doc Stats.pp_doc (Stats.document store doc);
         Format.printf "io: %a@." Natix_store.Io_stats.pp (stats ());
@@ -599,6 +599,7 @@ let trace_cmd =
         let before = Natix_store.Io_stats.copy (stats ()) in
         let visited = ref 0 in
         Natix_trace.Trace.span tr "traversal" (fun () ->
+            Natix_obs.Obs.with_context obs ~doc ~phase:"traversal" @@ fun () ->
             match Tree_store.open_document store doc with
             | None -> ()
             | Some root ->

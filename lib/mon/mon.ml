@@ -39,12 +39,6 @@ let feed t (ev : Event.t) =
   | Event.Wal_append { bytes; _ } -> record "wal_bytes" (float_of_int bytes)
   | _ -> ()
 
-(* The kinds [feed] ignores (page fixes above all) take no lock. *)
-let on_event t (ev : Event.t) =
-  match ev.kind with
-  | Event.Io _ | Event.Wal_append _ -> locked t (fun () -> feed t ev)
-  | _ -> ()
-
 (* Emit breaches (as events + callbacks) with no lock held: emitting
    re-enters the handle, and thus this monitor's own subscriber. *)
 let fire_breaches t breaches =
@@ -77,7 +71,10 @@ let attach ?(bucket_ms = 1000.) ?(buckets = 60) ?(ring_capacity = 1024) obs =
       pending = [];
     }
   in
-  Natix_obs.Obs.subscribe obs (on_event t);
+  (* The kinds [feed] handles: the handle counts the rest (page fixes
+     above all) without its lock. *)
+  Natix_obs.Obs.subscribe obs ~kinds:[ "io"; "wal_append" ] (fun ev ->
+      locked t (fun () -> feed t ev));
   t
 
 let obs t = t.obs

@@ -41,53 +41,71 @@ let btree_op_name = function
   | Bt_write -> "write"
   | Bt_alloc -> "alloc"
 
-let type_name = function
-  | Io _ -> "io"
-  | Page_fix _ -> "page_fix"
-  | Page_evict _ -> "page_evict"
-  | Page_flush _ -> "page_flush"
-  | Record_alloc _ -> "record_alloc"
-  | Record_relocate _ -> "record_relocate"
-  | Record_free _ -> "record_free"
-  | Split _ -> "split"
-  | Merge _ -> "merge"
-  | Proxy_hop _ -> "proxy_hop"
-  | Btree_node _ -> "btree_node"
-  | Checksum_fail _ -> "checksum_fail"
-  | Read_retry _ -> "read_retry"
-  | Read_ahead _ -> "read_ahead"
-  | Wal_append _ -> "wal_append"
-  | Wal_fsync _ -> "wal_fsync"
-  | Wal_torn _ -> "wal_torn"
-  | Recovery_redo _ -> "recovery_redo"
-  | Recovery_undo _ -> "recovery_undo"
-  | Recovery_done _ -> "recovery_done"
-  | Budget_exceeded _ -> "budget_exceeded"
+(* One index per constructor, in declaration order: the position of the
+   kind's names in [type_names] and its slot in a handle's counters. *)
+let tag = function
+  | Io _ -> 0
+  | Page_fix _ -> 1
+  | Page_evict _ -> 2
+  | Page_flush _ -> 3
+  | Record_alloc _ -> 4
+  | Record_relocate _ -> 5
+  | Record_free _ -> 6
+  | Split _ -> 7
+  | Merge _ -> 8
+  | Proxy_hop _ -> 9
+  | Btree_node _ -> 10
+  | Checksum_fail _ -> 11
+  | Read_retry _ -> 12
+  | Read_ahead _ -> 13
+  | Wal_append _ -> 14
+  | Wal_fsync _ -> 15
+  | Wal_torn _ -> 16
+  | Recovery_redo _ -> 17
+  | Recovery_undo _ -> 18
+  | Recovery_done _ -> 19
+  | Budget_exceeded _ -> 20
 
-(* ["ev." ^ type_name kind], as constants: counting an event allocates
+let type_names =
+  [|
+    "io";
+    "page_fix";
+    "page_evict";
+    "page_flush";
+    "record_alloc";
+    "record_relocate";
+    "record_free";
+    "split";
+    "merge";
+    "proxy_hop";
+    "btree_node";
+    "checksum_fail";
+    "read_retry";
+    "read_ahead";
+    "wal_append";
+    "wal_fsync";
+    "wal_torn";
+    "recovery_redo";
+    "recovery_undo";
+    "recovery_done";
+    "budget_exceeded";
+  |]
+
+let tag_count = Array.length type_names
+let type_name k = type_names.(tag k)
+
+(* ["ev." ^ type_name kind], built once: counting an event allocates
    nothing. *)
-let counter_name = function
-  | Io _ -> "ev.io"
-  | Page_fix _ -> "ev.page_fix"
-  | Page_evict _ -> "ev.page_evict"
-  | Page_flush _ -> "ev.page_flush"
-  | Record_alloc _ -> "ev.record_alloc"
-  | Record_relocate _ -> "ev.record_relocate"
-  | Record_free _ -> "ev.record_free"
-  | Split _ -> "ev.split"
-  | Merge _ -> "ev.merge"
-  | Proxy_hop _ -> "ev.proxy_hop"
-  | Btree_node _ -> "ev.btree_node"
-  | Checksum_fail _ -> "ev.checksum_fail"
-  | Read_retry _ -> "ev.read_retry"
-  | Read_ahead _ -> "ev.read_ahead"
-  | Wal_append _ -> "ev.wal_append"
-  | Wal_fsync _ -> "ev.wal_fsync"
-  | Wal_torn _ -> "ev.wal_torn"
-  | Recovery_redo _ -> "ev.recovery_redo"
-  | Recovery_undo _ -> "ev.recovery_undo"
-  | Recovery_done _ -> "ev.recovery_done"
-  | Budget_exceeded _ -> "ev.budget_exceeded"
+let counter_names = Array.map (fun n -> "ev." ^ n) type_names
+let counter_name k = counter_names.(tag k)
+
+let tag_of_type_name name =
+  let rec go i =
+    if i >= tag_count then invalid_arg (Printf.sprintf "Event.tag_of_type_name: %S" name)
+    else if type_names.(i) = name then i
+    else go (i + 1)
+  in
+  go 0
 
 let rid_json rid = Json.String (Rid.to_string rid)
 

@@ -16,9 +16,11 @@
     {b Domain safety.}  One handle may be shared by several worker
     domains (the latch-striped buffer pool emits through the store's
     handle from whichever domain fixes a page).  Metric updates, sequence
-    stamping and sink delivery are serialised by an internal mutex, while
-    the operation context ({!with_context}) is {e domain-local} — each
-    domain attributes its own events, with no cross-domain bleed. *)
+    stamping and delivery are serialised by an internal mutex, except the
+    counting of an event kind that neither a sink nor any subscriber
+    consumes: that takes no lock.  The operation context
+    ({!with_context}) is {e domain-local} — each domain attributes its
+    own events, with no cross-domain bleed. *)
 
 type t
 
@@ -29,18 +31,27 @@ type t
     pre-registered. *)
 val create : ?sink:Sink.t -> unit -> t
 
+(** The registry, with every event emitted so far counted in its
+    ["ev.<type>"] counters.  Events emitted later reach the counters at
+    the next call. *)
 val metrics : t -> Metrics.t
+
 val sink : t -> Sink.t option
 
-(** [subscribe t f] registers an in-process consumer: every event emitted
-    from now on is also handed to [f], in subscription order, {e after}
-    the sink.  Events are constructed (and sequence-stamped) whenever a
-    sink or at least one subscriber is present.  [f] runs under the
-    handle's delivery lock — it must be fast and must not call back into
-    this handle ({!emit}/{!incr}/{!observe}).  The monitoring
-    layer ([Natix_mon]) is the intended consumer.  Subscriptions cannot
-    be removed; they live as long as the handle. *)
-val subscribe : t -> (Event.t -> unit) -> unit
+(** [subscribe t ?kinds f] registers an in-process consumer: every event
+    emitted from now on whose {!Event.type_name} is in [kinds] (every
+    event without [kinds]) is also handed to [f], in subscription order,
+    {e after} the sink.  An event is sequence-stamped and delivered
+    whenever the sink or a subscriber consumes its kind; the sink
+    consumes every kind, so a sink sees consecutive sequence numbers.
+    [f] runs under the handle's delivery lock — it must be fast and must
+    not call back into this handle ({!emit}/{!incr}/{!observe}).
+    Subscribe before other domains emit: an emit racing with the
+    subscription may miss it.  The monitoring layer ([Natix_mon]) is the
+    intended consumer.  Subscriptions cannot be removed; they live as
+    long as the handle.
+    @raise Invalid_argument for a name in [kinds] that no kind has. *)
+val subscribe : t -> ?kinds:string list -> (Event.t -> unit) -> unit
 
 (** {2 Operation attribution}
 
@@ -62,8 +73,10 @@ val set_clock : t -> (unit -> float) -> unit
 
 val now_ms : t -> float
 
-(** Stamp (sequence number + clock) and deliver an event: bump its
-    ["ev.<type>"] counter, then forward it to the sink, if any. *)
+(** Count an event in its ["ev.<type>"] counter; if the sink or a
+    subscriber consumes its kind, stamp it (sequence number + clock) and
+    deliver it.  A kind nobody consumes takes no lock and allocates
+    nothing. *)
 val emit : t -> Event.kind -> unit
 
 (** Counter / histogram shorthands on {!metrics}. *)

@@ -26,10 +26,12 @@ let with_ctx obs ?doc ~phase f =
 
    jobs >= 2: tasks are seeded round-robin into per-worker deques; each
    worker drains its own (LIFO) and then steals round-robin from the
-   others (FIFO).  A worker failure sets [stop] so the rest drain out;
-   the first exception is re-raised on the caller after every domain has
-   joined and the streams are merged — stats stay consistent even on a
-   crash. *)
+   others (FIFO).  Workers 1.. run on spawned domains; worker 0 runs on
+   the caller, which would otherwise only wait in [Domain.join] — one
+   domain fewer for every stop-the-world minor collection to stop.  A
+   worker failure sets [stop] so the rest drain out; the first exception
+   is re-raised on the caller after every domain has joined and the
+   streams are merged — stats stay consistent even on a crash. *)
 let map_tasks ~jobs ~disk ~make_ctx ~f tasks =
   let n = Array.length tasks in
   let jobs = if n = 0 then 1 else max 1 (min jobs n) in
@@ -90,13 +92,31 @@ let map_tasks ~jobs ~disk ~make_ctx ~f tasks =
           | exception e ->
             if Atomic.compare_and_set fatal None (Some e) then Atomic.set stop true)
     in
+    (* A worker idles once its task loop ends: its pool hits go in then. *)
+    let worker w () =
+      let r = body w () in
+      Buffer_pool.apply_hits ();
+      r
+    in
+    (* Worker 0 sees what a spawned worker sees: no ambient trace and no
+       obs context of the caller's. *)
+    let on_caller () =
+      let obs = Disk.obs disk in
+      let ctx = Option.bind obs Natix_obs.Obs.context in
+      Option.iter (fun o -> Natix_obs.Obs.set_context o None) obs;
+      Fun.protect
+        ~finally:(fun () -> Option.iter (fun o -> Natix_obs.Obs.set_context o ctx) obs)
+        (fun () -> Natix_trace.Trace.detached (worker 0))
+    in
     Disk.enter_parallel_region disk;
     let streams =
       Fun.protect
         ~finally:(fun () -> Disk.exit_parallel_region disk)
         (fun () ->
-          let domains = Array.init jobs (fun w -> Domain.spawn (body w)) in
-          Array.map Domain.join domains)
+          let domains = Array.init (jobs - 1) (fun w -> Domain.spawn (worker (w + 1))) in
+          let first = match on_caller () with s -> Ok s | exception e -> Error e in
+          let rest = Array.map Domain.join domains in
+          match first with Ok s -> Array.append [| s |] rest | Error e -> raise e)
     in
     (* Merge per-worker accumulators into the default stream in worker
        index order: float addition is not associative, and a fixed order

@@ -312,6 +312,9 @@ let worker t w () =
         try execute t ?trace:ticket.trace ticket.tenant ticket.req
         with e -> Api.Err (Error.Storage ("dispatcher failure: " ^ Printexc.to_string e))
       in
+      (* The request's pool hits go in before its reply, so the pool's
+         counters a client reads next include them. *)
+      Natix_store.Buffer_pool.apply_hits ();
       answer ticket reply;
       with_conn t (fun () ->
           t.running <- t.running - 1;

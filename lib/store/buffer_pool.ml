@@ -2,21 +2,6 @@ exception All_frames_pinned
 
 type segment = Hot | Cold
 
-type frame = {
-  page_id : int;
-  data : bytes;
-  latch : Mutex.t;  (* held while the frame's content is being loaded *)
-  mutable failed : bool;  (* the load failed; waiters must retry the fix *)
-  mutable dirty : bool;
-  mutable rec_lsn : int;  (* LSN of the last WAL record covering [data] *)
-  mutable pins : int;
-  mutable seg : segment;
-  mutable referenced : bool;
-  mutable linked : bool;  (* currently on an LRU chain *)
-  mutable prev : frame option;
-  mutable next : frame option;
-}
-
 (* Per-page write tracking of a transaction in its mutation phase.
    Several transactions may be in flight at once — one per domain, their
    page sets disjoint (each concurrent one mutates only its own
@@ -24,30 +9,53 @@ type frame = {
    store's structure lock).
    [before] is the page payload as of the last point everything was
    logged — the image undo restores; [dirty_since_log] says the frame has
-   moved past it. *)
-type track = { before : bytes; mutable dirty_since_log : bool }
+   moved past it.  [dom] is the domain whose transaction owns the page. *)
+type track = { before : bytes; mutable dirty_since_log : bool; dom : int }
+
+type frame = {
+  page_id : int;
+  data : bytes;
+  latch : Mutex.t;  (* held while the frame's content is being loaded *)
+  mutable failed : bool;  (* the load failed; waiters must retry the fix *)
+  mutable dirty : bool;
+  mutable rec_lsn : int;  (* LSN of the last WAL record covering [data] *)
+  pins : int Atomic.t;  (* taken under the page's stripe, dropped with no lock *)
+  mutable seg : segment;
+  mutable referenced : bool;
+  mutable linked : bool;  (* currently on an LRU chain *)
+  mutable prev : frame option;
+  mutable next : frame option;
+  mutable claim : track option;  (* the in-flight transaction's track of this page *)
+}
 
 type txn = { id : int; mutable last_lsn : int; pages : (int, track) Hashtbl.t }
 
 (* One LRU chain: head = most recently used, tail = eviction candidate. *)
 type lru = { mutable head : frame option; mutable tail : frame option }
 
-(* Concurrency design (see DESIGN §15 for the full argument).  The mapping
-   table is sharded across [stripe_count] hashtables, each guarded by its
-   stripe lock; everything else shared — the LRU chains, the counters, the
-   resident count, scan mode and the read-ahead cursor — lives under the
-   single pool lock.  Frames carry a latch held only while their content
-   is in flight, so a concurrent fix of a loading page waits on the frame,
-   not on the pool.  Lock order (ascending, checked by {!Lock_rank}):
+(* Concurrency design (see DESIGN §4 item 15 for the full argument).  The
+   mapping table is sharded across [stripe_count] hashtables, each guarded
+   by its stripe lock; everything else shared — the LRU chains, the
+   counters, the resident count, scan mode and the read-ahead cursor —
+   lives under the single pool lock.  Frames carry a latch held only while
+   their content is in flight, so a concurrent fix of a loading page waits
+   on the frame, not on the pool.  Lock order (ascending, checked by
+   {!Lock_rank}):
 
-     stripe (1) < frame latch (2) < pool (3) < disk (4)
+     stripe (8) < frame latch (9) < pool (10) < wal (11) < disk (12)
 
    Eviction runs against the order — it holds the pool lock and needs a
    victim's stripe and latch — so it only ever [try_lock]s those, skipping
-   the victim when either is contended.  Single-domain behaviour is
-   bit-identical to the unstriped pool: every try_lock succeeds, the
-   victim scan is LRU-driven exactly as before, and all counters are
-   maintained at the same points. *)
+   the victim when either is contended.
+
+   A hit takes no pool lock.  Its pin is an atomic count taken under the
+   page's stripe, and eviction re-checks the count while it holds the
+   victim's stripe, so a pinned frame is never evicted.  Its LRU move and
+   its [fixes] count go into the calling domain's hit log, which is
+   applied in hit order at the start of every pool-lock section that
+   domain enters.  Single-domain behaviour is therefore bit-identical to
+   the unstriped pool: every try_lock succeeds, every eviction sees the
+   LRU order and counters of a pool that applied each hit at once. *)
 let stripe_count = 16
 
 type t = {
@@ -126,6 +134,90 @@ let create ~disk ~bytes ?wal ?(read_retries = 3) ?(read_ahead = 0) ?(scan_resist
 
 let stripe_of page_id = page_id land (stripe_count - 1)
 
+(* Pool lock held. *)
+let scanning t = t.scan_forced || t.scan_depth > 0
+
+(* ------------------------------------------------------------------ *)
+(* LRU chain primitives — pool lock held                               *)
+
+let list_of t f = match f.seg with Hot -> t.hot | Cold -> t.cold
+
+let unlink t f =
+  let l = list_of t f in
+  (match f.prev with Some p -> p.next <- f.next | None -> l.head <- f.next);
+  (match f.next with Some n -> n.prev <- f.prev | None -> l.tail <- f.prev);
+  f.prev <- None;
+  f.next <- None
+
+let push_front t seg f =
+  let l = match seg with Hot -> t.hot | Cold -> t.cold in
+  let link = Some f in
+  f.seg <- seg;
+  f.linked <- true;
+  f.prev <- None;
+  f.next <- l.head;
+  (match l.head with Some h -> h.prev <- link | None -> l.tail <- link);
+  l.head <- link
+
+(* A frame already at the head stays put: moving it would put it back. *)
+let touch t f =
+  match (list_of t f).head with
+  | Some h when h == f -> ()
+  | Some _ | None ->
+    unlink t f;
+    push_front t f.seg f
+
+(* Hit bookkeeping.  In the plain pool this is a bare LRU touch.  In the
+   segmented pool a cold frame earns promotion to the hot segment on its
+   first demand hit after a previous reference — but never while a scan is
+   in progress, because a scan re-fixes the same page many times while
+   walking its records and would otherwise promote the entire scan into the
+   hot segment, which is exactly what the cold segment exists to prevent. *)
+let on_hit t f =
+  if (not t.scan_resistant) || f.seg = Hot then touch t f
+  else if scanning t then begin
+    f.referenced <- true;
+    touch t f
+  end
+  else if f.referenced then begin
+    unlink t f;
+    push_front t Hot f
+  end
+  else begin
+    f.referenced <- true;
+    touch t f
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Hit logs                                                            *)
+
+(* A domain's hits not yet applied to its pool, in hit order.  The log
+   belongs to one pool at a time; [counted] is how many of its entries
+   count as fixes (a retried fix does not). *)
+type hit_log = {
+  mutable pool : t option;
+  mutable hits : frame array;  (* allocated at the first hit *)
+  mutable len : int;
+  mutable counted : int;
+}
+
+(* Enough to take the pool lock once per 64 hits; a constant, not a knob. *)
+let hit_log_size = 64
+
+let hit_logs : hit_log Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { pool = None; hits = [||]; len = 0; counted = 0 })
+
+(* Pool lock held.  A frame evicted or cleared since its hit is no longer
+   linked and is skipped; its fix still counts. *)
+let apply_log t l =
+  for i = 0 to l.len - 1 do
+    let f = l.hits.(i) in
+    if f.linked then on_hit t f
+  done;
+  t.fixes <- t.fixes + l.counted;
+  l.len <- 0;
+  l.counted <- 0
+
 let lock_stripe t si =
   Lock_rank.acquire Lock_rank.stripe;
   Mutex.lock t.stripes.(si)
@@ -154,9 +246,13 @@ let unlock_frame f =
   Mutex.unlock f.latch;
   Lock_rank.release Lock_rank.frame
 
+(* Every pool-lock section starts by applying the calling domain's hits
+   to this pool, so it sees them as if each had taken the lock itself. *)
 let lock_pool t =
   Lock_rank.acquire Lock_rank.pool;
-  Mutex.lock t.pool_lock
+  Mutex.lock t.pool_lock;
+  let l = Domain.DLS.get hit_logs in
+  if l.len > 0 then match l.pool with Some p when p == t -> apply_log t l | Some _ | None -> ()
 
 let unlock_pool t =
   Mutex.unlock t.pool_lock;
@@ -176,9 +272,6 @@ let obs t = t.obs
 let wal t = t.wal
 let read_ahead t = t.read_ahead
 let scan_resistant t = t.scan_resistant
-(* Pool lock held. *)
-let scanning t = t.scan_forced || t.scan_depth > 0
-
 let scan_mode t = with_pool t (fun () -> scanning t)
 let set_scan_mode t on = with_pool t (fun () -> t.scan_forced <- on)
 
@@ -221,7 +314,7 @@ let resident_cold t = count_segment t Cold
 let pinned_frames t =
   with_pool t (fun () ->
       let n = ref 0 in
-      iter_frames t (fun f -> if f.pins > 0 then incr n);
+      iter_frames t (fun f -> if Atomic.get f.pins > 0 then incr n);
       !n)
 
 let hit_ratio t =
@@ -238,55 +331,6 @@ let reset_stats t =
       t.fixes <- 0;
       t.misses <- 0;
       t.prefetched <- 0)
-
-(* ------------------------------------------------------------------ *)
-(* LRU chain primitives — pool lock held                               *)
-
-let list_of t f = match f.seg with Hot -> t.hot | Cold -> t.cold
-
-let unlink t f =
-  let l = list_of t f in
-  (match f.prev with Some p -> p.next <- f.next | None -> l.head <- f.next);
-  (match f.next with Some n -> n.prev <- f.prev | None -> l.tail <- f.prev);
-  f.prev <- None;
-  f.next <- None
-
-let push_front t seg f =
-  let l = match seg with Hot -> t.hot | Cold -> t.cold in
-  f.seg <- seg;
-  f.linked <- true;
-  f.prev <- None;
-  f.next <- l.head;
-  (match l.head with Some h -> h.prev <- Some f | None -> l.tail <- Some f);
-  l.head <- Some f
-
-let touch t f =
-  let l = list_of t f in
-  if l.head != Some f then begin
-    unlink t f;
-    push_front t f.seg f
-  end
-
-(* Hit bookkeeping.  In the plain pool this is a bare LRU touch.  In the
-   segmented pool a cold frame earns promotion to the hot segment on its
-   first demand hit after a previous reference — but never while a scan is
-   in progress, because a scan re-fixes the same page many times while
-   walking its records and would otherwise promote the entire scan into the
-   hot segment, which is exactly what the cold segment exists to prevent. *)
-let on_hit t f =
-  if (not t.scan_resistant) || f.seg = Hot then touch t f
-  else if scanning t then begin
-    f.referenced <- true;
-    touch t f
-  end
-  else if f.referenced then begin
-    unlink t f;
-    push_front t Hot f
-  end
-  else begin
-    f.referenced <- true;
-    touch t f
-  end
 
 (* Write-back, pool lock held.  WAL-before-data: a page an in-flight
    transaction has moved past its last logged image gets an update record
@@ -333,19 +377,25 @@ let write_back t f =
    try_locked; a contended stripe just disqualifies the victim.  If the
    victim lives in the stripe the caller already holds, operate directly —
    OCaml mutexes are not recursive, and [try_lock] on a self-held lock
-   would fail, wrongly skipping the victim. *)
+   would fail, wrongly skipping the victim.  A hit pins under the stripe,
+   so the pin count read while holding it is final: a frame pinned since
+   the victim scan saw it free is skipped. *)
 let try_remove_from_table t ~held_stripe f =
   let si = stripe_of f.page_id in
-  if si = held_stripe then begin
-    Hashtbl.remove t.tables.(si) f.page_id;
-    true
-  end
+  let remove_unpinned () =
+    Atomic.get f.pins = 0
+    && begin
+      Hashtbl.remove t.tables.(si) f.page_id;
+      true
+    end
+  in
+  if si = held_stripe then remove_unpinned ()
   else if Mutex.try_lock t.stripes.(si) then begin
     Lock_rank.note_try Lock_rank.stripe;
-    Hashtbl.remove t.tables.(si) f.page_id;
+    let removed = remove_unpinned () in
     Mutex.unlock t.stripes.(si);
     Lock_rank.release Lock_rank.stripe;
-    true
+    removed
   end
   else false
 
@@ -361,7 +411,7 @@ let evict_one ?(keep = (0, -1)) ~held_stripe t =
     | None -> None
     | Some f ->
       if
-        f.pins = 0
+        Atomic.get f.pins = 0
         && (not (f.page_id >= keep_lo && f.page_id <= keep_hi))
         && Mutex.try_lock f.latch
       then begin
@@ -416,12 +466,13 @@ let mk_frame t ~pins ~speculative page_id =
     failed = false;
     dirty = false;
     rec_lsn = 0;
-    pins;
+    pins = Atomic.make pins;
     seg = Hot;
     referenced = not speculative;
     linked = false;
     prev = None;
     next = None;
+    claim = None;
   }
 
 let note_fix t page_id ~hit =
@@ -590,6 +641,38 @@ let maybe_read_ahead t p =
 (* ------------------------------------------------------------------ *)
 (* Fix / unfix                                                         *)
 
+(* An empty pool-lock section: entering it applies the domain's hits. *)
+let settle p =
+  lock_pool p;
+  unlock_pool p
+
+let apply_hits () =
+  let l = Domain.DLS.get hit_logs in
+  match l.pool with Some p when l.len > 0 -> settle p | Some _ | None -> ()
+
+(* The calling domain's hit log, bound to [t].  A log still holding hits
+   of another pool is applied to that pool first.  A domain other than
+   the main one applies its log when it exits, so a worker that never
+   takes the pool lock again loses no hit. *)
+let hit_log t =
+  let l = Domain.DLS.get hit_logs in
+  (match l.pool with
+  | Some p when p == t -> ()
+  | Some p ->
+    if l.len > 0 then settle p;
+    l.pool <- Some t
+  | None ->
+    if not (Domain.is_main_domain ()) then Domain.at_exit apply_hits;
+    l.pool <- Some t);
+  l
+
+let log_hit t l f ~count =
+  if Array.length l.hits = 0 then l.hits <- Array.make hit_log_size f;
+  l.hits.(l.len) <- f;
+  l.len <- l.len + 1;
+  if count then l.counted <- l.counted + 1;
+  if l.len = hit_log_size then settle t
+
 (* [count] is [false] on the internal retry taken after a waited-on
    placeholder turned out to have failed its load: the first attempt
    already charged {!fixes} for this external call, and the sequential
@@ -597,21 +680,20 @@ let maybe_read_ahead t p =
    disk read still charges {!misses} (keeping reads = misses + read-ahead
    pages an invariant), so such a call nets out as one fix that missed. *)
 let rec fix_aux t ~count page_id =
+  let log = hit_log t in
   let si = stripe_of page_id in
   lock_stripe t si;
   match Hashtbl.find_opt t.tables.(si) page_id with
   | Some f ->
-    (* Hit.  The pin is taken under the pool lock (all pin transitions
-       are), which also excludes eviction: once pinned the frame cannot go
-       away, so the stripe can be released before waiting out a load.  The
-       event goes out after both locks are released: a hit causes no other
-       event, so the order of one domain's events is unchanged. *)
-    lock_pool t;
-    if count then t.fixes <- t.fixes + 1;
-    f.pins <- f.pins + 1;
-    on_hit t f;
-    unlock_pool t;
+    (* Hit.  The pin is taken under the stripe, which eviction holds while
+       it re-checks pins: once pinned the frame cannot go away, so the
+       stripe can be released before waiting out a load.  The LRU move
+       and the fix count go to the hit log; the event goes out after the
+       stripe is released, and a hit causes no other event, so the order
+       of one domain's events is unchanged. *)
+    Atomic.incr f.pins;
     unlock_stripe t si;
+    log_hit t log f ~count;
     if count then note_fix t page_id ~hit:true;
     (* Wait for an in-flight load (no-op when the latch is free). *)
     lock_frame f;
@@ -663,16 +745,14 @@ let rec fix_aux t ~count page_id =
 let fix t page_id = fix_aux t ~count:true page_id
 
 let fix_new t page_id =
+  let log = hit_log t in
   let si = stripe_of page_id in
   lock_stripe t si;
   match Hashtbl.find_opt t.tables.(si) page_id with
   | Some f ->
-    lock_pool t;
-    t.fixes <- t.fixes + 1;
-    f.pins <- f.pins + 1;
-    on_hit t f;
-    unlock_pool t;
+    Atomic.incr f.pins;
     unlock_stripe t si;
+    log_hit t log f ~count:true;
     note_fix t page_id ~hit:true;
     f
   | None ->
@@ -704,10 +784,9 @@ let fix_new t page_id =
       raise e);
     f
 
-let unfix t f =
-  with_pool t (fun () ->
-      assert (f.pins > 0);
-      f.pins <- f.pins - 1)
+let unfix _t f =
+  let pins = Atomic.fetch_and_add f.pins (-1) in
+  assert (pins > 0)
 
 (* Pool lock held. *)
 let current_txn t =
@@ -716,34 +795,48 @@ let current_txn t =
 
 (* Callers mark a frame dirty {e before} mutating it (see {!Segment}), so
    this is where the calling domain's transaction captures the page image
-   its undo record will restore.  First touch copies the payload and
-   claims the page in [page_txn]; after a mid-transaction steal logged
-   the page, the next touch just reopens the dirty window — the tracked
-   image already equals the frame (the steal advanced it).  Two misuses
-   fail loudly rather than let a page reach disk unprotected: a write
-   outside any transaction on a logged pool (nothing would cover it), and
-   a page already claimed by a {e different} in-flight transaction (a
-   violation of the disjoint-page-sets invariant that makes concurrent
-   page-level logging sound). *)
+   its undo record will restore.  First touch copies the payload, claims
+   the page in [page_txn] and records the claim on the frame; after a
+   mid-transaction steal logged the page, the next touch just reopens the
+   dirty window — the tracked image already equals the frame (the steal
+   advanced it).  A frame this domain's transaction already claimed
+   reopens its window without the pool lock: the caller holds a pin, so
+   no steal can run on it, and only commit, on this domain, clears the
+   claim.  Two misuses fail loudly rather than let a page reach disk
+   unprotected: a write outside any transaction on a logged pool (nothing
+   would cover it), and a page already claimed by a {e different}
+   in-flight transaction (a violation of the disjoint-page-sets invariant
+   that makes concurrent page-level logging sound). *)
 let mark_dirty t f =
-  with_pool t (fun () ->
-      match current_txn t with
-      | None ->
-        if t.wal <> None then
+  let dom = (Domain.self () :> int) in
+  (match (t.wal, f.claim) with
+  | None, _ -> ()
+  | Some _, Some tr when tr.dom = dom -> tr.dirty_since_log <- true
+  | Some _, _ ->
+    with_pool t (fun () ->
+        match current_txn t with
+        | None ->
           invalid_arg
             (Printf.sprintf "Buffer_pool.mark_dirty: page %d written outside a transaction"
                f.page_id)
-      | Some txn -> (
-        match Hashtbl.find_opt t.page_txn f.page_id with
-        | Some owner when owner != txn ->
-          invalid_arg
-            (Printf.sprintf "Buffer_pool.mark_dirty: page %d written by txn %d and txn %d"
-               f.page_id owner.id txn.id)
-        | Some _ -> (Hashtbl.find txn.pages f.page_id).dirty_since_log <- true
-        | None ->
-          Hashtbl.replace txn.pages f.page_id
-            { before = Bytes.copy f.data; dirty_since_log = true };
-          Hashtbl.replace t.page_txn f.page_id txn));
+        | Some txn ->
+          let tr =
+            match Hashtbl.find_opt t.page_txn f.page_id with
+            | Some owner when owner != txn ->
+              invalid_arg
+                (Printf.sprintf "Buffer_pool.mark_dirty: page %d written by txn %d and txn %d"
+                   f.page_id owner.id txn.id)
+            | Some _ ->
+              let tr = Hashtbl.find txn.pages f.page_id in
+              tr.dirty_since_log <- true;
+              tr
+            | None ->
+              let tr = { before = Bytes.copy f.data; dirty_since_log = true; dom } in
+              Hashtbl.replace txn.pages f.page_id tr;
+              Hashtbl.replace t.page_txn f.page_id txn;
+              tr
+          in
+          f.claim <- Some tr));
   f.dirty <- true
 
 let with_page t page_id fn =
@@ -817,7 +910,13 @@ let txn_commit_prep t =
           Wal.log_commit w ~txn:txn.id ~prev_lsn:txn.last_lsn
             ~page_count:(Disk.page_count t.disk)
         in
-        Hashtbl.iter (fun page _ -> Hashtbl.remove t.page_txn page) txn.pages;
+        Hashtbl.iter
+          (fun page _ ->
+            Hashtbl.remove t.page_txn page;
+            match Hashtbl.find_opt t.registry page with
+            | Some f -> f.claim <- None
+            | None -> ())
+          txn.pages;
         Hashtbl.remove t.txns dom;
         lsn
       | _ -> invalid_arg "Buffer_pool.txn_commit_prep: no transaction in flight on this domain")
@@ -837,9 +936,14 @@ let clear t =
       done)
     (fun () ->
       Hashtbl.iter
-        (fun _ f -> if f.pins > 0 then failwith "Buffer_pool.clear: pinned frame")
+        (fun _ f -> if Atomic.get f.pins > 0 then failwith "Buffer_pool.clear: pinned frame")
         t.registry;
-      Hashtbl.iter (fun _ f -> write_back t f) t.registry;
+      Hashtbl.iter
+        (fun _ f ->
+          write_back t f;
+          (* Stale hit-log entries of the frame are skipped from now on. *)
+          f.linked <- false)
+        t.registry;
       Array.iter Hashtbl.reset t.tables;
       Hashtbl.reset t.registry;
       t.hot.head <- None;

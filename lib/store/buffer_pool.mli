@@ -41,9 +41,20 @@
     in flight, so two domains fixing the same missing page coalesce into
     one disk read.  The documented lock order — stripe < frame latch <
     pool < disk, try-locks exempt — is checked by the optional
-    {!Lock_rank} debug assertion.  With a single domain every lock is
+    {!Lock_rank} debug assertion.
+
+    A hit, an {!unfix} and a {!mark_dirty} of a page the calling domain's
+    transaction already claimed take no pool lock.  A hit pins under the
+    page's stripe and appends the frame to the calling domain's {e hit
+    log}; the log is applied, in hit order (LRU moves and {!fixes}), at
+    the start of every pool-lock section that domain enters, when it is
+    full, when the domain fixes a page of another pool, by {!apply_hits},
+    and when a worker domain exits.  With a single domain every lock is
     uncontended and behaviour (counters, eviction decisions, emitted
-    events) is bit-identical to the unstriped pool. *)
+    events) is bit-identical to the unstriped pool.  Another domain's
+    unapplied hits can make a frame look colder to an eviction for a
+    moment; eviction order under concurrency is schedule-dependent
+    anyway. *)
 
 exception All_frames_pinned
 (** Raised by {!fix}/{!fix_new} when no frame can be evicted because every
@@ -53,6 +64,9 @@ exception All_frames_pinned
     without [scan_resistant]. *)
 type segment = Hot | Cold
 
+(** A transaction's undo image of one page, internal. *)
+type track
+
 type frame = private {
   page_id : int;
   data : bytes;
@@ -61,12 +75,15 @@ type frame = private {
   mutable dirty : bool;
   mutable rec_lsn : int;
       (** LSN of the last WAL record covering [data]; 0 while untracked *)
-  mutable pins : int;
+  pins : int Atomic.t;
   mutable seg : segment;  (** current segment, internal *)
   mutable referenced : bool;  (** demand-referenced since entering cold *)
   mutable linked : bool;  (** currently on an LRU chain, internal *)
   mutable prev : frame option;  (** LRU chain, internal *)
   mutable next : frame option;
+  mutable claim : track option;
+      (** the page's track in the in-flight transaction that wrote it,
+          internal *)
 }
 
 type t
@@ -110,6 +127,12 @@ val fix : t -> int -> frame
 val fix_new : t -> int -> frame
 
 val unfix : t -> frame -> unit
+
+(** Apply the calling domain's hit log to its pool now.  A domain that
+    is about to idle calls it (a parallel worker when its task loop
+    ends, a server worker after each request), so readers of {!fixes}
+    and of the LRU order on other domains see its hits. *)
+val apply_hits : unit -> unit
 
 (** Mark a frame about to be mutated ({e before} the mutation: the calling
     domain's transaction captures the page image its undo record will
@@ -219,7 +242,9 @@ val resident_cold : t -> int
     workers join. *)
 val pinned_frames : t -> int
 
-(** Cache-hit statistics (fixes, misses). *)
+(** Cache-hit statistics (fixes, misses).  {!fixes} includes every hit of
+    the calling domain, and every hit other domains have applied (see
+    {!apply_hits}). *)
 val fixes : t -> int
 
 val misses : t -> int

@@ -103,6 +103,12 @@ let active () = !(Domain.DLS.get ambient)
 
 let span_here name f = match active () with None -> f () | Some t -> span t name f
 
+let detached f =
+  let slot = Domain.DLS.get ambient in
+  let saved = !slot in
+  slot := None;
+  Fun.protect ~finally:(fun () -> slot := saved) f
+
 let run t ~io body =
   let slot = Domain.DLS.get ambient in
   let saved = !slot in

@@ -68,6 +68,11 @@ val span : t -> string -> (unit -> 'a) -> 'a
     installed. *)
 val span_here : string -> (unit -> 'a) -> 'a
 
+(** [detached f] runs [f] with no ambient trace on the calling domain,
+    as a freshly spawned domain would, and restores the previous one
+    afterwards. *)
+val detached : (unit -> 'a) -> 'a
+
 (** [interval t name ~t0 ~t1] emits a child of the innermost open span
     covering an explicit global-clock window, with no private-stream
     I/O attributed.  Used for waits measured by the instrumented site

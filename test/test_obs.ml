@@ -250,6 +250,39 @@ let obs_tests =
         Alcotest.(check (float 1e-9)) "now_ms reads it" 250. (Obs.now_ms obs);
         Alcotest.(check (list (float 1e-9))) "stamped at emit" [ 100.; 250. ]
           (List.map (fun (e : Event.t) -> e.at_ms) (Obs.events obs)));
+    Alcotest.test_case "kinds nobody consumes are counted exactly across domains" `Quick
+      (fun () ->
+        let obs = Obs.create () in
+        let seen = ref 0 and others = ref 0 in
+        Obs.subscribe obs ~kinds:[ "page_flush"; "io" ] (fun ev ->
+            match ev.Event.kind with Event.Page_flush _ | Event.Io _ -> incr seen | _ -> incr others);
+        let emit_all () =
+          for i = 1 to 10_000 do
+            Obs.emit obs (Event.Page_fix { page = i; hit = true });
+            if i mod 1000 = 0 then Obs.emit obs (Event.Page_flush { page = i })
+          done
+        in
+        List.iter Domain.join (List.init 4 (fun _ -> Domain.spawn emit_all));
+        let m = Obs.metrics obs in
+        Alcotest.(check int) "every page fix counted" 40_000 (Metrics.counter m "ev.page_fix");
+        Alcotest.(check int) "every flush counted" 40 (Metrics.counter m "ev.page_flush");
+        Alcotest.(check int) "the subscriber saw its kinds" 40 !seen;
+        Alcotest.(check int) "and nothing else" 0 !others);
+    Alcotest.test_case "a sink sees every event with consecutive sequence numbers" `Quick
+      (fun () ->
+        let obs = Obs.create ~sink:(Sink.ring ~capacity:8192 ()) () in
+        Obs.subscribe obs ~kinds:[ "io" ] ignore;
+        let emit_all () =
+          for i = 1 to 1000 do
+            Obs.emit obs
+              (if i mod 2 = 0 then Event.Page_fix { page = i; hit = false }
+               else Event.Page_flush { page = i })
+          done
+        in
+        List.iter Domain.join (List.init 4 (fun _ -> Domain.spawn emit_all));
+        Alcotest.(check (list int)) "seq 1..4000 in delivery order" (List.init 4000 succ)
+          (List.map (fun (e : Event.t) -> e.seq) (Obs.events obs));
+        Alcotest.(check int) "counted" 2000 (Metrics.counter (Obs.metrics obs) "ev.page_fix"));
     Alcotest.test_case "sinkless handle still counts" `Quick (fun () ->
         let obs = Obs.create () in
         Obs.emit obs (Event.Page_flush { page = 9 });

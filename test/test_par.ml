@@ -439,6 +439,78 @@ let dict_race () =
     done
   done
 
+(* The pool's lock-free hit path under eviction.  Four domains fix random
+   pages of a pool smaller than their page set, so evictions run beside
+   hits.  Shared pages are only read; each domain writes a tag into a
+   pinned page of its own, fixes two other pages, and re-fixes the page
+   before it unpins: the frame must be the one it pinned, still holding
+   the tag, and the next fix of the page must read that tag back.  An
+   eviction of a pinned frame would lose it. *)
+let pool_stress () =
+  let module Prng = Natix_util.Prng in
+  let page_size = 256 and frames = 32 and shared = 8 and owned = 16 and rounds = 1000 in
+  for seed = 1 to seeds do
+    let d = Disk.in_memory ~page_size () in
+    let pool = Buffer_pool.create ~disk:d ~bytes:(frames * page_size) () in
+    let shared_pages = Array.init shared (fun _ -> Disk.allocate d) in
+    let own = Array.init 4 (fun _ -> Array.init owned (fun _ -> Disk.allocate d)) in
+    let started = Atomic.make 0 in
+    let worker w () =
+      Atomic.incr started;
+      while Atomic.get started < 4 do
+        Domain.cpu_relax ()
+      done;
+      let rng = Prng.create ~seed:(Int64.of_int ((seed * 8) + w)) in
+      let fixes = ref 0 and lost = ref 0 in
+      let fix p =
+        incr fixes;
+        Buffer_pool.fix pool p
+      in
+      let tag_of f = Int32.to_int (Bytes.get_int32_le f.Buffer_pool.data 0) in
+      let expected = Array.make owned 0 in
+      for round = 1 to rounds do
+        let i = Prng.int rng owned in
+        let f = fix own.(w).(i) in
+        if tag_of f <> expected.(i) then incr lost;
+        Buffer_pool.mark_dirty pool f;
+        let tag = (w lsl 16) lor round in
+        Bytes.set_int32_le f.Buffer_pool.data 0 (Int32.of_int tag);
+        expected.(i) <- tag;
+        for _ = 1 to 2 do
+          let q =
+            if Prng.int rng 2 = 0 then shared_pages.(Prng.int rng shared)
+            else own.(w).(Prng.int rng owned)
+          in
+          Buffer_pool.unfix pool (fix q)
+        done;
+        let g = fix own.(w).(i) in
+        if g != f || tag_of g <> tag then incr lost;
+        Buffer_pool.unfix pool g;
+        Buffer_pool.unfix pool f
+      done;
+      (!fixes, !lost)
+    in
+    let domains = List.init 4 (fun w -> Domain.spawn (worker w)) in
+    let results = List.map (fun dom -> match Domain.join dom with r -> Ok r | exception e -> Error e) domains in
+    let what fmt = Printf.sprintf ("seed %d: " ^^ fmt) seed in
+    let fixes =
+      List.fold_left
+        (fun acc -> function
+          | Ok (n, lost) ->
+            Alcotest.(check int) (what "tags lost") 0 lost;
+            acc + n
+          | Error e -> Alcotest.failf "%s" (what "worker raised %s" (Printexc.to_string e)))
+        0 results
+    in
+    Alcotest.(check int) (what "fixes = fix calls") fixes (Buffer_pool.fixes pool);
+    Alcotest.(check int)
+      (what "reads = misses + read-ahead pages")
+      (Buffer_pool.misses pool + Buffer_pool.prefetched pool)
+      (Disk.stats d).Io_stats.reads;
+    Alcotest.(check int) (what "no frame left pinned") 0 (Buffer_pool.pinned_frames pool);
+    Alcotest.(check int) (what "lock-rank violations") 0 (Lock_rank.violations ())
+  done
+
 let suites =
   [
     ( "par.differential",
@@ -460,5 +532,11 @@ let suites =
         Alcotest.test_case
           (Printf.sprintf "4 domains intern one name pool and one type table, %d seeds" dict_seeds)
           `Quick dict_race;
+      ] );
+    ( "par.pool",
+      [
+        Alcotest.test_case
+          (Printf.sprintf "4 domains fix, pin and evict beside each other, %d seeds" seeds)
+          `Quick pool_stress;
       ] );
   ]

@@ -296,6 +296,70 @@ let pool_tests =
         let misses = Buffer_pool.misses pool in
         Buffer_pool.with_page pool p0 (fun _ -> ());
         Alcotest.(check int) "p0 still resident" misses (Buffer_pool.misses pool));
+    (* One domain against a reference LRU: a random run of fix, fix_new and
+       unfix over more pages than frames evicts the model's pages in the
+       model's order, and counts the model's fixes and misses.  A hit
+       applied late, out of order or not at all changes the order the next
+       eviction sees. *)
+    (let frames = 4 and pages = 9 in
+     qtest ~count:300 "one domain evicts exactly as a reference LRU"
+       QCheck2.Gen.(list_size (int_range 1 150) (pair (int_bound 9) (int_bound (pages - 1))))
+       (fun ops ->
+         let obs = Natix_obs.Obs.create () in
+         let evicted = ref [] in
+         Natix_obs.Obs.subscribe obs ~kinds:[ "page_evict" ] (fun ev ->
+             match ev.Natix_obs.Event.kind with
+             | Natix_obs.Event.Page_evict { page; _ } -> evicted := page :: !evicted
+             | _ -> ());
+         let d = Disk.in_memory ~obs ~page_size:256 () in
+         let pids = Array.init pages (fun _ -> Disk.allocate d) in
+         let pool = Buffer_pool.create ~disk:d ~bytes:(frames * 256) () in
+         (* The model: resident pages, most recent first, and pin counts. *)
+         let lru = ref [] and pins = Array.make pages 0 in
+         let fixes = ref 0 and misses = ref 0 and model_evicted = ref [] in
+         let admit p =
+           if List.length !lru = frames then begin
+             let victim = List.find (fun q -> pins.(q) = 0) (List.rev !lru) in
+             model_evicted := pids.(victim) :: !model_evicted;
+             lru := List.filter (( <> ) victim) !lru
+           end;
+           lru := p :: !lru
+         in
+         let model_fix p ~fresh =
+           incr fixes;
+           if List.mem p !lru then lru := p :: List.filter (( <> ) p) !lru
+           else begin
+             if not fresh then incr misses;
+             admit p
+           end;
+           pins.(p) <- pins.(p) + 1
+         in
+         let held = Queue.create () in
+         let unfix_oldest () =
+           let p, f = Queue.pop held in
+           Buffer_pool.unfix pool f;
+           pins.(p) <- pins.(p) - 1
+         in
+         List.iter
+           (fun (op, p) ->
+             (* Keep one frame unpinned so every miss finds a victim. *)
+             if (op >= 8 || Queue.length held >= frames - 1) && not (Queue.is_empty held) then
+               unfix_oldest ()
+             else if op >= 6 then begin
+               model_fix p ~fresh:true;
+               Queue.push (p, Buffer_pool.fix_new pool pids.(p)) held
+             end
+             else begin
+               model_fix p ~fresh:false;
+               Queue.push (p, Buffer_pool.fix pool pids.(p)) held
+             end)
+           ops;
+         while not (Queue.is_empty held) do
+           unfix_oldest ()
+         done;
+         List.rev !evicted = List.rev !model_evicted
+         && Buffer_pool.fixes pool = !fixes
+         && Buffer_pool.misses pool = !misses));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1088,6 +1152,59 @@ let wal_tests =
             Alcotest.(check int) "both records durable" 2 (Wal.flushed_records wal);
             Alcotest.(check int) "nothing pending" 0 (Wal.pending_records wal);
             Alcotest.(check int) "durable watermark at the update" lsn (Wal.durable_lsn wal);
+            Wal.close wal;
+            Disk.close d));
+    (* A page its transaction already claimed is re-dirtied without the
+       pool lock; a steal that evicts it must send the next write back
+       through the locked path, or commit would not log it. *)
+    Alcotest.test_case "a stolen page's next write is logged at commit" `Quick (fun () ->
+        with_store_file (fun path ->
+            let d = Disk.on_file ~page_size:256 path in
+            let ps = Disk.payload_size d in
+            let a = Disk.allocate d and b = Disk.allocate d and c = Disk.allocate d in
+            let wal = Wal.create ~page_size:(Disk.page_size d) (Recovery.wal_path path) in
+            let pool = Buffer_pool.create ~disk:d ~bytes:(2 * 256) ~wal () in
+            let write f off ch =
+              Buffer_pool.mark_dirty pool f;
+              Bytes.set f.Buffer_pool.data off ch
+            in
+            Buffer_pool.txn_begin pool ~txn:1;
+            Buffer_pool.with_page pool a (fun f ->
+                write f 0 'x';
+                write f 1 'w');
+            (* Two other pages through a 2-frame pool: A is stolen. *)
+            Buffer_pool.with_page pool b ignore;
+            Buffer_pool.with_page pool c ignore;
+            Alcotest.(check bool) "A evicted" false (Buffer_pool.is_resident pool a);
+            let final =
+              Buffer_pool.with_page pool a (fun f ->
+                  write f 0 'y';
+                  write f 2 'z';
+                  Bytes.copy f.Buffer_pool.data)
+            in
+            ignore (Buffer_pool.txn_commit_prep pool : int);
+            Wal.fsync wal;
+            let log =
+              In_channel.with_open_bin (Recovery.wal_path path) In_channel.input_all
+              |> Bytes.of_string
+            in
+            let rec records off acc =
+              match Wal.decode log ~off with
+              | Some r -> records r.Wal.next (r :: acc)
+              | None -> List.rev acc
+            in
+            let updates_of_a =
+              List.filter
+                (fun r -> r.Wal.kind = Wal.kind_update && r.Wal.arg = a)
+                (records Wal.header_size [])
+            in
+            let after r = Bytes.sub r.Wal.payload ps ps in
+            (match updates_of_a with
+            | [ steal; commit ] ->
+              Alcotest.(check string) "the steal logs the first writes" "xw\000"
+                (Bytes.sub_string (after steal) 0 3);
+              Alcotest.(check bytes) "commit logs the final image" final (after commit)
+            | l -> Alcotest.failf "expected 2 update records for A, got %d" (List.length l));
             Wal.close wal;
             Disk.close d));
   ]
