@@ -20,6 +20,7 @@ type frame = {
   mutable dirty : bool;
   mutable rec_lsn : int;  (* LSN of the last WAL record covering [data] *)
   pins : int Atomic.t;  (* taken under the page's stripe, dropped with no lock *)
+  logged : int Atomic.t;  (* hits in some domain's hit log, not yet applied *)
   mutable seg : segment;
   mutable referenced : bool;
   mutable linked : bool;  (* currently on an LRU chain *)
@@ -212,6 +213,7 @@ let hit_logs : hit_log Domain.DLS.key =
 let apply_log t l =
   for i = 0 to l.len - 1 do
     let f = l.hits.(i) in
+    Atomic.decr f.logged;
     if f.linked then on_hit t f
   done;
   t.fixes <- t.fixes + l.counted;
@@ -404,14 +406,18 @@ let try_remove_from_table t ~held_stripe f =
    protects a page range: a read-ahead batch must not evict the frames it
    allocated for its own run.  A frame whose latch is held (a load in
    flight, or a read-ahead frame being filled) is skipped the same way a
-   pinned frame is. *)
+   pinned frame is.  A frame with hits still in another domain's log
+   ([logged], never the calling domain's: its log was applied when it
+   took the pool lock) sits further back than its last use; it goes only
+   when no other frame can. *)
 let evict_one ?(keep = (0, -1)) ~held_stripe t =
   let keep_lo, keep_hi = keep in
-  let rec find = function
+  let rec find ~settled = function
     | None -> None
     | Some f ->
       if
         Atomic.get f.pins = 0
+        && ((not settled) || Atomic.get f.logged = 0)
         && (not (f.page_id >= keep_lo && f.page_id <= keep_hi))
         && Mutex.try_lock f.latch
       then begin
@@ -420,15 +426,18 @@ let evict_one ?(keep = (0, -1)) ~held_stripe t =
         else begin
           Mutex.unlock f.latch;
           Lock_rank.release Lock_rank.frame;
-          find f.prev
+          find ~settled f.prev
         end
       end
-      else find f.prev
+      else find ~settled f.prev
+  in
+  let find_any ~settled =
+    match find ~settled t.cold.tail with Some _ as v -> v | None -> find ~settled t.hot.tail
   in
   let victim =
-    match find t.cold.tail with
+    match find_any ~settled:true with
     | Some v -> v
-    | None -> ( match find t.hot.tail with Some v -> v | None -> raise All_frames_pinned)
+    | None -> ( match find_any ~settled:false with Some v -> v | None -> raise All_frames_pinned)
   in
   (match t.obs with
   | None -> ()
@@ -467,6 +476,7 @@ let mk_frame t ~pins ~speculative page_id =
     dirty = false;
     rec_lsn = 0;
     pins = Atomic.make pins;
+    logged = Atomic.make 0;
     seg = Hot;
     referenced = not speculative;
     linked = false;
@@ -668,6 +678,7 @@ let hit_log t =
 
 let log_hit t l f ~count =
   if Array.length l.hits = 0 then l.hits <- Array.make hit_log_size f;
+  Atomic.incr f.logged;
   l.hits.(l.len) <- f;
   l.len <- l.len + 1;
   if count then l.counted <- l.counted + 1;

@@ -51,9 +51,9 @@
     full, when the domain fixes a page of another pool, by {!apply_hits},
     and when a worker domain exits.  With a single domain every lock is
     uncontended and behaviour (counters, eviction decisions, emitted
-    events) is bit-identical to the unstriped pool.  Another domain's
-    unapplied hits can make a frame look colder to an eviction for a
-    moment; eviction order under concurrency is schedule-dependent
+    events) is bit-identical to the unstriped pool.  A frame with hits
+    still in another domain's log is evicted only when no other frame
+    can be; eviction order under concurrency is schedule-dependent
     anyway. *)
 
 exception All_frames_pinned
@@ -76,6 +76,7 @@ type frame = private {
   mutable rec_lsn : int;
       (** LSN of the last WAL record covering [data]; 0 while untracked *)
   pins : int Atomic.t;
+  logged : int Atomic.t;  (** hits in a domain's hit log not yet applied, internal *)
   mutable seg : segment;  (** current segment, internal *)
   mutable referenced : bool;  (** demand-referenced since entering cold *)
   mutable linked : bool;  (** currently on an LRU chain, internal *)
