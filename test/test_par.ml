@@ -511,6 +511,37 @@ let pool_stress () =
     Alcotest.(check int) (what "lock-rank violations") 0 (Lock_rank.violations ())
   done
 
+(* A hit another domain has not applied yet still counts as a use: the
+   eviction it would have saved the frame from passes over it. *)
+let eviction_sees_logged_hits () =
+  let page_size = 256 in
+  let d = Disk.in_memory ~page_size () in
+  let pool = Buffer_pool.create ~disk:d ~bytes:(4 * page_size) () in
+  let pages = Array.init 5 (fun _ -> Disk.allocate d) in
+  for i = 0 to 3 do
+    Buffer_pool.unfix pool (Buffer_pool.fix pool pages.(i))
+  done;
+  (* pages.(0) is least recent; another domain hits it and keeps its log. *)
+  let hit = Atomic.make false and release = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+        Buffer_pool.unfix pool (Buffer_pool.fix pool pages.(0));
+        Atomic.set hit true;
+        while not (Atomic.get release) do
+          Domain.cpu_relax ()
+        done)
+  in
+  while not (Atomic.get hit) do
+    Domain.cpu_relax ()
+  done;
+  Buffer_pool.unfix pool (Buffer_pool.fix pool pages.(4));
+  Alcotest.(check bool) "the page just hit stays" true (Buffer_pool.is_resident pool pages.(0));
+  Alcotest.(check bool) "the least recent other page goes" false
+    (Buffer_pool.is_resident pool pages.(1));
+  Atomic.set release true;
+  Domain.join other;
+  Alcotest.(check int) "every fix counted" 6 (Buffer_pool.fixes pool)
+
 let suites =
   [
     ( "par.differential",
@@ -538,5 +569,7 @@ let suites =
         Alcotest.test_case
           (Printf.sprintf "4 domains fix, pin and evict beside each other, %d seeds" seeds)
           `Quick pool_stress;
+        Alcotest.test_case "an eviction passes over a frame another domain just hit" `Quick
+          eviction_sees_logged_hits;
       ] );
   ]
