@@ -61,8 +61,7 @@ let parent t =
   | Some _ as up -> up
   | None -> Option.map (of_node t.store) (Tree_store.logical_parent t.store t.node)
 
-let is_attribute t =
-  (not (is_element t)) && String.length (name t) > 0 && (name t).[0] = '@'
+let is_attribute t = Tree_store.is_attribute t.store t.node
 
 let children_named t elem_name =
   Seq.filter (fun c -> is_element c && String.equal (name c) elem_name) (children t)
@@ -76,9 +75,17 @@ let attribute t attr_name =
 let rec descendants_or_self t () =
   Seq.Cons (t, Seq.concat_map descendants_or_self (children t))
 
+(* A preorder walk over logical children that appends each text leaf as
+   it reaches it: records are fetched in the order a walk over
+   [descendants_or_self] fetches them, without a cursor per node. *)
 let text_content t =
   let buf = Buffer.create 128 in
-  Seq.iter
-    (fun c -> if is_text c && not (is_attribute c) then Buffer.add_string buf (text c))
-    (descendants_or_self t);
+  let rec walk (n : Phys_node.t) =
+    if Tree_store.is_literal n then begin
+      if not (Tree_store.is_attribute t.store n) then
+        Buffer.add_string buf (Tree_store.text_of t.store n)
+    end
+    else Seq.iter walk (Tree_store.logical_children t.store n)
+  in
+  walk t.node;
   Buffer.contents buf

@@ -258,11 +258,16 @@ let postings ?label t =
     List.sort (fun (la, ra, _) (lb, rb, _) -> String.compare (fwd_key la ra) (fwd_key lb rb)) !acc
   end
 
-let records_with t label = List.map (fun (_, rid, _) -> rid) (postings ~label t)
-let count t label = List.fold_left (fun n (_, _, c) -> n + c) 0 (postings ~label t)
+let records_of = List.map (fun (_, rid, _) -> rid)
+let count_of = List.fold_left (fun n (_, _, c) -> n + c) 0
+let records_with t label = records_of (postings ~label t)
+let count t label = count_of (postings ~label t)
 
-let scan t label =
-  let rids = records_with t label in
+let lookup t label =
+  let ps = postings ~label t in
+  (count_of ps, records_of ps)
+
+let scan_records t label rids =
   List.concat_map
     (fun rid ->
       let box = Tree_store.fetch t.store rid in
@@ -277,6 +282,8 @@ let scan t label =
       go box.Phys_node.root;
       List.rev !acc)
     rids
+
+let scan t label = scan_records t label (records_with t label)
 
 let labels t =
   let acc = Hashtbl.create 16 in

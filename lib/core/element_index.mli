@@ -65,8 +65,17 @@ val records_with : t -> Label.t -> Rid.t list
 (** Total number of nodes with this label across all documents. *)
 val count : t -> Label.t -> int
 
+(** [lookup t label] is [(count t label, records_with t label)], read in
+    one pass over the postings. *)
+val lookup : t -> Label.t -> int * Rid.t list
+
 (** All facade nodes with this label, unordered (record order). *)
 val scan : t -> Label.t -> Phys_node.t list
+
+(** [scan_records t label rids] fetches the records [rids] in order and
+    returns their facade nodes with [label]: {!scan} without reading the
+    postings, for a caller that already holds [records_with t label]. *)
+val scan_records : t -> Label.t -> Rid.t list -> Phys_node.t list
 
 (** Labels present in the index, with their node counts. *)
 val labels : t -> (Label.t * int) list

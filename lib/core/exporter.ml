@@ -8,10 +8,11 @@ let rec to_xml store (n : Phys_node.t) : Xml_tree.t =
     let children = ref [] in
     Seq.iter
       (fun (c : Phys_node.t) ->
-        let cname = Tree_store.label_name store c.Phys_node.label in
-        if (not (Tree_store.is_element c)) && String.length cname > 0 && cname.[0] = '@' then
+        if Tree_store.is_attribute store c then begin
+          let cname = Tree_store.label_name store c.Phys_node.label in
           attrs :=
             (String.sub cname 1 (String.length cname - 1), Tree_store.text_of store c) :: !attrs
+        end
         else children := to_xml store c :: !children)
       (Tree_store.logical_children store n);
     Xml_tree.element ~attrs:(List.rev !attrs) name (List.rev !children)

@@ -767,6 +767,13 @@ let is_literal (n : Phys_node.t) =
   | Literal _ | Frag_aggregate _ -> true
   | Aggregate _ | Proxy _ -> false
 
+let is_attribute t (n : Phys_node.t) =
+  (not (is_element n))
+  && (not (Label.equal n.label Label.pcdata))
+  &&
+  let name = label_name t n.label in
+  String.length name > 0 && name.[0] = '@'
+
 (* Logical parent of [n] together with the physical child of that parent
    on the path down to [n]; [None] at the document root. *)
 let parent_link t (n : Phys_node.t) : (Phys_node.t * Phys_node.t) option =

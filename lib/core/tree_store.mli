@@ -229,6 +229,10 @@ val is_element : Phys_node.t -> bool
 (** True for logical text/literal leaves (including fragment aggregates). *)
 val is_literal : Phys_node.t -> bool
 
+(** True for attribute nodes: non-elements whose label starts with
+    ["@"].  Allocates nothing. *)
+val is_attribute : t -> Phys_node.t -> bool
+
 (** Text of a logical text node; reassembles fragmented literals.
     @raise Invalid_argument on an element. *)
 val text_of : t -> Phys_node.t -> string

@@ -38,9 +38,12 @@ let classify key =
   else if List.mem key [ "hits"; "plays"; "nodes"; "bytes"; "scale"; "page_size" ] then `Exact
   else `Info
 
-(* The paper's figures ([cells]) are simulated and deterministic for a
-   fixed build and input, so a tolerance would only hide drift: every
-   numeric leaf there must be equal, wall time aside. *)
+(* The paper's figures ([cells]) and the query bench's I/O objects are
+   simulated and deterministic for a fixed build and input, at any job
+   count and with monitoring or tracing on, so a tolerance would only
+   hide drift: every numeric leaf there must be equal, wall time aside.
+   [top] is the top-level key the subtree hangs under. *)
+let exact_subtree ~top key = top = "cells" || (top = "query_bench" && has_suffix key "_io")
 let classify_cell key = if has_suffix key "_wall_s" then `Skip else `Exact
 
 let num = function
@@ -80,15 +83,16 @@ let diff ?(threshold_pct = 10.) ~baseline ~current () =
         else add path Change detail
     end
   in
-  let rec walk ~exact path cls base cur =
+  let rec walk ~top ~exact path cls base cur =
     match (base, cur) with
     | Json.Obj bfields, Json.Obj cfields ->
       List.iter
         (fun (k, bv) ->
           let sub = if path = "" then k else path ^ "." ^ k in
-          let exact = exact || (path = "" && k = "cells") in
+          let top = if path = "" then k else top in
+          let exact = exact || exact_subtree ~top k in
           match List.assoc_opt k cfields with
-          | Some cv -> walk ~exact sub (if exact then classify_cell k else classify k) bv cv
+          | Some cv -> walk ~top ~exact sub (if exact then classify_cell k else classify k) bv cv
           | None -> add sub Mismatch "missing in current")
         bfields;
       List.iter
@@ -102,7 +106,7 @@ let diff ?(threshold_pct = 10.) ~baseline ~current () =
           (Printf.sprintf "array length %d -> %d" (List.length bs) (List.length cs))
       else
         List.iteri
-          (fun i (bv, cv) -> walk ~exact (Printf.sprintf "%s[%d]" path i) cls bv cv)
+          (fun i (bv, cv) -> walk ~top ~exact (Printf.sprintf "%s[%d]" path i) cls bv cv)
           (List.combine bs cs)
     | _ when cls = `Skip -> ()
     | b, c -> (
@@ -119,7 +123,7 @@ let diff ?(threshold_pct = 10.) ~baseline ~current () =
         | Json.Null, Json.Null -> ()
         | _ -> add path Mismatch "type changed"))
   in
-  walk ~exact:false "" `Info baseline current;
+  walk ~top:"" ~exact:false "" `Info baseline current;
   let verdicts = List.rev !verdicts in
   let count k = List.length (List.filter (fun v -> v.kind = k) verdicts) in
   {

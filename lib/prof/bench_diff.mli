@@ -18,7 +18,9 @@
     - under the top-level [cells] (the paper's figures, e.g.
       [BENCH_figures.json]) every numeric leaf but [*_wall_s] must be
       equal, [splits] included: any difference is a {e mismatch},
-      whatever the threshold.
+      whatever the threshold.  The same holds inside the [*_io] objects
+      under the top-level [query_bench], which reproduce bit for bit at
+      any job count and with monitoring or tracing on.
 
     The gate fails (see {!ok}) on any regression or mismatch;
     improvements and informational changes are reported but pass. *)

@@ -1,9 +1,15 @@
 open Natix_core
 
-(* Shared semantics: both evaluators filter the same base sequences with
-   the same predicates, so their results agree byte for byte; they differ
-   only in evaluation strategy (lazy vs. strict) and in how a leading
-   descendant step finds its candidates (navigation vs. index). *)
+(* Two evaluators over the same step semantics.  The naive one executes
+   the AST literally over cursors with string name tests; the planned one
+   runs the plan's compiled steps over stored nodes and builds a cursor
+   only for a result.  The differential suite holds them to byte-identical
+   output; they differ in evaluation strategy (lazy vs. strict), in how a
+   leading descendant step finds its candidates (navigation vs. index),
+   and in what a visited node costs. *)
+
+(* ------------------------------------------------------------------ *)
+(* The naive oracle: string tests over cursors                         *)
 
 let matches test c =
   match test with
@@ -24,6 +30,49 @@ let has_text_equal v c =
     (fun ch -> Cursor.is_text ch && (not (Cursor.is_attribute ch)) && String.equal (Cursor.text ch) v)
     (Cursor.children c)
 
+(* ------------------------------------------------------------------ *)
+(* Compiled steps over stored nodes                                    *)
+
+let test_node store (test : Plan.test) (n : Phys_node.t) =
+  match test with
+  | Plan.Element l -> Natix_util.Label.equal n.Phys_node.label l && Tree_store.is_element n
+  | Plan.Attribute l -> Natix_util.Label.equal n.Phys_node.label l && not (Tree_store.is_element n)
+  | Plan.Any -> Tree_store.is_element n
+  | Plan.Text -> Tree_store.is_literal n && not (Tree_store.is_attribute store n)
+  | Plan.Node -> true
+  | Plan.Nothing -> false
+
+(* [has_text_equal] over logical children, without cursors. *)
+let has_text_child store v n =
+  Seq.exists
+    (fun ch ->
+      Tree_store.is_literal ch
+      && (not (Tree_store.is_attribute store ch))
+      && String.equal (Tree_store.text_of store ch) v)
+    (Tree_store.logical_children store n)
+
+(* The proper descendants of [n] that pass [test], in document order: a
+   lazy preorder walk whose stack holds the unread rest of each open
+   sibling list.  It pulls each node from [Tree_store.logical_children]
+   when a walk over [Cursor.descendants_or_self] would, so records are
+   fetched, proxy hops counted and pages fixed in the same order; a
+   visited node costs a stack cell, and a hit its [Seq] cell. *)
+let descendants store test n : Phys_node.t Seq.t =
+  let rec pull stack () =
+    match stack with
+    | [] -> Seq.Nil
+    | siblings :: up -> (
+      match siblings () with
+      | Seq.Nil -> pull up ()
+      | Seq.Cons (n, rest) ->
+        let up = rest :: up in
+        let stack =
+          if Tree_store.is_element n then Tree_store.logical_children store n :: up else up
+        in
+        if test_node store test n then Seq.Cons (n, pull stack) else pull stack ())
+  in
+  pull [ Tree_store.logical_children store n ]
+
 (* The k-th element of a sequence, as a (lazy) zero-or-one sequence: the
    streaming evaluator stops pulling candidates once position [k] is
    reached, which is where it beats strict evaluation on positional
@@ -36,13 +85,20 @@ let position k seq () =
   in
   go k seq
 
-let apply_pred seq = function
+let apply_pred store seq = function
   | Ast.Position k -> position k seq
-  | Ast.Text_equals v -> Seq.filter (has_text_equal v) seq
+  | Ast.Text_equals v -> Seq.filter (has_text_child store v) seq
 
-(* One navigation step from one context node, lazily. *)
-let step_nav (step : Ast.step) c =
-  List.fold_left apply_pred (Seq.filter (matches step.test) (base step c)) step.preds
+(* One navigation step from one context node, lazily.  A step that can
+   match nothing reads nothing. *)
+let step_nav store (ps : Plan.phys_step) n =
+  let candidates =
+    match (ps.test, ps.step.axis) with
+    | Plan.Nothing, _ -> Seq.empty
+    | test, Ast.Child -> Seq.filter (test_node store test) (Tree_store.logical_children store n)
+    | test, Ast.Descendant -> descendants store test n
+  in
+  List.fold_left (apply_pred store) candidates ps.step.preds
 
 (* ------------------------------------------------------------------ *)
 (* Index seeding                                                       *)
@@ -93,45 +149,31 @@ let order_key store memo ~root node =
   in
   if node == root then None else climb node []
 
-(* A leading //NAME step answered from the element index: take the
-   store-wide postings, keep this document's nodes, and sort them into
-   document order so downstream steps and the differential tests cannot
-   tell the two access paths apart. *)
-let step_index store idx (step : Ast.step) c =
-  let root = Cursor.node c in
-  let label =
-    match step.test with
-    | Ast.Name n -> (
-      match Natix_util.Name_pool.find (Tree_store.names store) n with
-      | Some l -> l
-      | None -> invalid_arg "Natix_query: index step for an unknown name")
-    | _ -> invalid_arg "Natix_query: index step for a non-name test"
-  in
-  let hits = Element_index.scan idx label in
+(* A leading //NAME step answered from the element index: fetch the
+   posting records the planner read, keep this document's nodes, and sort
+   them into document order so downstream steps and the differential
+   tests cannot tell the two access paths apart. *)
+let step_index store idx (ps : Plan.phys_step) ~label ~records root =
   let memo = Node_tbl.create 64 in
   let keyed =
     List.filter_map
       (fun n -> match order_key store memo ~root n with Some k -> Some (k, n) | None -> None)
-      hits
+      (Element_index.scan_records idx label records)
   in
   let sorted = List.sort (fun (a, _) (b, _) -> compare (a : int list) b) keyed in
-  let seq =
-    Seq.filter (matches step.test)
-      (Seq.map (fun (_, n) -> Cursor.of_node store n) (List.to_seq sorted))
-  in
-  List.fold_left apply_pred seq step.preds
+  let seq = Seq.filter (test_node store ps.test) (Seq.map snd (List.to_seq sorted)) in
+  List.fold_left (apply_pred store) seq ps.step.preds
 
 (* ------------------------------------------------------------------ *)
 (* Evaluators                                                          *)
 
-(* Streaming planned evaluation: a lazy pipeline over the plan's physical
-   steps.  Page accesses happen as the consumer pulls results. *)
-let eval store ?index (plan : Plan.t) root =
-  List.fold_left
-    (fun ctxs (ps : Plan.phys_step) ->
+(* Each plan step as a function from a context node to its results. *)
+let stages store ?index (plan : Plan.t) =
+  List.map
+    (fun (ps : Plan.phys_step) ->
       match ps.access with
-      | Plan.Nav -> Seq.concat_map (step_nav ps.step) ctxs
-      | Plan.Index_seed _ ->
+      | Plan.Nav -> step_nav store ps
+      | Plan.Index_seed { label; records } ->
         let idx =
           match index with
           | Some idx -> idx
@@ -139,8 +181,22 @@ let eval store ?index (plan : Plan.t) root =
         in
         (* Index seeding is only planned for the first step, where the
            context is the root singleton. *)
-        Seq.concat_map (step_index store idx ps.step) ctxs)
-    (Seq.return root) plan.Plan.steps
+        step_index store idx ps ~label ~records)
+    plan.Plan.steps
+
+(* Results become cursors only here, one per hit. *)
+let cursors store root wrap stages =
+  let nodes =
+    List.fold_left
+      (fun ctxs stage -> wrap (Seq.concat_map stage ctxs))
+      (Seq.return (Cursor.node root))
+      stages
+  in
+  Seq.map (Cursor.of_node store) nodes
+
+(* Streaming planned evaluation: a lazy pipeline over the plan's compiled
+   steps.  Page accesses happen as the consumer pulls results. *)
+let eval store ?index plan root = cursors store root Fun.id (stages store ?index plan)
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented evaluation (EXPLAIN ANALYZE)                           *)
@@ -200,30 +256,17 @@ let instrument probe acc seq =
   in
   wrap seq
 
-(* [eval] with a measuring wrapper between every pair of adjacent
-   operators; same results, same access paths, same laziness. *)
-let eval_instrumented store ?index (plan : Plan.t) root =
+(* [eval]'s compiled steps with a measuring wrapper between every pair of
+   adjacent operators; same results, same access paths, same laziness. *)
+let eval_instrumented store ?index plan root =
   let probe = store_probe store in
   let rev_accs = ref [] in
-  let seq =
-    List.fold_left
-      (fun ctxs (ps : Plan.phys_step) ->
-        let stage =
-          match ps.access with
-          | Plan.Nav -> Seq.concat_map (step_nav ps.step) ctxs
-          | Plan.Index_seed _ ->
-            let idx =
-              match index with
-              | Some idx -> idx
-              | None -> invalid_arg "Natix_query: plan uses the index but none was given"
-            in
-            Seq.concat_map (step_index store idx ps.step) ctxs
-        in
-        let acc = fresh_acc () in
-        rev_accs := acc :: !rev_accs;
-        instrument probe acc stage)
-      (Seq.return root) plan.Plan.steps
+  let wrap stage =
+    let acc = fresh_acc () in
+    rev_accs := acc :: !rev_accs;
+    instrument probe acc stage
   in
+  let seq = cursors store root wrap (stages store ?index plan) in
   (seq, List.rev !rev_accs)
 
 (* The naive baseline: cursor navigation only, strict — every step

@@ -3,14 +3,17 @@
     Two evaluators over the same step semantics:
 
     - {!eval}: the streaming planned evaluator — a lazy [Seq.t] pipeline
-      following a {!Plan.t}.  Positional predicates stop pulling
+      following a {!Plan.t}'s compiled steps.  Each step yields only the
+      stored nodes that pass its label test (a descendant step is a
+      preorder walk over {!Tree_store.logical_children}), and a cursor is
+      built only for a result.  Positional predicates stop pulling
       candidates at their position (so [//ACT[3]] stops walking after the
-      third ACT), and steps planned as [Index_seed] are answered from the
-      element index, sorted into document order.
-    - {!eval_naive}: the naive baseline — cursor navigation only, strict
-      per-step materialisation (every descendant step walks its whole
-      subtree).  This is the reference the differential tests compare
-      against.
+      third ACT), and steps planned as [Index_seed] fetch the posting
+      records the planner read, sorted into document order.
+    - {!eval_naive}: the naive baseline — cursor navigation with string
+      name tests, strict per-step materialisation (every descendant step
+      walks its whole subtree).  This is the reference the differential
+      tests compare against.
 
     Both produce results in document order; on the same store they return
     byte-identical result sets. *)
@@ -49,8 +52,9 @@ type op_acc = {
 (** A zeroed accumulator (the differencing base for the first operator). *)
 val fresh_acc : unit -> op_acc
 
-(** [eval_instrumented store plan root] evaluates exactly like {!eval}
-    but returns one accumulator per plan step alongside the sequence.
+(** [eval_instrumented store plan root] evaluates {!eval}'s compiled
+    steps but returns one accumulator per plan step alongside the
+    sequence.
     Accumulators fill as the sequence is consumed.  Because operator
     pulls nest, each accumulator is {e cumulative} over its upstream
     operators: operator [i]'s self cost is [acc.(i) - acc.(i-1)], and
@@ -59,6 +63,7 @@ val fresh_acc : unit -> op_acc
 val eval_instrumented :
   Tree_store.t -> ?index:Element_index.t -> Plan.t -> Cursor.t -> Cursor.t Seq.t * op_acc list
 
-(** [matches test c] — the shared name-test semantics (exposed for
+(** [matches test c] — the naive evaluator's string name test, the
+    semantics the compiled label tests must agree with (exposed for
     tests). *)
 val matches : Ast.test -> Cursor.t -> bool

@@ -1,9 +1,23 @@
 open Natix_store
 open Natix_core
 
-type access = Nav | Index_seed of { label : Natix_util.Label.t; name : string }
+type test =
+  | Element of Natix_util.Label.t
+  | Attribute of Natix_util.Label.t
+  | Any
+  | Text
+  | Node
+  | Nothing
 
-type phys_step = { step : Ast.step; access : access; note : string; est_reads : float }
+type access = Nav | Index_seed of { label : Natix_util.Label.t; records : Natix_util.Rid.t list }
+
+type phys_step = {
+  step : Ast.step;
+  test : test;
+  access : access;
+  note : string;
+  est_reads : float;
+}
 
 type t = { doc : string; path : Ast.t; steps : phys_step list; scan : bool }
 
@@ -13,6 +27,17 @@ type t = { doc : string; path : Ast.t; steps : phys_step list; scan : bool }
 let unselective = function
   | Ast.Node | Ast.Any | Ast.Text -> true
   | Ast.Name _ | Ast.Attribute _ -> false
+
+(* Names resolve through the store's pool once per plan.  Labels and
+   names are one-to-one, so comparing labels answers the name test. *)
+let compile_test store (test : Ast.test) =
+  let label name = Natix_util.Name_pool.find (Tree_store.names store) name in
+  match test with
+  | Ast.Name n -> Option.fold ~none:Nothing ~some:(fun l -> Element l) (label n)
+  | Ast.Attribute a -> Option.fold ~none:Nothing ~some:(fun l -> Attribute l) (label ("@" ^ a))
+  | Ast.Any -> Any
+  | Ast.Text -> Text
+  | Ast.Node -> Node
 
 let build store ?index ~doc path =
   let pool = Tree_store.buffer_pool store in
@@ -51,42 +76,43 @@ let build store ?index ~doc path =
         let first_nav_est =
           if i = 0 && step.Ast.axis = Ast.Descendant then nav_est else 0.
         in
-        match (i, step.axis, step.test, index) with
-        | 0, Ast.Descendant, Ast.Name name, Some idx -> (
-          match Natix_util.Name_pool.find (Tree_store.names store) name with
-          | None ->
-            { step; access = Nav; note = "name not in store; nav"; est_reads = first_nav_est }
-          | Some label ->
-            let count = Element_index.count idx label in
-            let nrecs = List.length (Element_index.records_with idx label) in
-            (* Index seeding fetches each posting record (random reads,
-               store-wide) and climbs every hit's ancestors to establish
-               document order; the climbs mostly hit records the postings
-               already faulted in, so they are charged at a fraction of a
-               random access. *)
-            let index_reads = float_of_int nrecs +. (0.25 *. float_of_int count) in
-            let index_ms = index_reads *. random_ms in
-            if index_ms < nav_ms then
-              {
-                step;
-                access = Index_seed { label; name };
-                note =
-                  Printf.sprintf "index seed: %d recs / %d nodes ~%.0fms < nav ~%.0fms" nrecs
-                    count index_ms nav_ms;
-                est_reads = index_reads;
-              }
-            else
-              {
-                step;
-                access = Nav;
-                note =
-                  Printf.sprintf "nav: index %d recs / %d nodes ~%.0fms >= nav ~%.0fms" nrecs
-                    count index_ms nav_ms;
-                est_reads = first_nav_est;
-              })
-        | 0, Ast.Descendant, Ast.Name _, None ->
-          { step; access = Nav; note = "no index; nav"; est_reads = first_nav_est }
-        | _ -> { step; access = Nav; note = "nav"; est_reads = first_nav_est })
+        let test = compile_test store step.test in
+        match (i, step.axis, test, index) with
+        | _, _, Nothing, _ ->
+          { step; test; access = Nav; note = "name not in store; no match"; est_reads = 0. }
+        | 0, Ast.Descendant, Element label, Some idx ->
+          let count, records = Element_index.lookup idx label in
+          let nrecs = List.length records in
+          (* Index seeding fetches each posting record (random reads,
+             store-wide) and climbs every hit's ancestors to establish
+             document order; the climbs mostly hit records the postings
+             already faulted in, so they are charged at a fraction of a
+             random access. *)
+          let index_reads = float_of_int nrecs +. (0.25 *. float_of_int count) in
+          let index_ms = index_reads *. random_ms in
+          if index_ms < nav_ms then
+            {
+              step;
+              test;
+              access = Index_seed { label; records };
+              note =
+                Printf.sprintf "index seed: %d recs / %d nodes ~%.0fms < nav ~%.0fms" nrecs count
+                  index_ms nav_ms;
+              est_reads = index_reads;
+            }
+          else
+            {
+              step;
+              test;
+              access = Nav;
+              note =
+                Printf.sprintf "nav: index %d recs / %d nodes ~%.0fms >= nav ~%.0fms" nrecs count
+                  index_ms nav_ms;
+              est_reads = first_nav_est;
+            }
+        | 0, Ast.Descendant, Element _, None ->
+          { step; test; access = Nav; note = "no index; nav"; est_reads = first_nav_est }
+        | _ -> { step; test; access = Nav; note = "nav"; est_reads = first_nav_est })
       path
   in
   let scan =
@@ -94,7 +120,8 @@ let build store ?index ~doc path =
   in
   { doc; path; steps; scan }
 
-let uses_index t = List.exists (fun ps -> ps.access <> Nav) t.steps
+let uses_index t =
+  List.exists (fun ps -> match ps.access with Index_seed _ -> true | Nav -> false) t.steps
 
 let pp ppf t =
   Format.fprintf ppf "plan %s on %S (scan mode %s)" (Ast.to_string t.path) t.doc

@@ -406,10 +406,28 @@ let bench_diff_tests =
             ~current:(parse (cell 100 8)) ()
         in
         Alcotest.(check int) "splits are gated too" 1 r.Bench_diff.mismatches);
-    Alcotest.test_case "the same change outside cells stays within the threshold" `Quick
-      (fun () ->
-        let base = parse {|{"query_bench":{"q1_io":{"reads":100,"sim_ms":12.5}}}|} in
-        let cur = parse {|{"query_bench":{"q1_io":{"reads":101,"sim_ms":12.5}}}|} in
+    Alcotest.test_case "a one-read change inside query_bench is a mismatch" `Quick (fun () ->
+        let qb reads ratio =
+          Printf.sprintf
+            {|{"query_bench":{"index_seed":[{"hits":1,"planned_io":{"reads":%d,"sim_ms":62.3}}],"scan_pool":[{"q3_hit_ratio":%g}]}}|}
+            reads ratio
+        in
+        let r =
+          Bench_diff.diff ~threshold_pct:20. ~baseline:(parse (qb 6 0.8))
+            ~current:(parse (qb 7 0.8)) ()
+        in
+        Alcotest.(check bool) "fails" false (Bench_diff.ok r);
+        Alcotest.(check int) "one mismatch" 1 r.Bench_diff.mismatches;
+        (* Outside the I/O objects the threshold still applies. *)
+        let r =
+          Bench_diff.diff ~threshold_pct:20. ~baseline:(parse (qb 6 0.8))
+            ~current:(parse (qb 6 0.79)) ()
+        in
+        Alcotest.(check bool) "hit ratio within threshold" true (Bench_diff.ok r));
+    Alcotest.test_case "the same change outside the exact sections stays within the threshold"
+      `Quick (fun () ->
+        let base = parse {|{"serve_bench":{"q1_io":{"reads":100,"sim_ms":12.5}}}|} in
+        let cur = parse {|{"serve_bench":{"q1_io":{"reads":101,"sim_ms":12.5}}}|} in
         let r = Bench_diff.diff ~threshold_pct:20. ~baseline:base ~current:cur () in
         Alcotest.(check bool) "ok" true (Bench_diff.ok r);
         Alcotest.(check int) "no mismatch" 0 r.Bench_diff.mismatches);

@@ -80,6 +80,9 @@ let diff_check engine ~doc paths =
       check (Alcotest.list Alcotest.string) path naive planned)
     paths
 
+(* Names the store never interned: the compiled step matches nothing. *)
+let absent_paths = [ "//NOSUCH"; "/ACT//NOSUCH[1]" ]
+
 let shakespeare_paths =
   [
     "/ACT";
@@ -98,11 +101,12 @@ let shakespeare_paths =
     "/PERSONAE//text()";
     "//*[2]";
   ]
+  @ absent_paths
 
-let shakespeare_store ?(plays = 2) () =
+let shakespeare_store ?(plays = 2) ?config () =
   let corpus = Natix_workload.Shakespeare.generate (Natix_workload.Shakespeare.scaled 0.01) in
   let corpus = List.filteri (fun i _ -> i < plays) (corpus @ corpus) in
-  let store = Tree_store.in_memory () in
+  let store = Tree_store.in_memory ?config () in
   let dm = Document_manager.create store in
   List.iteri
     (fun i play ->
@@ -120,7 +124,12 @@ let test_diff_shakespeare () =
   let nav_only = Engine.create store in
   diff_check with_index ~doc:"play-0" shakespeare_paths;
   diff_check with_index ~doc:"play-1" shakespeare_paths;
-  diff_check nav_only ~doc:"play-0" shakespeare_paths
+  diff_check nav_only ~doc:"play-0" shakespeare_paths;
+  List.iter
+    (fun path ->
+      let planned, _ = run_both with_index path "play-0" in
+      check (Alcotest.list Alcotest.string) (path ^ " is empty") [] planned)
+    absent_paths
 
 (* Random documents: small alphabet so descendant steps collide a lot,
    attributes and text leaves mixed in. *)
@@ -140,8 +149,11 @@ let gen_path rng =
   let steps = Prng.range rng 1 3 in
   for _ = 1 to steps do
     Buffer.add_string b (if Prng.bool rng then "/" else "//");
+    (* [e] and [@absent] are never interned, so their compiled steps
+       match nothing. *)
     Buffer.add_string b
-      (Prng.pick rng [| "a"; "b"; "c"; "d"; "*"; "text()"; "node()"; "@id" |]);
+      (Prng.pick rng
+         [| "a"; "b"; "c"; "d"; "e"; "*"; "text()"; "node()"; "@id"; "@absent" |]);
     if Prng.int rng 3 = 0 then
       Buffer.add_string b (Printf.sprintf "[%d]" (Prng.range rng 1 3));
     if Prng.int rng 5 = 0 then Buffer.add_string b "[text()='t1']"
@@ -159,7 +171,20 @@ let test_diff_random () =
     | Error e -> Alcotest.fail (Error.to_string e));
     Document_manager.checkpoint dm;
     let engine = Engine.of_manager dm in
-    diff_check engine ~doc (List.init 25 (fun _ -> gen_path rng))
+    diff_check engine ~doc (List.init 25 (fun _ -> gen_path rng));
+    (* Shapes the draw reaches only now and then. *)
+    diff_check engine ~doc
+      [
+        "//@id";
+        "/a//@id";
+        "//e";
+        "//@absent";
+        "//a//e[1]";
+        "//text()[text()='t1']";
+        "//node()[text()='t1']";
+        "/a/node()[text()='t1'][1]";
+        "//b/text()[text()='t1']";
+      ]
   done
 
 (* ------------------------------------------------------------------ *)
@@ -185,6 +210,92 @@ let test_planner_seeds_selective () =
   (* Unselective tests mark the plan as a scan. *)
   checkb "//node() is a scan" true (plan "//node()").Plan.scan;
   checkb "//SCNDESCR is not a scan" false (plan "//SCNDESCR").Plan.scan
+
+(* ------------------------------------------------------------------ *)
+(* Access pattern and allocation of the planned evaluator *)
+
+let render_hit store ~texts c = if texts then Cursor.text_content c else render store c
+
+(* Rows, then the cold page reads, page fixes and proxy hops of one query
+   on play-0 with every hit rendered. *)
+let cold_cost engine ~texts path =
+  let store = Engine.store engine in
+  let pool = Tree_store.buffer_pool store in
+  let reads () = (Tree_store.io_stats store).Natix_store.Io_stats.reads in
+  Tree_store.clear_buffers store;
+  let r0 = reads () and f0 = Buffer_pool.fixes pool and h0 = Tree_store.proxy_hops () in
+  let rows =
+    match Engine.query engine ~doc:"play-0" path with
+    | Ok seq -> Seq.fold_left (fun n c -> ignore (render_hit store ~texts c); n + 1) 0 seq
+    | Error e -> Alcotest.fail (Error.to_string e)
+  in
+  (rows, reads () - r0, Buffer_pool.fixes pool - f0, Tree_store.proxy_hops () - h0)
+
+(* One play in 2 KB pages (156 of them) behind a 16-page pool, so every
+   walk below evicts and reads pages again.  Path, rows, reads, fixes,
+   proxy hops; a markup and a text render cost the same here.  These are
+   the query-hot paths, the paper's q1-q3 and the full traversal; the
+   exact figures gate runs them through the same calls on a larger
+   corpus, so a record fetched out of order fails here first. *)
+let cold_pattern =
+  [
+    ("/ACT[3]/SCENE[2]//SPEAKER", 37, 22, 37, 35);
+    ("/ACT/SCENE/SPEECH[1]", 24, 48, 57, 55);
+    ("/ACT[1]/SCENE[1]/SPEECH[1]", 1, 9, 13, 11);
+    ("//SCNDESCR", 1, 189, 506, 496);
+    ("//SPEAKER", 749, 189, 506, 496);
+    ("//node()", 9314, 552, 1750, 1724);
+  ]
+
+let test_cold_access_pattern () =
+  let config = { (Config.default ()) with Config.page_size = 2048; buffer_bytes = 16 * 2048 } in
+  let store, dm = shakespeare_store ~plays:1 ~config () in
+  let nav_only = Engine.create store in
+  List.iter
+    (fun (path, rows, reads, fixes, hops) ->
+      List.iter
+        (fun texts ->
+          let r, rd, f, h = cold_cost nav_only ~texts path in
+          let what = Printf.sprintf "%s (%s)" path (if texts then "text" else "markup") in
+          checki (what ^ ": rows") rows r;
+          checki (what ^ ": reads") reads rd;
+          checki (what ^ ": fixes") fixes f;
+          checki (what ^ ": proxy hops") hops h)
+        [ false; true ])
+    cold_pattern;
+  (* Seeded from the index.  How often the postings' B-tree pages are
+     fixed is the planner's business, so fixes are left out. *)
+  let with_index = Engine.of_manager dm in
+  (match Engine.plan with_index ~doc:"play-0" "//SCNDESCR" with
+  | Ok p -> checkb "//SCNDESCR is seeded" true (Plan.uses_index p)
+  | Error e -> Alcotest.fail (Error.to_string e));
+  let rows, reads, _, hops = cold_cost with_index ~texts:false "//SCNDESCR" in
+  checki "seeded //SCNDESCR: rows" 1 rows;
+  checki "seeded //SCNDESCR: reads" 9 reads;
+  checki "seeded //SCNDESCR: proxy hops" 7 hops
+
+(* A warm //SPEAKER pays per hit, not per visited node.  A cursor, two
+   [Seq] closures and a string compare for every node it walked cost
+   about 100 minor words a node; label tests and a cursor per hit cost
+   about 20. *)
+let test_warm_speaker_allocation () =
+  let store, _ = shakespeare_store ~plays:1 () in
+  let engine = Engine.create store in
+  let nodes = Natix_workload.Queries.full_traversal store ~docs:[ "play-0" ] in
+  let run () =
+    match Engine.query engine ~doc:"play-0" "//SPEAKER" with
+    | Ok seq -> List.length (List.of_seq seq)
+    | Error e -> Alcotest.fail (Error.to_string e)
+  in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let hits = run () in
+  let words = Gc.minor_words () -. w0 in
+  checki "hits" 749 hits;
+  let per_node = words /. float_of_int nodes in
+  if per_node > 40. then
+    Alcotest.failf "warm //SPEAKER allocated %.0f minor words, %.1f per node of %d (limit 40)"
+      words per_node nodes
 
 (* ------------------------------------------------------------------ *)
 (* Buffer pool: read-ahead *)
@@ -405,6 +516,12 @@ let suites =
         Alcotest.test_case "shakespeare corpus" `Quick test_diff_shakespeare;
         Alcotest.test_case "random documents and paths" `Quick test_diff_random;
         Alcotest.test_case "planner seeds selective labels" `Quick test_planner_seeds_selective;
+      ] );
+    ( "query-exec",
+      [
+        Alcotest.test_case "cold access pattern is pinned" `Quick test_cold_access_pattern;
+        Alcotest.test_case "a warm //SPEAKER allocates per hit" `Quick
+          test_warm_speaker_allocation;
       ] );
     ( "query-pool",
       [
