@@ -6,10 +6,7 @@
    Figures 10-13 the four retrieval operations (buffer cleared before
    each), Figure 14 the bytes on disk.  All times are simulated
    milliseconds under the DCAS-34330W I/O model — see EXPERIMENTS.md for
-   the comparison against the paper's curves.
-
-   `--bechamel` additionally runs wall-clock micro-benchmarks (one
-   Bechamel Test.make per figure) on a reduced corpus. *)
+   the comparison against the paper's curves. *)
 
 open Natix_core
 open Natix_workload
@@ -293,9 +290,14 @@ let ablation_merge corpus =
       in
       let store = built.Harness.store in
       (* Delete two of every three speeches, document by document. *)
+      let engine = Natix_query.Engine.create store in
       List.iter
         (fun doc ->
-          let speeches = Path.query store ~doc "//SPEECH" in
+          let speeches =
+            match Natix_query.Engine.query_naive engine ~doc "//SPEECH" with
+            | Ok hits -> List.of_seq hits
+            | Error e -> Error.raise_error e
+          in
           List.iteri
             (fun i c -> if i mod 3 <> 0 then Tree_store.delete_node store (Cursor.node c))
             speeches)
@@ -905,49 +907,6 @@ let write_json_report path ~scale ~plays ~nodes ~bytes ?query ?serve ?parallel ?
   write_json_doc path doc
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per figure (wall clock)    *)
-
-let bechamel_tests () =
-  let corpus = Shakespeare.generate (Shakespeare.scaled 0.03) in
-  let page_size = 8192 in
-  let built =
-    Harness.build ~page_size { Harness.matrix = Native; order = Loader.Preorder } corpus
-  in
-  let store = built.Harness.store and docs = built.Harness.docs in
-  let open Bechamel in
-  [
-    Test.make ~name:"fig09_insertion"
-      (Staged.stage (fun () ->
-           ignore
-             (Harness.build ~page_size
-                { Harness.matrix = Native; order = Loader.Preorder }
-                corpus)));
-    Test.make ~name:"fig10_traversal"
-      (Staged.stage (fun () -> ignore (Queries.full_traversal store ~docs)));
-    Test.make ~name:"fig11_query1" (Staged.stage (fun () -> ignore (Queries.q1 store ~docs)));
-    Test.make ~name:"fig12_query2" (Staged.stage (fun () -> ignore (Queries.q2 store ~docs)));
-    Test.make ~name:"fig13_query3" (Staged.stage (fun () -> ignore (Queries.q3 store ~docs)));
-    Test.make ~name:"fig14_space" (Staged.stage (fun () -> ignore (Stats.disk_bytes store)));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) () in
-  let tests = Test.make_grouped ~name:"figures" ~fmt:"%s/%s" (bechamel_tests ()) in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols instance raw in
-  Printf.printf "\nBechamel wall-clock micro-benchmarks (reduced corpus, 8K pages)\n";
-  Printf.printf "%-28s %16s\n" "benchmark" "ns/run";
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, result) ->
-         match Analyze.OLS.estimates result with
-         | Some [ est ] -> Printf.printf "%-28s %16.0f\n" name est
-         | Some _ | None -> Printf.printf "%-28s %16s\n" name "n/a")
-
-(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 
 let () =
@@ -956,7 +915,6 @@ let () =
   let figures = ref [] in
   let run_ablations = ref true in
   let query_only = ref false in
-  let with_bechamel = ref false in
   let check = ref false in
   let json_path = ref "" in
   let jobs = ref 1 in
@@ -974,7 +932,6 @@ let () =
       ( "--query-bench",
         Arg.Set query_only,
         " run only the query-engine bench (planned vs naive, index seeding, scan pool)" );
-      ("--bechamel", Arg.Set with_bechamel, " also run Bechamel wall-clock micro-benchmarks");
       ("--check", Arg.Set check, " run integrity checks after each build");
       ( "--json",
         Arg.Unit (fun () -> json_path := "BENCH_natix.json"),
@@ -1081,5 +1038,4 @@ let () =
     ablation_merge small;
     ablation_scan small;
     ablation_wal small
-  end;
-  if !with_bechamel then run_bechamel ()
+  end

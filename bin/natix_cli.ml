@@ -272,10 +272,7 @@ let query_cmd =
          Seq.iter
            (fun c ->
              incr n;
-             if texts then print_endline (Cursor.text_content c)
-             else if Cursor.is_element c then
-               print_endline (Exporter.to_string store (Cursor.node c))
-             else print_endline (Cursor.text c))
+             print_endline (Exporter.hit ~texts c))
            hits;
          Printf.eprintf "%d hit(s); %s\n" !n
            (Format.asprintf "%a" Natix_store.Io_stats.pp (Tree_store.io_stats store))

@@ -38,7 +38,12 @@ let () =
 
   (* Fragment integration validates against the DTD too. *)
   let store = Document_manager.store dm in
-  let scene = List.hd (Path.query store ~doc:"othello" "//SCENE[1]") in
+  let scene =
+    let engine = Natix_query.Engine.create store in
+    match Natix_query.Engine.query_naive engine ~doc:"othello" "//SCENE[1]" with
+    | Ok hits -> List.hd (List.of_seq hits)
+    | Error e -> failwith (Error.to_string e)
+  in
   (match
      Document_manager.insert_fragment dm ~doc:"othello"
        (Tree_store.First_under (Cursor.node scene))

@@ -35,8 +35,16 @@ let () =
         Printf.printf "  <%s> %s\n" (Cursor.name child) (Cursor.text_content child))
     (Cursor.children root);
 
-  (* 4. Path queries. *)
-  let lines = Path.query store ~doc:"othello" "/LINE" in
+  (* 4. Path queries.  [query_naive] evaluates strictly by navigation;
+     [Engine.query] plans the same path (and may seed it from an element
+     index). *)
+  let engine = Natix_query.Engine.create store in
+  let query path =
+    match Natix_query.Engine.query_naive engine ~doc:"othello" path with
+    | Ok hits -> List.of_seq hits
+    | Error e -> failwith (Error.to_string e)
+  in
+  let lines = query "/LINE" in
   Printf.printf "the speech has %d lines; second line: %S\n" (List.length lines)
     (Cursor.text_content (List.nth lines 1));
 
@@ -46,7 +54,7 @@ let () =
     Tree_store.insert_node store (Tree_store.After last_line)
       (Tree_store.Elem (Tree_store.label store "LINE"))
   in
-  let added = List.nth (Path.query store ~doc:"othello" "/LINE") 2 in
+  let added = List.nth (query "/LINE") 2 in
   let _ =
     Tree_store.insert_node store
       (Tree_store.First_under (Cursor.node added))

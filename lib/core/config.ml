@@ -7,7 +7,6 @@ type t = {
   merge_threshold : float;
   standalone_first_fit : bool;
   commit_delay : float;
-  read_retries : int;
   read_ahead : int;
   scan_resistant : bool;
   arena_batch : int;  (* pages a private document arena grabs per refill *)
@@ -24,7 +23,6 @@ let default () =
     merge_threshold = 0.5;
     standalone_first_fit = false;
     commit_delay = 0.;
-    read_retries = 3;
     read_ahead = 0;
     scan_resistant = false;
     arena_batch = 8;
@@ -55,8 +53,6 @@ let validate t =
     invalid_arg "Config: merge_threshold must be in [0, 1]";
   if t.commit_delay < 0. || t.commit_delay > 10_000. then
     invalid_arg "Config: commit_delay must be in [0, 10000] ms";
-  if t.read_retries < 0 || t.read_retries > 1000 then
-    invalid_arg "Config: read_retries must be in [0, 1000]";
   if t.read_ahead < 0 || t.read_ahead > 1024 then
     invalid_arg "Config: read_ahead must be in [0, 1024]";
   if t.arena_batch < 1 || t.arena_batch > 1024 then

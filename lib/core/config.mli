@@ -31,9 +31,6 @@ type t = {
           share one fsync.  [0.] (default) forces immediately.  The window
           is slept on the wall clock (followers genuinely join the batch)
           and also charged to the I/O model's clock. *)
-  read_retries : int;
-      (** How many times the buffer pool retries a transiently failing
-          page read (fault injection / flaky media) before giving up. *)
   read_ahead : int;
       (** Buffer-pool read-ahead window in pages: on a detected sequential
           miss pattern the pool prefetches this many contiguous pages as

@@ -23,3 +23,8 @@ let document_to_xml store name =
   Option.map (to_xml store) (Tree_store.open_document store name)
 
 let to_string store n = Xml_print.to_string (to_xml store n)
+
+let hit ~texts c =
+  if texts then Cursor.text_content c
+  else if Cursor.is_element c then to_string (Cursor.store c) (Cursor.node c)
+  else Cursor.text c

@@ -12,3 +12,11 @@ val document_to_xml : Tree_store.t -> string -> Natix_xml.Xml_tree.t option
 
 (** Serialise a stored subtree directly to XML text. *)
 val to_string : Tree_store.t -> Phys_node.t -> string
+
+(** One query hit, rendered as every query surface returns it (the CLI,
+    the session's [exec], the parallel executor and the server): with
+    [texts], the subtree's text content; otherwise an element as markup
+    and any other node (text, attribute) as its text.  Renders through
+    {!Cursor.store}, so a hit found through a reader view renders through
+    that view. *)
+val hit : texts:bool -> Cursor.t -> string

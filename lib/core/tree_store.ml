@@ -209,8 +209,8 @@ let open_store ?(config = Config.default ()) disk =
       wal
   in
   let pool =
-    Buffer_pool.create ~disk ~bytes:config.buffer_bytes ?wal ~read_retries:config.read_retries
-      ~read_ahead:config.read_ahead ~scan_resistant:config.scan_resistant ()
+    Buffer_pool.create ~disk ~bytes:config.buffer_bytes ?wal ~read_ahead:config.read_ahead
+      ~scan_resistant:config.scan_resistant ()
   in
   (* A fresh file's bootstrap page is written like every other page: by
      a transaction (id 1), so the log covers it.  Its Begin is forced

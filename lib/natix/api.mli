@@ -56,8 +56,9 @@ type response =
   | Pong
   | Loaded of { doc : string; nodes : int }  (** logical nodes stored *)
   | Hits of string list
-      (** rendered query hits, exactly as the CLI prints them: elements
-          as exported XML, text/attribute nodes as their text *)
+      (** rendered query hits ({!Natix_core.Exporter.hit}), exactly as
+          the CLI prints them: elements as exported XML, text/attribute
+          nodes as their text *)
   | Scanned of string list  (** rendered scan hits, same convention *)
   | Checkpointed
   | Stats of { docs : doc_stat list; disk_bytes : int }

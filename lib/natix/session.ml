@@ -6,7 +6,6 @@ type t = {
   store : Tree_store.t;
   manager : Document_manager.t;
   engine : Natix_query.Engine.t;
-  mutable parallelism : int;
   mon : Mon.t option;
   path : string option;  (* backing file, for flight-dump metadata *)
 }
@@ -53,7 +52,7 @@ let flight_path () =
 let of_store_with_mon ~index ~mon ?path store =
   let manager = Document_manager.create ~index store in
   let engine = Natix_query.Engine.of_manager manager in
-  { store; manager; engine; parallelism = 1; mon; path }
+  { store; manager; engine; mon; path }
 
 let of_store ?(index = Document_manager.Ensure) ?(monitor = true) ?path store =
   let mon = if monitor then Option.map Mon.attach (Tree_store.obs store) else None in
@@ -167,7 +166,7 @@ let set_budget t ~doc ?max_reads ?max_sim_ms () =
 let dump_flight ?trace_id t oc =
   match t.mon with
   | None -> ()
-  | Some mon -> Mon.dump_flight mon ~io:(io t) ~jobs:t.parallelism ?store:t.path ?trace_id oc
+  | Some mon -> Mon.dump_flight mon ~io:(io t) ~jobs:1 ?store:t.path ?trace_id oc
 
 (* Document management *)
 
@@ -257,16 +256,9 @@ let query t ~doc path =
 
 let analyze t ~doc path = Natix_query.Engine.analyze t.engine ~doc path
 let query_naive t ~doc path = Natix_query.Engine.query_naive t.engine ~doc path
-let query_all t path = Natix_query.Engine.query_all t.engine path
 let explain t ~doc path = Natix_query.Engine.explain t.engine ~doc path
 
 (* Parallel execution *)
-
-let parallelism t = t.parallelism
-
-let set_parallelism t jobs =
-  if jobs < 1 then invalid_arg "Session.set_parallelism: jobs must be >= 1";
-  t.parallelism <- jobs
 
 (* Batch entry points record one op per task, each carrying the task's
    exact I/O delta as measured by the executor ([Par.task_io]: the
@@ -285,8 +277,7 @@ let task_results outcome =
   List.combine outcome.Natix_par.Par.results outcome.Natix_par.Par.task_io
 
 let run_queries ?jobs t tasks =
-  let jobs = Option.value jobs ~default:t.parallelism in
-  let outcome = Natix_par.Par.run_queries ~jobs t.store tasks in
+  let outcome = Natix_par.Par.run_queries ?jobs t.store tasks in
   record_batch t
     (List.map2
        (fun (doc, path) (result, d) ~at_ms ->
@@ -302,8 +293,7 @@ let run_queries ?jobs t tasks =
   outcome
 
 let scan_all ?jobs t =
-  let jobs = Option.value jobs ~default:t.parallelism in
-  let outcome = Natix_par.Par.scan_all ~jobs t.store in
+  let outcome = Natix_par.Par.scan_all ?jobs t.store in
   record_batch t
     (List.map
        (fun ((doc, nodes), d) ~at_ms ->
@@ -313,8 +303,7 @@ let scan_all ?jobs t =
   outcome
 
 let load_files_txn ?jobs t files =
-  let jobs = Option.value jobs ~default:t.parallelism in
-  let outcome = Natix_par.Par.load_files_txn ~jobs t.manager files in
+  let outcome = Natix_par.Par.load_files_txn ?jobs t.manager files in
   record_batch t
     (List.map2
        (fun (name, _) (result, d) ~at_ms ->
@@ -325,15 +314,6 @@ let load_files_txn ?jobs t files =
   outcome
 
 (* The Api command layer *)
-
-(* Hit rendering matches the CLI's query output exactly: [--text] prints
-   text content, otherwise elements export as markup and other nodes as
-   their text.  The server's differential harness compares these strings
-   against a direct CLI run byte for byte. *)
-let render_hit t ~texts c =
-  if texts then Cursor.text_content c
-  else if Cursor.is_element c then Exporter.to_string t.store (Cursor.node c)
-  else Cursor.text c
 
 let exec t (req : Api.request) : Api.response =
   try
@@ -351,18 +331,12 @@ let exec t (req : Api.request) : Api.response =
         | Error e -> Api.Err e))
     | Api.Query { doc; path; texts } -> (
       match query t ~doc path with
-      | Ok seq -> Api.Hits (List.of_seq (Seq.map (render_hit t ~texts) seq))
+      | Ok seq -> Api.Hits (List.of_seq (Seq.map (Exporter.hit ~texts) seq))
       | Error e -> Api.Err e)
     | Api.Scan { element; texts } ->
       let before = Io_stats.copy (io t) in
       let nodes = Document_manager.elements_named t.manager element in
-      let hits =
-        List.map
-          (fun n ->
-            if texts then Cursor.text_content (Cursor.of_node t.store n)
-            else Exporter.to_string t.store n)
-          nodes
-      in
+      let hits = List.map (fun n -> Exporter.hit ~texts (Cursor.of_node t.store n)) nodes in
       record_eager t ~kind:"scan" ~detail:element ~rows:(List.length hits) ~outcome:"ok" before;
       Api.Scanned hits
     | Api.Checkpoint ->
@@ -404,7 +378,6 @@ let exec t (req : Api.request) : Api.response =
    must a raising request never take down anything else. *)
 
 let exec_batch ?jobs t reqs =
-  let jobs = Option.value jobs ~default:t.parallelism in
   let plain_query = function Api.Query { texts = false; _ } -> true | _ -> false in
   if reqs <> [] && List.for_all plain_query reqs then
     (* Query-only batches fan out through {!run_queries} — per-worker
@@ -415,7 +388,7 @@ let exec_batch ?jobs t reqs =
     let tasks =
       List.map (function Api.Query { doc; path; _ } -> (doc, path) | _ -> assert false) reqs
     in
-    let outcome = run_queries ~jobs t tasks in
+    let outcome = run_queries ?jobs t tasks in
     List.map
       (function Ok hits -> Api.Hits hits | Error e -> Api.Err e)
       outcome.Natix_par.Par.results

@@ -147,7 +147,6 @@ val export : t -> string -> Natix_xml.Xml_tree.t option
 
 val query : t -> doc:string -> string -> (Cursor.t Seq.t, Error.t) result
 val query_naive : t -> doc:string -> string -> (Cursor.t Seq.t, Error.t) result
-val query_all : t -> string -> (Cursor.t Seq.t, Error.t) result
 val explain : t -> doc:string -> string -> (string, Error.t) result
 
 (** EXPLAIN ANALYZE: run the query strictly and report per-operator
@@ -157,15 +156,9 @@ val analyze : t -> doc:string -> string -> (Natix_query.Engine.analysis, Error.t
 (** {2 Parallel execution}
 
     Thin wrappers over {!Natix_par.Par}: work partitioned by document
-    across worker domains, results merged back in document order.  The
-    session's [parallelism] (default [1]) is the job count when the
-    [?jobs] argument is omitted; [1] runs inline on the calling domain,
+    across worker domains, results merged back in document order.
+    [?jobs] defaults to [1], which runs inline on the calling domain,
     bit-identical to the sequential entry points. *)
-
-val parallelism : t -> int
-
-(** @raise Invalid_argument when [jobs < 1]. *)
-val set_parallelism : t -> int -> unit
 
 val run_queries :
   ?jobs:int ->
@@ -188,9 +181,10 @@ val load_files_txn :
     funnels through [exec]: one {!Api.request} in, one {!Api.response}
     out, against this session's store. *)
 
-(** [exec t req] executes one request.  Hits render exactly as the CLI
-    prints them.  {e Typed} failures come back as [Err] (a [Load] of
-    malformed XML is [Err (Parse _)], a [Stat] of an unknown document is
+(** [exec t req] executes one request.  Hits render through
+    {!Natix_core.Exporter.hit}, as the CLI prints them.  {e Typed}
+    failures come back as [Err] (a [Load] of malformed XML is
+    [Err (Parse _)], a [Stat] of an unknown document is
     [Err (Storage _)]); storage-{e corruption} exceptions (bad page,
     crash, frame exhaustion) still raise, so direct callers keep their
     exit codes and the server's dispatcher guard — not this function —

@@ -137,23 +137,18 @@ let map_tasks ~jobs ~disk ~make_ctx ~f tasks =
     { results = List.map fst results; task_io = List.map snd results; workers }
   end
 
-(* Hits render exactly as the CLI does ([bin/natix_cli.ml]): elements as
-   exported XML, text/attribute nodes as their text — the differential
-   harness compares these strings byte for byte across job counts. *)
-let render reader c =
-  if Cursor.is_element c then Exporter.to_string reader (Cursor.node c) else Cursor.text c
-
+(* Each hit renders through the worker's reader view (the cursor's
+   store) — the differential harness compares these strings byte for
+   byte across job counts. *)
 let run_queries ?(jobs = 1) store tasks =
   let obs = Tree_store.obs store in
   map_tasks ~jobs ~disk:(disk_of store)
-    ~make_ctx:(fun () ->
-      let reader = Tree_store.reader store in
-      (reader, Natix_query.Engine.create reader))
-    ~f:(fun (reader, engine) (doc, path) ->
+    ~make_ctx:(fun () -> Natix_query.Engine.create (Tree_store.reader store))
+    ~f:(fun engine (doc, path) ->
       with_ctx obs ~doc ~phase:"query" (fun () ->
           match Natix_query.Engine.query engine ~doc path with
           | Error _ as e -> e
-          | Ok seq -> Ok (List.map (render reader) (List.of_seq seq))))
+          | Ok seq -> Ok (List.map (Exporter.hit ~texts:false) (List.of_seq seq))))
     (Array.of_list tasks)
 
 let scan_all ?(jobs = 1) store =

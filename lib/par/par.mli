@@ -71,10 +71,11 @@ val map_tasks :
   'a outcome
 
 (** [run_queries ~jobs store tasks] evaluates each [(doc, path)] task
-    and renders every hit exactly as the CLI does (elements as XML via
-    {!Natix_core.Exporter}, other nodes as their text).  Per-task
-    failures (bad path syntax, unknown document) come back as [Error];
-    storage-level exceptions abort the whole run. *)
+    and renders every hit as the CLI does, through
+    {!Natix_core.Exporter.hit} with [~texts:false] (elements as XML,
+    other nodes as their text).  Per-task failures (bad path syntax,
+    unknown document) come back as [Error]; storage-level exceptions
+    abort the whole run. *)
 val run_queries :
   ?jobs:int ->
   Natix_core.Tree_store.t ->

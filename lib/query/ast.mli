@@ -1,8 +1,9 @@
 (** Path-query syntax.
 
-    A small XPath-like language, a superset of {!Natix_core.Path}'s —
-    enough to express the paper's evaluation queries and the differential
-    test corpus:
+    A small XPath-like language, enough to express the differential test
+    corpus and, declaratively, the queries the paper's evaluation
+    navigates by hand (its query engine was "not yet implemented"), e.g.
+    [//ACT\[3\]/SCENE\[2\]//SPEAKER] (query 1):
 
     {v
       path      ::= (("/" | "//") step)+

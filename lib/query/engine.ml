@@ -50,19 +50,6 @@ let query_naive t ~doc path =
   | Error e, _ | _, Error e -> Error e
   | Ok ast, Ok root -> Ok (List.to_seq (Exec.eval_naive ast root))
 
-let query_all t path =
-  match parse path with
-  | Error e -> Error e
-  | Ok ast ->
-    let docs = List.sort String.compare (Tree_store.list_documents t.store) in
-    Ok
-      (Seq.concat_map
-         (fun doc ->
-           match root_of t doc with
-           | Error _ -> Seq.empty
-           | Ok root -> run_plan t (plan_ast t ~doc ast) root)
-         (List.to_seq docs))
-
 let explain t ~doc path =
   match plan t ~doc path with
   | Error e -> Error e

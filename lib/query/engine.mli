@@ -37,10 +37,6 @@ val query : t -> doc:string -> string -> (Cursor.t Seq.t, Error.t) result
     path (same results, different access pattern). *)
 val query_naive : t -> doc:string -> string -> (Cursor.t Seq.t, Error.t) result
 
-(** Planned evaluation against every document (sorted by name),
-    concatenated. *)
-val query_all : t -> string -> (Cursor.t Seq.t, Error.t) result
-
 (** The plan, rendered (access method and rationale per step). *)
 val explain : t -> doc:string -> string -> (string, Error.t) result
 

@@ -116,18 +116,13 @@ let guarded (tenant : Registry.tenant) f =
    decoded records are mutable and must not cross domains, so each
    request decodes into its own cache (the parallel executor's model,
    per-request instead of per-worker).  Runs under the tenant's shared
-   gate; rendering matches the CLI byte for byte. *)
+   gate; hits render through the view, as the CLI prints them. *)
 let run_query (tenant : Registry.tenant) ~doc ~path ~texts =
   let store = Natix.Session.store tenant.session in
   let disk = Natix_store.Buffer_pool.disk (Tree_store.buffer_pool store) in
   let before = Io_stats.copy (Disk.active_stats disk) in
-  let reader = Tree_store.reader store in
-  let engine = Natix_query.Engine.create reader in
-  let render c =
-    if texts then Cursor.text_content c
-    else if Cursor.is_element c then Exporter.to_string reader (Cursor.node c)
-    else Cursor.text c
-  in
+  let engine = Natix_query.Engine.create (Tree_store.reader store) in
+  let render = Exporter.hit ~texts in
   let resp =
     match Trace.active () with
     | None -> (

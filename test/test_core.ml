@@ -26,6 +26,14 @@ let mem_store ?(page_size = 512) ?(matrix = Split_matrix.native ()) ?(merge_thre
   in
   Tree_store.in_memory ~config ~model:Natix_store.Io_model.free ()
 
+(* Path queries by strict navigation ({!Natix_query.Engine.query_naive}):
+   every hit is materialised and the page accesses follow the cursor
+   walk. *)
+let query store ~doc path =
+  match Natix_query.Engine.query_naive (Natix_query.Engine.create store) ~doc path with
+  | Ok hits -> List.of_seq hits
+  | Error e -> Alcotest.failf "%s: %s" path (Error.to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Phys_node                                                           *)
 
@@ -321,7 +329,7 @@ let tree_store_tests =
           (fun c ->
             let node = Cursor.node c in
             Alcotest.(check bool) "scene standalone" true (node.Phys_node.parent = None))
-          (Path.query store ~doc:"d" "//SCENE"));
+          (query store ~doc:"d" "//SCENE"));
     Alcotest.test_case "oversized text fragments and reassembles" `Quick (fun () ->
         let store = mem_store ~page_size:512 () in
         let big = String.concat " " (List.init 500 (fun i -> Printf.sprintf "w%d" i)) in
@@ -335,7 +343,7 @@ let tree_store_tests =
         let store = mem_store ~page_size:512 () in
         let t = Xml_parser.parse "<D><P>small</P></D>" in
         let _ = Loader.load store ~name:"d" t in
-        let p = List.hd (Path.query store ~doc:"d" "/P") in
+        let p = List.hd (query store ~doc:"d" "/P") in
         let text_node = Cursor.node (Option.get (Cursor.first_child p)) in
         let big = String.make 2000 'x' in
         Tree_store.update_text store text_node big;
@@ -348,17 +356,17 @@ let tree_store_tests =
         let store = mem_store ~page_size:512 () in
         let t = Xml_parser.parse sample_doc in
         let _ = Loader.load store ~name:"d" t in
-        let scene2 = List.hd (Path.query store ~doc:"d" "/ACT[1]/SCENE[2]") in
+        let scene2 = List.hd (query store ~doc:"d" "/ACT[1]/SCENE[2]") in
         Tree_store.delete_node store (Cursor.node scene2);
         Tree_store.check_document store "d";
-        Alcotest.(check int) "one scene left" 1 (List.length (Path.query store ~doc:"d" "//SCENE")));
+        Alcotest.(check int) "one scene left" 1 (List.length (query store ~doc:"d" "//SCENE")));
     Alcotest.test_case "deleting everything leaves a valid empty document" `Quick (fun () ->
         let store = mem_store ~page_size:512 () in
         let t = Xml_parser.parse sample_doc in
         let _ = Loader.load store ~name:"d" t in
         List.iter
           (fun c -> Tree_store.delete_node store (Cursor.node c))
-          (Path.query store ~doc:"d" "/*");
+          (query store ~doc:"d" "/*");
         (* text children of the root too *)
         Tree_store.check_document store "d";
         let root = Option.get (Cursor.of_document store "d") in
@@ -377,7 +385,7 @@ let tree_store_tests =
         (* Delete most elements; records should merge back. *)
         List.iteri
           (fun i c -> if i < 25 then Tree_store.delete_node store (Cursor.node c))
-          (Path.query store ~doc:"d" "/E");
+          (query store ~doc:"d" "/E");
         Tree_store.check_document store "d";
         let after = Stats.document store "d" in
         Alcotest.(check bool) "merges happened" true (Tree_store.merge_count store > 0);
@@ -426,14 +434,14 @@ let tree_store_tests =
         let store = mem_store ~page_size:512 () in
         let t = Xml_parser.parse sample_doc in
         let _ = Loader.load store ~name:"d" t in
-        let act = List.hd (Path.query store ~doc:"d" "/ACT[1]") in
+        let act = List.hd (query store ~doc:"d" "/ACT[1]") in
         let frag = Xml_parser.parse "<SCENE><TITLE>Scene 3</TITLE></SCENE>" in
         let _ =
-          Loader.insert_fragment store (Tree_store.After (Cursor.node (List.hd (Path.query store ~doc:"d" "/ACT[1]/SCENE[2]")))) frag
+          Loader.insert_fragment store (Tree_store.After (Cursor.node (List.hd (query store ~doc:"d" "/ACT[1]/SCENE[2]")))) frag
         in
         ignore act;
         Tree_store.check_document store "d";
-        Alcotest.(check int) "three scenes" 3 (List.length (Path.query store ~doc:"d" "//SCENE")));
+        Alcotest.(check int) "three scenes" 3 (List.length (query store ~doc:"d" "//SCENE")));
     Alcotest.test_case "an image that lags its tree is rewritten whole" `Quick (fun () ->
         (* A failed insertion in a store without a log can leave a node in
            the cached tree that was never stored; the next insertion into
@@ -640,34 +648,24 @@ let cursor_tests =
 
 let path_tests =
   [
-    Alcotest.test_case "parse/print roundtrip" `Quick (fun () ->
-        let p = "/ACT[3]/SCENE[2]//SPEAKER" in
-        Alcotest.(check string) "roundtrip" p (Path.to_string (Path.parse p)));
     Alcotest.test_case "child axis with positions" `Quick (fun () ->
         let store, _ = with_sample () in
-        let r = Path.query store ~doc:"d" "/ACT[1]/SCENE[2]/TITLE" in
+        let r = query store ~doc:"d" "/ACT[1]/SCENE[2]/TITLE" in
         Alcotest.(check int) "one hit" 1 (List.length r);
         Alcotest.(check string) "right scene" "Scene 2" (Cursor.text_content (List.hd r)));
     Alcotest.test_case "descendant axis" `Quick (fun () ->
         let store, _ = with_sample () in
-        Alcotest.(check int) "speakers" 3 (List.length (Path.query store ~doc:"d" "//SPEAKER")));
+        Alcotest.(check int) "speakers" 3 (List.length (query store ~doc:"d" "//SPEAKER")));
     Alcotest.test_case "wildcard and text()" `Quick (fun () ->
         let store, _ = with_sample () in
-        Alcotest.(check int) "root children" 2 (List.length (Path.query store ~doc:"d" "/*"));
-        let texts = Path.query store ~doc:"d" "//LINE/text()" in
+        Alcotest.(check int) "root children" 2 (List.length (query store ~doc:"d" "/*"));
+        let texts = query store ~doc:"d" "//LINE/text()" in
         Alcotest.(check int) "line texts" 4 (List.length texts));
     Alcotest.test_case "positions are per context node" `Quick (fun () ->
         let store, _ = with_sample () in
         (* SPEECH[1] of each scene: 2 scenes -> 2 hits *)
         Alcotest.(check int) "first speech per scene" 2
-          (List.length (Path.query store ~doc:"d" "//SCENE/SPEECH[1]")));
-    Alcotest.test_case "parse errors" `Quick (fun () ->
-        List.iter
-          (fun bad ->
-            match Path.parse bad with
-            | exception Path.Parse_error _ -> ()
-            | _ -> Alcotest.failf "expected parse error for %S" bad)
-          [ ""; "ACT"; "/ACT[0]"; "/ACT[x]"; "/ACT[1" ]);
+          (List.length (query store ~doc:"d" "//SCENE/SPEECH[1]")));
   ]
 
 let suites =
@@ -710,7 +708,7 @@ let stream_loader_tests =
         Tree_store.check_document store "d";
         Alcotest.(check bool) "splits happened" true (Tree_store.split_count store > 0);
         Alcotest.(check int) "all elements" 50
-          (List.length (Path.query store ~doc:"d" "/E")));
+          (List.length (query store ~doc:"d" "/E")));
     Alcotest.test_case "load_stream rejects trailing content" `Quick (fun () ->
         let store = mem_store () in
         match Loader.load_stream store ~name:"d" "<a/><b/>" with
@@ -840,14 +838,9 @@ let extra_query_tests =
     Alcotest.test_case "attributes are addressable in paths" `Quick (fun () ->
         let store = mem_store () in
         let _ = Loader.load store ~name:"d" (Xml_parser.parse {|<a><b id="1"/><b id="2"/><b/></a>|}) in
-        let hits = Path.query store ~doc:"d" "/b/@id" in
+        let hits = query store ~doc:"d" "/b/@id" in
         Alcotest.(check (list string)) "attribute values" [ "1"; "2" ]
           (List.map Cursor.text hits));
-    Alcotest.test_case "query on a missing document fails cleanly" `Quick (fun () ->
-        let store = mem_store () in
-        match Path.query store ~doc:"ghost" "/a" with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected invalid_arg");
     Alcotest.test_case "non-ASCII text survives storage" `Quick (fun () ->
         let store = mem_store () in
         let text = "caf\xc3\xa9 \xe2\x80\x94 na\xc3\xafve \xf0\x9f\x8e\xad" in
@@ -1015,7 +1008,7 @@ let navigation_property_tests =
         in
         via_children = via_chain
         && List.length via_children = n
-        && List.length (Path.query store ~doc:"d" "/*") = n);
+        && List.length (query store ~doc:"d" "/*") = n);
     qtest ~count:40 "every node's logical parent is correct"
       QCheck2.Gen.(int_range 512 1536)
       (fun page_size ->

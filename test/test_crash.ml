@@ -51,7 +51,7 @@ let updates_per_round = 5
 let workload store ~write ~checkpoint =
   write (fun () -> ignore (Loader.load store ~name:"play" play));
   for r = 1 to rounds do
-    let lines = Path.query store ~doc:"play" "//LINE" in
+    let lines = Test_core.query store ~doc:"play" "//LINE" in
     let n = List.length lines in
     for i = 0 to updates_per_round - 1 do
       let line = List.nth lines (((r * 37) + (i * 11)) mod n) in

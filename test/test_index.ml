@@ -69,7 +69,7 @@ let element_index_tests =
         let store = mem_store () in
         let idx = Element_index.create store ~name:"elements" in
         let _ = Loader.load store ~name:"d" (Xml_parser.parse sample) in
-        let speech = List.hd (Path.query store ~doc:"d" "//SPEECH[1]") in
+        let speech = List.hd (Test_core.query store ~doc:"d" "//SPEECH[1]") in
         let _ =
           Tree_store.insert_node store
             (Tree_store.After (Cursor.node speech))
@@ -436,8 +436,8 @@ let pending_index_tests =
                     Document_manager.count_elements dm "LINE" )
                 in
                 let navigated =
-                  List.length (Path.query store ~doc:"d0" "//LINE")
-                  + List.length (Path.query store ~doc:"d1" "//LINE")
+                  List.length (Test_core.query store ~doc:"d0" "//LINE")
+                  + List.length (Test_core.query store ~doc:"d1" "//LINE")
                 in
                 let c, recs, scanned, listed, counted = reads () in
                 Alcotest.(check (list int)) "every read sees both documents"

@@ -42,7 +42,19 @@ let test_parse_errors () =
       match Ast.parse path with
       | exception Ast.Parse_error _ -> ()
       | _ -> Alcotest.failf "parse %S should have failed" path)
-    [ ""; "ACT"; "/"; "///"; "/ACT["; "/ACT[0]"; "/ACT[x]"; "/ACT[text()='v]"; "/@"; "/ACT]" ]
+    [
+      "";
+      "ACT";
+      "/";
+      "///";
+      "/ACT[";
+      "/ACT[1";
+      "/ACT[0]";
+      "/ACT[x]";
+      "/ACT[text()='v]";
+      "/@";
+      "/ACT]";
+    ]
 
 let test_engine_parse_error () =
   let store = Tree_store.in_memory () in
@@ -214,8 +226,6 @@ let test_planner_seeds_selective () =
 (* ------------------------------------------------------------------ *)
 (* Access pattern and allocation of the planned evaluator *)
 
-let render_hit store ~texts c = if texts then Cursor.text_content c else render store c
-
 (* Rows, then the cold page reads, page fixes and proxy hops of one query
    on play-0 with every hit rendered. *)
 let cold_cost engine ~texts path =
@@ -226,7 +236,7 @@ let cold_cost engine ~texts path =
   let r0 = reads () and f0 = Buffer_pool.fixes pool and h0 = Tree_store.proxy_hops () in
   let rows =
     match Engine.query engine ~doc:"play-0" path with
-    | Ok seq -> Seq.fold_left (fun n c -> ignore (render_hit store ~texts c); n + 1) 0 seq
+    | Ok seq -> Seq.fold_left (fun n c -> ignore (Exporter.hit ~texts c); n + 1) 0 seq
     | Error e -> Alcotest.fail (Error.to_string e)
   in
   (rows, reads () - r0, Buffer_pool.fixes pool - f0, Tree_store.proxy_hops () - h0)

@@ -281,6 +281,26 @@ let protocol_tests =
 (* ------------------------------------------------------------------ *)
 (* Session.exec: the command layer against a live store                *)
 
+(* Two documents whose hits include text and attribute values with
+   characters that markup escapes. *)
+let attribute_session () =
+  let s = Natix.Session.open_memory () in
+  List.iter
+    (fun doc ->
+      match
+        Natix.Session.exec s
+          (Api.Load
+             {
+               doc;
+               xml = {|<r><e id="1">x &amp; y</e><e id="2&lt;3"><f>z &lt; w</f></e>tail</r>|};
+               order = Loader.Preorder;
+             })
+      with
+      | Api.Loaded _ -> ()
+      | r -> Alcotest.failf "load %s: %a" doc Api.pp_response r)
+    [ "a"; "b" ];
+  s
+
 let exec_tests =
   [
     Alcotest.test_case "every request variant executes against a store" `Quick (fun () ->
@@ -334,6 +354,54 @@ let exec_tests =
         | Api.Err (Error.Storage _) -> ()
         | r -> Alcotest.failf "stat unknown: %a" Api.pp_response r);
         Natix.Session.close s);
+    Alcotest.test_case "exec_batch renders every hit kind as exec does" `Quick (fun () ->
+        (* Element, text-node and attribute hits, with characters that
+           markup escapes and text does not; [exec_batch] fans plain
+           queries out through the parallel executor's reader views. *)
+        let s = attribute_session () in
+        let reqs =
+          List.concat_map
+            (fun doc ->
+              List.map
+                (fun path -> Api.Query { doc; path; texts = false })
+                [ "//e"; "//e/text()"; "//@id"; "//node()"; "//nosuch" ])
+            [ "a"; "b" ]
+          @ [
+              Api.Query { doc = "nope"; path = "//e"; texts = false };
+              Api.Query { doc = "a"; path = "//["; texts = false };
+            ]
+        in
+        let direct = List.map (Natix.Session.exec s) reqs in
+        List.iter
+          (fun jobs ->
+            List.iter2
+              (fun direct batched ->
+                if Api.encode_response batched <> Api.encode_response direct then
+                  Alcotest.failf "jobs=%d: batched %a <> exec %a" jobs Api.pp_response batched
+                    Api.pp_response direct)
+              direct
+              (Natix.Session.exec_batch ~jobs s reqs))
+          [ 1; 2 ];
+        check_hits "attribute hits" 2 (List.nth direct 2);
+        Natix.Session.close s);
+    Alcotest.test_case "a scan renders attribute hits as a query does" `Quick (fun () ->
+        let s = attribute_session () in
+        let queried =
+          List.concat_map
+            (fun doc ->
+              match Natix.Session.exec s (Api.Query { doc; path = "//@id"; texts = false }) with
+              | Api.Hits hits -> hits
+              | r -> Alcotest.failf "query %s: %a" doc Api.pp_response r)
+            [ "a"; "b" ]
+        in
+        (match Natix.Session.exec s (Api.Scan { element = "@id"; texts = false }) with
+        | Api.Scanned hits ->
+          Alcotest.(check (list string))
+            "raw values" [ "1"; "1"; "2<3"; "2<3" ] (List.sort compare hits);
+          Alcotest.(check (list string)) "as queried" (List.sort compare queried)
+            (List.sort compare hits)
+        | r -> Alcotest.failf "scan: %a" Api.pp_response r);
+        Natix.Session.close s);
     Alcotest.test_case "Options record and the keyword shims agree" `Quick (fun () ->
         let o = Natix.Session.Options.default in
         let s1 =
@@ -364,6 +432,7 @@ let script =
     Api.Load { doc = "b"; xml = play_xml "b"; order = Loader.Bfs_binary };
     Api.Query { doc = "a"; path = "//SPEAKER"; texts = false };
     Api.Query { doc = "a"; path = "//LINE"; texts = true };
+    Api.Query { doc = "a"; path = "//LINE/text()"; texts = false };
     Api.Query { doc = "b"; path = "/ACT[2]//SPEAKER"; texts = false };
     Api.Query { doc = "nope"; path = "//X"; texts = false };
     Api.Query { doc = "a"; path = "//["; texts = false };
