@@ -77,7 +77,8 @@ let rec descendants_or_self t () =
 
 (* A preorder walk over logical children that appends each text leaf as
    it reaches it: records are fetched in the order a walk over
-   [descendants_or_self] fetches them, without a cursor per node. *)
+   [descendants_or_self] fetches them, without a cursor or a [Seq] cell
+   per node. *)
 let text_content t =
   let buf = Buffer.create 128 in
   let rec walk (n : Phys_node.t) =
@@ -85,7 +86,7 @@ let text_content t =
       if not (Tree_store.is_attribute t.store n) then
         Buffer.add_string buf (Tree_store.text_of t.store n)
     end
-    else Seq.iter walk (Tree_store.logical_children t.store n)
+    else Tree_store.iter_logical_children t.store n walk
   in
   walk t.node;
   Buffer.contents buf

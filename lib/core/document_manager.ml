@@ -209,11 +209,16 @@ let elements_named t name =
         match Tree_store.open_document t.store doc with
         | None -> []
         | Some root ->
+          (* The nodes the index keeps: elements, and attributes for an
+             [@name]; never text. *)
+          let keep (n : Phys_node.t) =
+            Natix_util.Label.equal n.label label
+            && not (Natix_util.Label.equal label Natix_util.Label.pcdata)
+          in
           let acc = ref [] in
           let rec go n =
-            if Natix_util.Label.equal n.Phys_node.label label && Tree_store.is_element n then
-              acc := n :: !acc;
-            Seq.iter go (Tree_store.logical_children t.store n)
+            if keep n then acc := n :: !acc;
+            Tree_store.iter_logical_children t.store n go
           in
           go root;
           List.rev !acc)

@@ -121,9 +121,10 @@ val insert_fragment :
     (checked before anything is written). *)
 val delete_document : t -> string -> unit
 
-(** All elements with the given name, across all documents, via the index
-    when available (record order), otherwise by full traversal (document
-    order). *)
+(** All elements with the given name (attributes, for an [@name]),
+    across all documents, via the index when available (record order),
+    otherwise by full traversal (document order).  Both keep the same
+    nodes. *)
 val elements_named : t -> string -> Phys_node.t list
 
 (** Node count for an element name (index-accelerated when available). *)

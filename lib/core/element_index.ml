@@ -237,26 +237,31 @@ let rebuild t =
    A pending record's stored entries give way to its current label
    counts.  In key (label, record) order. *)
 let postings ?label t =
-  let overlay = Rid.Tbl.create 16 in
-  List.iter
-    (fun (rid, ev) ->
-      Rid.Tbl.replace overlay rid (current_counts ~live:(ev = Tree_store.Changed) t rid))
-    (pending_events t);
   let lo = "F" ^ Option.fold ~none:"" ~some:be32 label in
   let hi = if label = None then "G" else lo ^ String.make 9 '\xff' in
   let acc = ref [] in
-  Btree.iter_range t.tree ~lo:(Some lo) ~hi:(Some hi) (fun k v ->
-      let rid = Rid.read (Bytes.unsafe_of_string k) 5 in
-      if not (Rid.Tbl.mem overlay rid) then acc := (of_be32 k 1, rid, of_count8 v) :: !acc);
-  if Rid.Tbl.length overlay = 0 then List.rev !acc
-  else begin
+  let stored keep =
+    Btree.iter_range t.tree ~lo:(Some lo) ~hi:(Some hi) (fun k v ->
+        let rid = Rid.read (Bytes.unsafe_of_string k) 5 in
+        if keep rid then acc := (of_be32 k 1, rid, of_count8 v) :: !acc)
+  in
+  match pending_events t with
+  | [] ->
+    stored (fun _ -> true);
+    List.rev !acc
+  | events ->
+    let overlay = Rid.Tbl.create 16 in
+    List.iter
+      (fun (rid, ev) ->
+        Rid.Tbl.replace overlay rid (current_counts ~live:(ev = Tree_store.Changed) t rid))
+      events;
+    stored (fun rid -> not (Rid.Tbl.mem overlay rid));
     let wanted l = Option.fold ~none:true ~some:(Label.equal l) label in
     Rid.Tbl.iter
       (fun rid counts ->
         Hashtbl.iter (fun l c -> if wanted l then acc := (l, rid, c) :: !acc) counts)
       overlay;
     List.sort (fun (la, ra, _) (lb, rb, _) -> String.compare (fwd_key la ra) (fwd_key lb rb)) !acc
-  end
 
 let records_of = List.map (fun (_, rid, _) -> rid)
 let count_of = List.fold_left (fun n (_, _, c) -> n + c) 0

@@ -114,14 +114,23 @@ let epoch_meta_key = "store:epoch"
 
 (* Leaf locks: held only around a table operation, never while acquiring
    anything else, so they stay outside the rank order. *)
-let with_leaf_lock m f =
+let lock_leaf m =
   Lock_rank.acquire Lock_rank.unordered;
-  Mutex.lock m;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock m;
-      Lock_rank.release Lock_rank.unordered)
-    f
+  Mutex.lock m
+
+let unlock_leaf m =
+  Mutex.unlock m;
+  Lock_rank.release Lock_rank.unordered
+
+let with_leaf_lock m f =
+  lock_leaf m;
+  match f () with
+  | v ->
+    unlock_leaf m;
+    v
+  | exception e ->
+    unlock_leaf m;
+    raise e
 
 let with_cache t f = with_leaf_lock t.cache_lock f
 let with_catalog_lock t f = with_leaf_lock t.catalog_lock f
@@ -615,8 +624,16 @@ let clear_buffers t =
 (* ------------------------------------------------------------------ *)
 (* Record access                                                       *)
 
+(* The lookup every record access makes, without a closure: a table
+   lookup cannot raise, so the lock needs no handler. *)
+let cached t rid =
+  lock_leaf t.cache_lock;
+  let box = Rid.Tbl.find_opt t.cache rid in
+  unlock_leaf t.cache_lock;
+  box
+
 let fetch t rid : Phys_node.box =
-  match with_cache t (fun () -> Rid.Tbl.find_opt t.cache rid) with
+  match cached t rid with
   | Some box ->
     (* Charge the page access even on a decoded-cache hit, so the I/O
        pattern matches a system that re-reads the record image. *)
@@ -637,7 +654,7 @@ let flush_box t (box : Phys_node.box) =
 
 (* Repoint the on-disk parent RID of a subtree record (cheap patch). *)
 let set_parent_rid t rid parent =
-  (match with_cache t (fun () -> Rid.Tbl.find_opt t.cache rid) with
+  (match cached t rid with
   | Some box -> box.parent_rid <- parent
   | None -> ());
   let b = Bytes.create Rid.encoded_size in
@@ -703,60 +720,21 @@ let hop_count : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 let proxy_hops () = !(Domain.DLS.get hop_count)
 
-(* Where a sibling list sits in a logical-children walk.  [Top] is the
-   facade's own children, 0 record fetches away.  Inside a scaffolding
-   group, [hops] counts the fetches from the facade parent to the group's
-   list, and [resume] holds the siblings after the group, which belong to
-   [outer]. *)
-type group_path = Top | Group of { hops : int; resume : Phys_node.t list; outer : group_path }
-
-let hops_of = function Top -> 0 | Group g -> g.hops
-
-(* Logical children: the physical children with every proxy dereferenced
-   and every scaffolding group flattened in place.  The hop counts let
-   the proxy-chain histogram see how many fetches a logical child is away
-   from its parent. *)
-let rec expand t path items () : Phys_node.t Seq.node =
-  match items with
-  | [] -> (
-    match path with
-    | Top -> Seq.Nil
-    | Group { resume; outer; _ } -> expand t outer resume ())
-  | (item : Phys_node.t) :: rest -> (
-    match item.kind with
-    | Proxy rid ->
-      let root = (fetch t rid).root in
-      let chain = hops_of path + 1 in
-      incr (Domain.DLS.get hop_count);
-      (match t.obs with
-      | None -> ()
-      | Some obs -> Natix_obs.Obs.emit obs (Natix_obs.Event.Proxy_hop { rid; chain }));
-      if is_scaffold_group root then
-        expand t (Group { hops = chain; resume = rest; outer = path }) (Phys_node.children root) ()
-      else begin
-        (match t.obs with
-        | None -> ()
-        | Some obs ->
-          Natix_obs.Obs.observe obs Natix_obs.Obs.proxy_chain_hist (float_of_int chain));
-        Seq.Cons (root, next t path rest)
-      end
-    | Aggregate _ when Phys_node.is_scaffolding item ->
-      (* Defensive: embedded scaffolding groups are not normally created. *)
-      expand t
-        (Group { hops = hops_of path; resume = rest; outer = path })
-        (Phys_node.children item) ()
-    | Aggregate _ | Frag_aggregate _ | Literal _ -> Seq.Cons (item, next t path rest))
-
-(* The rest of the walk after a yielded child.  At the top level the
-   suspended tail captures no path, so a walk outside scaffolding groups
-   allocates per child only the cons cell and a two-value closure. *)
-and next t path rest = match path with Top -> expand_top t rest | Group _ -> expand t path rest
-and expand_top t items () = expand t Top items ()
-
-let logical_children t (n : Phys_node.t) : Phys_node.t Seq.t =
-  match n.kind with
-  | Aggregate _ when Phys_node.is_facade n -> expand_top t (Phys_node.children n)
-  | Aggregate _ | Frag_aggregate _ | Literal _ | Proxy _ -> Seq.empty
+(* Follow the proxy to [rid], [chain] record fetches from the facade
+   parent, counting the hop.  Every logical walk dereferences through
+   here, so all of them fetch, count, emit [Proxy_hop] and (for a target
+   that is not a scaffolding group) observe [proxy_chain_len] alike. *)
+let deref t rid ~chain =
+  let root = (fetch t rid).root in
+  incr (Domain.DLS.get hop_count);
+  (match t.obs with
+  | None -> ()
+  | Some obs -> Natix_obs.Obs.emit obs (Natix_obs.Event.Proxy_hop { rid; chain }));
+  (if not (is_scaffold_group root) then
+     match t.obs with
+     | None -> ()
+     | Some obs -> Natix_obs.Obs.observe obs Natix_obs.Obs.proxy_chain_hist (float_of_int chain));
+  root
 
 let is_element (n : Phys_node.t) =
   Phys_node.is_facade n
@@ -773,6 +751,61 @@ let is_attribute t (n : Phys_node.t) =
   &&
   let name = label_name t n.label in
   String.length name > 0 && name.[0] = '@'
+
+(* The unread physical siblings below the current list of a logical
+   walk, one frame per opened element or scaffolding group.  [hops]
+   counts the record fetches from the facade parent to the list, which
+   the proxy-chain histogram records. *)
+type frames = Bottom | Frame of { items : Phys_node.t list; hops : int; below : frames }
+
+(* A frame for [items] on top of [below]; an exhausted list needs none. *)
+let push items hops below = match items with [] -> below | _ :: _ -> Frame { items; hops; below }
+
+(* The logical nodes under [n] that pass [test], in document order: its
+   physical children with every proxy dereferenced and every scaffolding
+   group flattened in place and, with [descend], the same below every
+   element reached.  A [Seq] cell and a suspension only per yielded node;
+   the frames are immutable, so the sequence is persistent. *)
+let walk t ~descend test (n : Phys_node.t) : Phys_node.t Seq.t =
+  let rec next items hops below () =
+    match items with
+    | [] -> ( match below with Bottom -> Seq.Nil | Frame f -> next f.items f.hops f.below ())
+    | (item : Phys_node.t) :: rest -> (
+      match item.kind with
+      | Proxy rid ->
+        let root = deref t rid ~chain:(hops + 1) in
+        if is_scaffold_group root then
+          next (Phys_node.children root) (hops + 1) (push rest hops below) ()
+        else visit root rest hops below
+      | Aggregate _ when Phys_node.is_scaffolding item ->
+        (* Defensive: embedded scaffolding groups are not normally created. *)
+        next (Phys_node.children item) hops (push rest hops below) ()
+      | Aggregate _ | Frag_aggregate _ | Literal _ -> visit item rest hops below)
+  and visit node rest hops below =
+    if descend && is_element node then
+      yield node (Phys_node.children node) 0 (push rest hops below)
+    else yield node rest hops below
+  and yield node items hops below =
+    if test node then Seq.Cons (node, next items hops below) else next items hops below ()
+  in
+  if is_element n then next (Phys_node.children n) 0 Bottom else Seq.empty
+
+let logical_children t n = walk t ~descend:false (fun _ -> true) n
+let descendants t test n = walk t ~descend:true test n
+
+let iter_logical_children t (n : Phys_node.t) f =
+  let rec go hops = function
+    | [] -> ()
+    | (item : Phys_node.t) :: rest ->
+      (match item.kind with
+      | Proxy rid ->
+        let root = deref t rid ~chain:(hops + 1) in
+        if is_scaffold_group root then go (hops + 1) (Phys_node.children root) else f root
+      | Aggregate _ when Phys_node.is_scaffolding item -> go hops (Phys_node.children item)
+      | Aggregate _ | Frag_aggregate _ | Literal _ -> f item);
+      go hops rest
+  in
+  if is_element n then go 0 (Phys_node.children n)
 
 (* Logical parent of [n] together with the physical child of that parent
    on the path down to [n]; [None] at the document root. *)

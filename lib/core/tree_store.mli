@@ -216,6 +216,20 @@ val label_name : t -> Label.t -> string
     fetch count into [proxy_chain_len]. *)
 val logical_children : t -> Phys_node.t -> Phys_node.t Seq.t
 
+(** [iter_logical_children t n f] applies [f] to {!logical_children}[ t n]
+    in order, dereferencing as that sequence does when it is pulled, but
+    without a [Seq] cell or suspension per child. *)
+val iter_logical_children : t -> Phys_node.t -> (Phys_node.t -> unit) -> unit
+
+(** [descendants t test n] is every logical descendant of [n] (not [n]
+    itself) that passes [test], in document order.  It reaches each node
+    when a recursive walk over {!logical_children} would, so records are
+    fetched, proxy hops counted and [Proxy_hop] events emitted in the same
+    order, and allocates per opened element and per hit rather than per
+    visited node.  The sequence is persistent: forcing it again walks
+    again and yields the same nodes. *)
+val descendants : t -> (Phys_node.t -> bool) -> Phys_node.t -> Phys_node.t Seq.t
+
 val logical_parent : t -> Phys_node.t -> Phys_node.t option
 
 (** Proxy dereferences made by {!logical_children} on the calling domain

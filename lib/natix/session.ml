@@ -199,12 +199,16 @@ let contextual t ~doc seq =
     let rec wrap seq () =
       let saved = Natix_obs.Obs.context obs in
       Natix_obs.Obs.set_context obs ctx;
-      let node =
-        Fun.protect
-          ~finally:(fun () -> Natix_obs.Obs.set_context obs saved)
-          (fun () -> seq ())
-      in
-      match node with Seq.Nil -> Seq.Nil | Seq.Cons (x, rest) -> Seq.Cons (x, wrap rest)
+      match seq () with
+      | Seq.Nil ->
+        Natix_obs.Obs.set_context obs saved;
+        Seq.Nil
+      | Seq.Cons (x, rest) ->
+        Natix_obs.Obs.set_context obs saved;
+        Seq.Cons (x, wrap rest)
+      | exception e ->
+        Natix_obs.Obs.set_context obs saved;
+        raise e
     in
     wrap seq
 

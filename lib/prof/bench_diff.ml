@@ -38,12 +38,14 @@ let classify key =
   else if List.mem key [ "hits"; "plays"; "nodes"; "bytes"; "scale"; "page_size" ] then `Exact
   else `Info
 
-(* The paper's figures ([cells]) and the query bench's I/O objects are
+(* The paper's figures ([cells]), the instrumented build's event counts
+   and histograms ([instrumented]) and the query bench's I/O objects are
    simulated and deterministic for a fixed build and input, at any job
    count and with monitoring or tracing on, so a tolerance would only
    hide drift: every numeric leaf there must be equal, wall time aside.
    [top] is the top-level key the subtree hangs under. *)
-let exact_subtree ~top key = top = "cells" || (top = "query_bench" && has_suffix key "_io")
+let exact_subtree ~top key =
+  top = "cells" || top = "instrumented" || (top = "query_bench" && has_suffix key "_io")
 let classify_cell key = if has_suffix key "_wall_s" then `Skip else `Exact
 
 let num = function

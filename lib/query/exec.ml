@@ -51,28 +51,6 @@ let has_text_child store v n =
       && String.equal (Tree_store.text_of store ch) v)
     (Tree_store.logical_children store n)
 
-(* The proper descendants of [n] that pass [test], in document order: a
-   lazy preorder walk whose stack holds the unread rest of each open
-   sibling list.  It pulls each node from [Tree_store.logical_children]
-   when a walk over [Cursor.descendants_or_self] would, so records are
-   fetched, proxy hops counted and pages fixed in the same order; a
-   visited node costs a stack cell, and a hit its [Seq] cell. *)
-let descendants store test n : Phys_node.t Seq.t =
-  let rec pull stack () =
-    match stack with
-    | [] -> Seq.Nil
-    | siblings :: up -> (
-      match siblings () with
-      | Seq.Nil -> pull up ()
-      | Seq.Cons (n, rest) ->
-        let up = rest :: up in
-        let stack =
-          if Tree_store.is_element n then Tree_store.logical_children store n :: up else up
-        in
-        if test_node store test n then Seq.Cons (n, pull stack) else pull stack ())
-  in
-  pull [ Tree_store.logical_children store n ]
-
 (* The k-th element of a sequence, as a (lazy) zero-or-one sequence: the
    streaming evaluator stops pulling candidates once position [k] is
    reached, which is where it beats strict evaluation on positional
@@ -96,7 +74,7 @@ let step_nav store (ps : Plan.phys_step) n =
     match (ps.test, ps.step.axis) with
     | Plan.Nothing, _ -> Seq.empty
     | test, Ast.Child -> Seq.filter (test_node store test) (Tree_store.logical_children store n)
-    | test, Ast.Descendant -> descendants store test n
+    | test, Ast.Descendant -> Tree_store.descendants store (test_node store test) n
   in
   List.fold_left (apply_pred store) candidates ps.step.preds
 

@@ -101,25 +101,72 @@ let encoded_size node =
 
 let is_leaf_node = function Leaf _ -> true | Internal _ -> false
 
-let note t rid op node =
+let note t rid op ~leaf =
   match t.obs with
   | None -> ()
-  | Some obs ->
-    Natix_obs.Obs.emit obs (Natix_obs.Event.Btree_node { rid; op; leaf = is_leaf_node node })
+  | Some obs -> Natix_obs.Obs.emit obs (Natix_obs.Event.Btree_node { rid; op; leaf })
 
 let read_node t rid =
   let node = decode (Record_manager.read t.rm rid) in
-  note t rid Natix_obs.Event.Bt_read node;
+  note t rid Natix_obs.Event.Bt_read ~leaf:(is_leaf_node node);
   node
 
 let write_node t rid node =
-  note t rid Natix_obs.Event.Bt_write node;
+  note t rid Natix_obs.Event.Bt_write ~leaf:(is_leaf_node node);
   Record_manager.update_string t.rm rid (encode node)
 
 let alloc_node t ?near node =
   let rid = Record_manager.insert t.rm ?near (encode node) in
-  note t rid Natix_obs.Event.Bt_alloc node;
+  note t rid Natix_obs.Event.Bt_alloc ~leaf:(is_leaf_node node);
   rid
+
+(* ---- node images ---------------------------------------------------- *)
+
+(* Searches read a node where it lies, inside its record's page fix, and
+   copy out only what they return.  Each visit fixes the pages
+   [read_node] fixes and emits its read event after the fix. *)
+
+let is_leaf_image b off =
+  match Bytes.get b off with
+  | '\000' -> true
+  | '\001' -> false
+  | c -> raise (Corrupt (Printf.sprintf "bad node tag %C" c))
+
+let entry_count b off = Bytes_util.get_u16 b (off + 1)
+
+(* Offset of the first entry's key length. *)
+let first_entry off = off + 3 + Rid.encoded_size
+
+(* [String.compare key k] for the [klen]-byte key [k] at [pos] of [b]. *)
+let compare_key key b pos klen =
+  let n = String.length key in
+  let m = if n < klen then n else klen in
+  let i = ref 0 in
+  while !i < m && String.get key !i = Bytes.get b (pos + !i) do
+    incr i
+  done;
+  if !i < m then Char.compare (String.get key !i) (Bytes.get b (pos + !i)) else Int.compare n klen
+
+(* [route]'s choice in the internal node image at [off]. *)
+let route_image key b off =
+  let n = entry_count b off in
+  let child = ref (off + 3) and pos = ref (first_entry off) and i = ref 0 in
+  while !i < n && compare_key key b (!pos + 2) (Bytes_util.get_u16 b !pos) >= 0 do
+    let key_end = !pos + 2 + Bytes_util.get_u16 b !pos in
+    child := key_end;
+    pos := key_end + Rid.encoded_size;
+    incr i
+  done;
+  Rid.read b !child
+
+(* Read [rid] in place: [None] for a leaf, else the child [step] picks. *)
+let visit t rid step =
+  let next =
+    Record_manager.with_record t.rm rid (fun b ~off ~len:_ ->
+        if is_leaf_image b off then None else Some (step b off))
+  in
+  note t rid Natix_obs.Event.Bt_read ~leaf:(Option.is_none next);
+  next
 
 (* ---- construction -------------------------------------------------- *)
 
@@ -143,14 +190,34 @@ let route entries child0 key =
   go child0 entries
 
 let rec find_leaf t rid key =
-  match read_node t rid with
-  | Leaf _ -> rid
-  | Internal n -> find_leaf t (route n.entries n.child0 key) key
+  match visit t rid (route_image key) with
+  | None -> rid
+  | Some child -> find_leaf t child key
+
+(* The value bound to [key] in the leaf image at [off]. *)
+let leaf_value key b off =
+  let n = entry_count b off in
+  let pos = ref (first_entry off) and i = ref 0 and found = ref None in
+  while !i < n && Option.is_none !found do
+    let klen = Bytes_util.get_u16 b !pos in
+    let c = compare_key key b (!pos + 2) klen in
+    if c = 0 then found := Some (Bytes.sub_string b (!pos + 2 + klen) value_size)
+    else if c < 0 then i := n (* sorted: [key] is not further on *)
+    else begin
+      pos := !pos + 2 + klen + value_size;
+      incr i
+    end
+  done;
+  !found
 
 let find t ~key =
-  match read_node t (find_leaf t t.root key) with
-  | Leaf l -> List.assoc_opt key l.entries
-  | Internal _ -> assert false
+  let leaf = find_leaf t t.root key in
+  let value =
+    Record_manager.with_record t.rm leaf (fun b ~off ~len:_ ->
+        if is_leaf_image b off then leaf_value key b off else assert false)
+  in
+  note t leaf Natix_obs.Event.Bt_read ~leaf:true;
+  value
 
 let mem t ~key = find t ~key <> None
 
@@ -256,27 +323,42 @@ let remove t ~key =
 
 let leftmost_leaf t =
   let rec go rid =
-    match read_node t rid with
-    | Leaf _ -> rid
-    | Internal n -> go n.child0
+    match visit t rid (fun b off -> Rid.read b (off + 3)) with
+    | None -> rid
+    | Some child -> go child
   in
   go t.root
+
+(* The bindings of the leaf image at [off] with [lo <= key < hi], copied
+   out in key order, whether a key at or past [hi] ended the scan, and the
+   next leaf. *)
+let leaf_range ~lo ~hi b off =
+  let n = entry_count b off in
+  let pos = ref (first_entry off) and i = ref 0 and stop = ref false and acc = ref [] in
+  while !i < n && not !stop do
+    let klen = Bytes_util.get_u16 b !pos in
+    let kpos = !pos + 2 in
+    let above = match lo with Some lo -> compare_key lo b kpos klen <= 0 | None -> true in
+    let below = match hi with Some hi -> compare_key hi b kpos klen > 0 | None -> true in
+    if not below then stop := true
+    else if above then
+      acc := (Bytes.sub_string b kpos klen, Bytes.sub_string b (kpos + klen) value_size) :: !acc;
+    pos := kpos + klen + value_size;
+    incr i
+  done;
+  (List.rev !acc, !stop, Rid.read b (off + 3))
 
 let iter_range t ~lo ~hi f =
   let start = match lo with Some k -> find_leaf t t.root k | None -> leftmost_leaf t in
   let rec walk rid =
     if not (Rid.is_null rid) then begin
-      match read_node t rid with
-      | Internal _ -> assert false
-      | Leaf l ->
-        let stop = ref false in
-        List.iter
-          (fun (k, v) ->
-            let above = match lo with Some lo -> k >= lo | None -> true in
-            let below = match hi with Some hi -> k < hi | None -> true in
-            if above && below then f k v else if not below then stop := true)
-          l.entries;
-        if not !stop then walk l.next
+      let bindings, stop, next =
+        Record_manager.with_record t.rm rid (fun b ~off ~len:_ ->
+            if is_leaf_image b off then leaf_range ~lo ~hi b off else assert false)
+      in
+      note t rid Natix_obs.Event.Bt_read ~leaf:true;
+      List.iter (fun (k, v) -> f k v) bindings;
+      if not stop then walk next
     end
   in
   walk start

@@ -852,7 +852,13 @@ let mark_dirty t f =
 
 let with_page t page_id fn =
   let f = fix t page_id in
-  Fun.protect ~finally:(fun () -> unfix t f) (fun () -> fn f)
+  match fn f with
+  | v ->
+    unfix t f;
+    v
+  | exception e ->
+    unfix t f;
+    raise e
 
 (* Flush iterates the registry, whose iteration order reproduces the
    pre-striping pool's single hashtable exactly (see the field comment) —

@@ -1,13 +1,22 @@
+let entity ~attr = function
+  | '&' -> Some "&amp;"
+  | '<' -> Some "&lt;"
+  | '>' -> Some "&gt;"
+  | '"' when attr -> Some "&quot;"
+  | _ -> None
+
+(* Runs without a special character go in with one blit each. *)
 let escape_into buf ~attr s =
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' when attr -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    match entity ~attr s.[i] with
+    | None -> ()
+    | Some e ->
+      Buffer.add_substring buf s !run (i - !run);
+      Buffer.add_string buf e;
+      run := i + 1
+  done;
+  Buffer.add_substring buf s !run (String.length s - !run)
 
 let escape_text s =
   let buf = Buffer.create (String.length s + 8) in

@@ -155,3 +155,198 @@ let range_property_tests =
   ]
 
 let suites = suites @ [ ("store.btree_ranges", range_property_tests) ]
+
+(* ---- in-place searches against a decoded walk ---------------------- *)
+
+(* Searches read node images in place.  The oracle here decodes each
+   node's record (the layout documented in [Btree]) and replays the
+   search over decoded nodes, counting the nodes it reads: each call must
+   return the sorted-list model's answer and emit one [Btree_node] read
+   event, and fix the same pages, per node that walk reads. *)
+
+type ref_node =
+  | R_leaf of Rid.t * (string * string) list
+  | R_internal of Rid.t * (string * Rid.t) list
+
+let decode_ref rm rid =
+  let b = Bytes.of_string (Record_manager.read rm rid) in
+  let pos = ref 3 in
+  let take len =
+    let s = Bytes.sub_string b !pos len in
+    pos := !pos + len;
+    s
+  in
+  let rid () = Rid.read (Bytes.unsafe_of_string (take Rid.encoded_size)) 0 in
+  let key () =
+    let len = Bytes_util.get_u16 b !pos in
+    pos := !pos + 2;
+    take len
+  in
+  let n = Bytes_util.get_u16 b 1 in
+  let entries value = List.init n (fun _ -> let k = key () in (k, value ())) in
+  match Bytes.get b 0 with
+  | '\000' ->
+    let next = rid () in
+    R_leaf (next, entries (fun () -> take 8))
+  | _ ->
+    let child0 = rid () in
+    R_internal (child0, entries rid)
+
+(* The decoded walk: results and the number of nodes it reads. *)
+let ref_walk rm root =
+  let reads = ref 0 in
+  let read rid =
+    incr reads;
+    decode_ref rm rid
+  in
+  let rec leaf_for key rid =
+    match read rid with
+    | R_leaf _ -> rid
+    | R_internal (child0, entries) ->
+      let rec pick prev = function
+        | [] -> prev
+        | (sep, c) :: rest -> if key < sep then prev else pick c rest
+      in
+      leaf_for key (pick child0 entries)
+  in
+  let rec leftmost rid = match read rid with R_leaf _ -> rid | R_internal (c, _) -> leftmost c in
+  let find key =
+    match read (leaf_for key root) with
+    | R_leaf (_, entries) -> List.assoc_opt key entries
+    | R_internal _ -> assert false
+  in
+  let range lo hi =
+    let start = match lo with Some k -> leaf_for k root | None -> leftmost root in
+    let rec walk rid acc =
+      if Rid.is_null rid then acc
+      else
+        match read rid with
+        | R_internal _ -> assert false
+        | R_leaf (next, entries) ->
+          let acc = ref acc and stop = ref false in
+          List.iter
+            (fun (k, v) ->
+              let above = match lo with Some lo -> k >= lo | None -> true in
+              let below = match hi with Some hi -> k < hi | None -> true in
+              if above && below then acc := (k, v) :: !acc else if not below then stop := true)
+            entries;
+          if !stop then !acc else walk next !acc
+    in
+    List.rev (walk start [])
+  in
+  (reads, find, range)
+
+(* Shared prefixes, NUL and 0xff bytes, the empty key, and keys that are
+   prefixes of others. *)
+let gen_key =
+  QCheck2.Gen.(
+    string_size ~gen:(oneofl [ '\000'; '\001'; 'a'; 'b'; '\xfe'; '\xff' ]) (int_range 0 7))
+
+let gen_bound =
+  QCheck2.Gen.(
+    oneof
+      [
+        return None;
+        map Option.some gen_key;
+        map (fun k -> Some (k ^ "\000")) gen_key;
+        map (fun k -> Some (k ^ "\xff")) gen_key;
+      ])
+
+let in_place_tests =
+  [
+    qtest ~count:40 "in-place find, mem and iter_range match a sorted list and the decoded walk"
+      QCheck2.Gen.(
+        triple
+          (list_size (int_range 50 400) gen_key)
+          (list_size (int_bound 20) gen_key)
+          (list_size (int_bound 20) (pair gen_bound gen_bound)))
+      (fun (keys, probes, ranges) ->
+        let obs = Natix_obs.Obs.create () in
+        let reads = ref 0 in
+        Natix_obs.Obs.subscribe obs ~kinds:[ "btree_node" ] (fun ev ->
+            match ev.Natix_obs.Event.kind with
+            | Natix_obs.Event.Btree_node { op = Natix_obs.Event.Bt_read; _ } -> incr reads
+            | _ -> ());
+        let disk = Disk.in_memory ~model:Io_model.free ~obs ~page_size:512 () in
+        let pool = Buffer_pool.create ~disk ~bytes:(128 * 512) () in
+        let rm = Record_manager.create (Segment.create pool) in
+        let t = Btree.create rm in
+        (* Every key made distinct by its index, and the first half of
+           each as a prefix; then every third one removed again, which
+           leaves sparse and empty leaves. *)
+        let all =
+          List.concat
+            (List.mapi
+               (fun i k ->
+                 let k = k ^ string_of_int i in
+                 [ k; String.sub k 0 (String.length k / 2) ])
+               keys)
+        in
+        List.iteri (fun i k -> Btree.insert t ~key:k ~value:(v_of_int i)) all;
+        let removed = List.filteri (fun i _ -> i mod 3 = 0) (List.sort_uniq String.compare all) in
+        List.iter (fun k -> Btree.remove t ~key:k) removed;
+        let model =
+          let last = Hashtbl.create 64 in
+          List.iteri (fun i k -> Hashtbl.replace last k (v_of_int i)) all;
+          List.iter (Hashtbl.remove last) removed;
+          List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) last [])
+        in
+        let ok = ref (Btree.height t > 1) in
+        (* One call: its answer against the model's, and its answer, read
+           events and page fixes against the decoded walk's. *)
+        let same call walk expected =
+          let reads0 = !reads and fixes0 = Buffer_pool.fixes pool in
+          let got = call () in
+          let got_reads = !reads - reads0 and got_fixes = Buffer_pool.fixes pool - fixes0 in
+          let walked, find, range = ref_walk rm (Btree.root t) in
+          let fixes1 = Buffer_pool.fixes pool in
+          let replayed = walk find range in
+          got = expected && got = replayed && got_reads = !walked
+          && got_fixes = Buffer_pool.fixes pool - fixes1
+        in
+        List.iter
+          (fun k ->
+            let expected = List.assoc_opt k model in
+            ok :=
+              !ok
+              && same (fun () -> Btree.find t ~key:k) (fun find _ -> find k) expected
+              && same
+                   (fun () -> Btree.mem t ~key:k)
+                   (fun find _ -> find k <> None)
+                   (expected <> None))
+          (probes @ List.filteri (fun i _ -> i mod 7 = 0) (List.map fst model));
+        let scan lo hi () =
+          let acc = ref [] in
+          Btree.iter_range t ~lo ~hi (fun k v -> acc := (k, v) :: !acc);
+          List.rev !acc
+        in
+        let model_range lo hi =
+          List.filter
+            (fun (k, _) ->
+              (match lo with Some lo -> k >= lo | None -> true)
+              && match hi with Some hi -> k < hi | None -> true)
+            model
+        in
+        (* Generated ranges, plus an empty one, a one-key one and both
+           open-ended ones around a stored key. *)
+        let fixed =
+          match model with
+          | [] -> []
+          | _ ->
+            let k, _ = List.nth model (List.length model / 2) in
+            [
+              (Some k, Some k);
+              (Some k, Some (k ^ "\000"));
+              (Some k, None);
+              (None, Some k);
+              (None, None);
+            ]
+        in
+        List.iter
+          (fun (lo, hi) ->
+            ok := !ok && same (scan lo hi) (fun _ range -> range lo hi) (model_range lo hi))
+          (ranges @ fixed);
+        !ok);
+  ]
+
+let suites = suites @ [ ("store.btree_in_place", in_place_tests) ]

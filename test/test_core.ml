@@ -1030,3 +1030,83 @@ let navigation_property_tests =
   ]
 
 let suites = suites @ [ ("core.navigation_props", navigation_property_tests) ]
+
+(* ------------------------------------------------------------------ *)
+(* Exporter: markup written in place against the tree it replaces      *)
+
+(* Random documents: markup-special characters in text and attribute
+   values, empty elements, and texts long enough to split records and,
+   now and then, to fragment. *)
+let gen_export_doc rng =
+  let values = [| "1"; "a<b"; "x & y"; "\"q\" > r"; "<>&\"'"; "plain text" |] in
+  let text () =
+    match Prng.int rng 8 with
+    | 0 ->
+      String.concat " & " (List.init (Prng.range rng 20 60) (fun i -> Printf.sprintf "<w%d>" i))
+    | 1 when Prng.int rng 4 = 0 -> String.make 1500 'f' ^ "<&>"
+    | _ -> Prng.pick rng values
+  in
+  let rec node depth =
+    if depth = 0 || Prng.int rng 4 = 0 then Xml_tree.text (text ())
+    else
+      let attrs =
+        List.filteri
+          (fun i _ -> Prng.int rng (i + 2) = 0)
+          [ ("id", Prng.pick rng values); ("k", text ()) ]
+      in
+      let kids = List.init (Prng.int rng 4) (fun _ -> node (depth - 1)) in
+      Xml_tree.element ~attrs (Prng.pick rng [| "a"; "b"; "c" |]) kids
+  in
+  Xml_tree.element "root" (List.init (Prng.range rng 4 8) (fun _ -> node 5))
+
+let exporter_tests =
+  [
+    qtest ~count:30 "to_string renders every node as Xml_print.to_string of to_xml"
+      QCheck2.Gen.int
+      (fun seed ->
+        let rng = Prng.create ~seed:(Int64.of_int seed) in
+        (* An 8-page pool, under up to 26 pages of data. *)
+        let config =
+          { (Config.default ()) with Config.page_size = 512; buffer_bytes = 8 * 512 }
+        in
+        let store = Tree_store.in_memory ~config ~model:Natix_store.Io_model.free () in
+        let _ = Loader.load store ~name:"d" (gen_export_doc rng) in
+        let root = Option.get (Cursor.of_document store "d") in
+        (* Attributes inserted after content, which the renderers hoist
+           into the start tag. *)
+        let late = Tree_store.label store "@late" in
+        List.iteri
+          (fun i c ->
+            match List.rev (List.of_seq (Cursor.children c)) with
+            | last :: _ when i mod 3 = 0 ->
+              ignore
+                (Tree_store.insert_node store (Tree_store.After (Cursor.node last))
+                   (Tree_store.Lit (late, Phys_node.Str (Printf.sprintf "%d < \"%d\" & more" i i))))
+            | _ -> ())
+          (List.filter Cursor.is_element (List.of_seq (Cursor.descendants_or_self root)));
+        let oracle n = Xml_print.to_string (Exporter.to_xml store n) in
+        let every_node =
+          Seq.for_all
+            (fun c -> Exporter.to_string store (Cursor.node c) = oracle (Cursor.node c))
+            (Cursor.descendants_or_self root)
+        in
+        (* From a cold pool both read and fix the same pages. *)
+        let cold render =
+          Tree_store.clear_buffers store;
+          let pool = Tree_store.buffer_pool store in
+          let r0 = (Tree_store.io_stats store).Natix_store.Io_stats.reads
+          and f0 = Natix_store.Buffer_pool.fixes pool in
+          let s = render (Cursor.node root) in
+          ( s,
+            (Tree_store.io_stats store).Natix_store.Io_stats.reads - r0,
+            Natix_store.Buffer_pool.fixes pool - f0 )
+        in
+        (* The root got the first late attribute, after all its content. *)
+        let hoisted =
+          String.starts_with ~prefix:{|<root late="0 &lt; &quot;0&quot; &amp; more">|}
+            (Exporter.to_string store (Cursor.node root))
+        in
+        every_node && hoisted && cold (Exporter.to_string store) = cold oracle);
+  ]
+
+let suites = suites @ [ ("core.exporter", exporter_tests) ]

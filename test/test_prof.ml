@@ -424,6 +424,23 @@ let bench_diff_tests =
             ~current:(parse (qb 6 0.79)) ()
         in
         Alcotest.(check bool) "hit ratio within threshold" true (Bench_diff.ok r));
+    Alcotest.test_case "a one-count change inside instrumented is a mismatch" `Quick (fun () ->
+        let inst hops =
+          Printf.sprintf
+            {|{"instrumented":{"page_size":8192,"metrics":{"counters":{"ev.proxy_hop":%d},%s}}}|}
+            hops {|"histograms":{"proxy_chain_len":{"counts":[2,4],"sum":98.5}}|}
+        in
+        let r =
+          Bench_diff.diff ~threshold_pct:20. ~baseline:(parse (inst 292))
+            ~current:(parse (inst 293)) ()
+        in
+        Alcotest.(check bool) "fails" false (Bench_diff.ok r);
+        Alcotest.(check int) "one mismatch" 1 r.Bench_diff.mismatches;
+        let r =
+          Bench_diff.diff ~threshold_pct:20. ~baseline:(parse (inst 292))
+            ~current:(parse (inst 292)) ()
+        in
+        Alcotest.(check bool) "equal passes" true (Bench_diff.ok r));
     Alcotest.test_case "the same change outside the exact sections stays within the threshold"
       `Quick (fun () ->
         let base = parse {|{"serve_bench":{"q1_io":{"reads":100,"sim_ms":12.5}}}|} in

@@ -286,8 +286,9 @@ let test_cold_access_pattern () =
 
 (* A warm //SPEAKER pays per hit, not per visited node.  A cursor, two
    [Seq] closures and a string compare for every node it walked cost
-   about 100 minor words a node; label tests and a cursor per hit cost
-   about 20. *)
+   about 100 minor words a node; label tests and a cursor per hit, about
+   20; a walk that allocates a frame per opened element and a [Seq] cell
+   per hit, about 5. *)
 let test_warm_speaker_allocation () =
   let store, _ = shakespeare_store ~plays:1 () in
   let engine = Engine.create store in
@@ -303,9 +304,18 @@ let test_warm_speaker_allocation () =
   let words = Gc.minor_words () -. w0 in
   checki "hits" 749 hits;
   let per_node = words /. float_of_int nodes in
-  if per_node > 40. then
-    Alcotest.failf "warm //SPEAKER allocated %.0f minor words, %.1f per node of %d (limit 40)"
-      words per_node nodes
+  if per_node > 12. then
+    Alcotest.failf "warm //SPEAKER allocated %.0f minor words, %.1f per node of %d (limit 12)"
+      words per_node nodes;
+  (* The planned result is persistent: forcing it twice gives the same
+     hits. *)
+  match Engine.query engine ~doc:"play-0" "//SPEAKER" with
+  | Ok seq ->
+    let render s = List.of_seq (Seq.map (fun c -> Exporter.hit ~texts:false c) s) in
+    let first = render seq in
+    checki "first forcing" 749 (List.length first);
+    Alcotest.(check (list string)) "second forcing" first (render seq)
+  | Error e -> Alcotest.fail (Error.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Buffer pool: read-ahead *)

@@ -402,6 +402,36 @@ let exec_tests =
             (List.sort compare hits)
         | r -> Alcotest.failf "scan: %a" Api.pp_response r);
         Natix.Session.close s);
+    Alcotest.test_case "an attribute scan answers alike with and without an index" `Quick
+      (fun () ->
+        let answers index =
+          let s =
+            Natix.Session.open_memory ~options:{ Natix.Session.Options.default with index } ()
+          in
+          (match
+             Natix.Session.exec s
+               (Api.Load
+                  { doc = "d"; xml = {|<r><e id="1"/><e id="2"/></r>|}; order = Loader.Preorder })
+           with
+          | Api.Loaded _ -> ()
+          | r -> Alcotest.failf "load: %a" Api.pp_response r);
+          let scanned =
+            match Natix.Session.exec s (Api.Scan { element = "@id"; texts = false }) with
+            | Api.Scanned hits -> List.sort compare hits
+            | r -> Alcotest.failf "scan: %a" Api.pp_response r
+          in
+          let counts =
+            List.map (Document_manager.count_elements (Natix.Session.manager s)) [ "@id"; "e"; "r" ]
+          in
+          Natix.Session.close s;
+          (scanned, counts)
+        in
+        let indexed, indexed_counts = answers Document_manager.Ensure in
+        let walked, walked_counts = answers Document_manager.Off in
+        Alcotest.(check (list string)) "with the index" [ "1"; "2" ] indexed;
+        Alcotest.(check (list string)) "without" indexed walked;
+        Alcotest.(check (list int)) "counts with the index" [ 2; 2; 1 ] indexed_counts;
+        Alcotest.(check (list int)) "counts without" indexed_counts walked_counts);
     Alcotest.test_case "Options record and the keyword shims agree" `Quick (fun () ->
         let o = Natix.Session.Options.default in
         let s1 =
