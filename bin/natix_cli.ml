@@ -36,11 +36,11 @@ open Natix_core
    be inspected (and its query ops replayed) post mortem. *)
 let current_session : Natix.Session.t option ref = ref None
 
-let open_session ?(create_page_size = 8192) ?(index = Document_manager.Off) path =
+(* [page_size] applies only when the file is created. *)
+let open_session ?page_size ?(index = Document_manager.Off) path =
+  let config = Option.map (fun n -> Config.with_page_size n (Config.default ())) page_size in
   let sess =
-    Natix.Session.open_store
-      ~options:{ Natix.Session.Options.default with create_page_size; index }
-      path
+    Natix.Session.open_store ~options:{ Natix.Session.Options.default with config; index } path
   in
   current_session := Some sess;
   sess
@@ -109,7 +109,7 @@ let load_cmd =
        change listener) or it would go stale; absent one, don't create
        an index the user never asked for. *)
     let sess =
-      open_session ~create_page_size:page_size ~index:Document_manager.Maintain store_path
+      open_session ~page_size ~index:Document_manager.Maintain store_path
     in
     let store = Natix.Session.store sess in
     let text = read_file xml_path in
@@ -167,7 +167,7 @@ let bulkload_cmd =
         (Error.Storage "bulkload: duplicate document names; rename the files or load separately")
     end;
     let sess =
-      open_session ~create_page_size:page_size ~index:Document_manager.Maintain store_path
+      open_session ~page_size ~index:Document_manager.Maintain store_path
     in
     let files = List.map (fun (name, p) -> (name, read_file p)) named in
     let outcome = Natix.Session.load_files_txn ~jobs sess files in
@@ -1300,7 +1300,8 @@ let serve_cmd =
   let queue_arg =
     Arg.(
       value & opt int 32
-      & info [ "queue-depth" ] ~docv:"N" ~doc:"Per-worker queue bound before shedding.")
+      & info [ "queue-depth" ] ~docv:"N"
+          ~doc:"Admission limit: queued requests, over all workers, before shedding.")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -30,9 +30,7 @@ let default () =
   }
 
 let with_page_size page_size t = { t with page_size }
-let with_matrix matrix t = { t with matrix }
 let with_obs obs t = { t with obs = Some obs }
-let with_scan_friendly ?(read_ahead = 8) t = { t with read_ahead; scan_resistant = true }
 
 (* The integrity trailer comes off every page before the slotted layout
    carves it up. *)

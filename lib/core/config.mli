@@ -60,15 +60,9 @@ type t = {
 val default : unit -> t
 
 val with_page_size : int -> t -> t
-val with_matrix : Split_matrix.t -> t -> t
 
 (** Enable tracing/metrics collection through the given handle. *)
 val with_obs : Natix_obs.Obs.t -> t -> t
-
-(** Enable both scan optimisations: read-ahead (default window 8 pages)
-    and segmented-LRU eviction.  The query engine's full-traversal paths
-    are designed for a pool configured this way. *)
-val with_scan_friendly : ?read_ahead:int -> t -> t
 
 (** Largest record body a page can hold under this configuration. *)
 val max_record_size : t -> int

@@ -12,10 +12,6 @@ let with_load_context store doc f =
   | None -> f ()
   | Some obs -> Natix_obs.Obs.with_context obs ~doc ~phase:"load" f
 
-let order_to_string = function
-  | Preorder -> "preorder"
-  | Bfs_binary -> "bfs-binary"
-
 (* Uniform pre-insertion representation: every logical node (element,
    attribute, text) becomes one payload; attributes come first among an
    element's children. *)

@@ -14,8 +14,6 @@
 
 type order = Preorder | Bfs_binary
 
-val order_to_string : order -> string
-
 (** [load store ~name ?order xml] creates document [name] and inserts the
     tree node by node through the tree growth procedure.  Returns the root
     handle. *)

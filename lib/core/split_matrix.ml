@@ -11,7 +11,6 @@ type t = {
 let create ?(default = Other) () =
   { default; entries = Hashtbl.create 16; child_defaults = Hashtbl.create 16 }
 
-let default_behaviour t = t.default
 let set t ~parent ~child b = Hashtbl.replace t.entries (parent, child) b
 let set_child_default t ~child b = Hashtbl.replace t.child_defaults child b
 

@@ -24,9 +24,6 @@ type t
 
 val create : ?default:behaviour -> unit -> t
 
-(** The entry default passed at creation. *)
-val default_behaviour : t -> behaviour
-
 val set : t -> parent:Label.t -> child:Label.t -> behaviour -> unit
 
 (** [set_child_default t ~child b] configures [b] for label [child] under

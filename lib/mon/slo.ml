@@ -1,5 +1,3 @@
-module Json = Natix_obs.Json
-
 (* Latency edges: the query_sim_ms edges extended upward — an
    end-to-end request duration includes queue and commit wait, which
    under load dwarfs a single query's engine time. *)
@@ -111,27 +109,3 @@ let snapshot t ~at_ms =
           :: acc)
         t.tenants []
       |> List.sort (fun a b -> String.compare a.tenant b.tenant))
-
-let opt_float = function None -> Json.Null | Some f -> Json.Float f
-
-let stat_to_json s =
-  Json.Obj
-    [
-      ("tenant", Json.String s.tenant);
-      ("count", Json.Int s.count);
-      ("p50_ms", opt_float s.p50_ms);
-      ("p95_ms", opt_float s.p95_ms);
-      ("p99_ms", opt_float s.p99_ms);
-      ("target_ms", opt_float s.target_ms);
-      ("breached", Json.Bool s.breached);
-      ("breaches", Json.Int s.breaches);
-    ]
-
-let breach_to_json (b : breach) =
-  Json.Obj
-    [
-      ("tenant", Json.String b.tenant);
-      ("p99_ms", Json.Float b.p99_ms);
-      ("target_ms", Json.Float b.target_ms);
-      ("at_ms", Json.Float b.at_ms);
-    ]

@@ -52,5 +52,3 @@ val observe : t -> tenant:string -> at_ms:float -> dur_ms:float -> breach option
 (** Per-tenant snapshot at [at_ms], sorted by tenant name. *)
 val snapshot : t -> at_ms:float -> stat list
 
-val stat_to_json : stat -> Natix_obs.Json.t
-val breach_to_json : breach -> Natix_obs.Json.t

@@ -44,12 +44,6 @@ let kind = function
   | Stat _ -> "stat"
   | Server_stats -> "server_stats"
 
-(* Scan counts as mutating because its index policy may create or
-   rebuild the element index (the CLI's `scan` repairs a stale one). *)
-let mutates = function
-  | Load _ | Checkpoint | Scan _ -> true
-  | Ping | Query _ | Stat _ | Server_stats -> false
-
 (* ---- codec -------------------------------------------------------- *)
 
 (* Fixed-width big-endian integers and length-prefixed strings into a

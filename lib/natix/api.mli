@@ -74,11 +74,6 @@ type response =
     observability context, and the dispatcher's log vocabulary. *)
 val kind : request -> string
 
-(** Requests that may write to the store (Load, Checkpoint) or rebuild
-    the element index (Scan).  The server gives these an exclusive
-    per-tenant gate; non-mutating requests share it. *)
-val mutates : request -> bool
-
 (** {2 Binary codec}
 
     [decode_* s] consumes exactly [String.length s] bytes; trailing

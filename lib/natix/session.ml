@@ -22,22 +22,9 @@ let ensure_obs ~monitor config =
     | None -> Config.with_obs (Natix_obs.Obs.create ()) config
 
 module Options = struct
-  type t = {
-    config : Config.t option;
-    create_page_size : int;
-    index : Document_manager.index_mode;
-    monitor : bool;
-    model : Natix_store.Io_model.t option;
-  }
+  type t = { config : Config.t option; index : Document_manager.index_mode; monitor : bool }
 
-  let default =
-    {
-      config = None;
-      create_page_size = 8192;
-      index = Document_manager.Ensure;
-      monitor = true;
-      model = None;
-    }
+  let default = { config = None; index = Document_manager.Ensure; monitor = true }
 end
 
 (* Where error paths drop the flight-recorder ring.  One resolution
@@ -59,27 +46,22 @@ let of_store ?(index = Document_manager.Ensure) ?(monitor = true) ?path store =
   of_store_with_mon ~index ~mon ?path store
 
 let open_memory ?(options = Options.default) () =
-  let { Options.config; index; monitor; model; _ } = options in
+  let { Options.config; index; monitor } = options in
   let config = ensure_obs ~monitor (Option.value config ~default:(Config.default ())) in
-  of_store ~index ~monitor (Tree_store.in_memory ~config ?model ())
+  of_store ~index ~monitor (Tree_store.in_memory ~config ())
 
 let open_store ?(options = Options.default) path =
-  let { Options.config; create_page_size; index; monitor; _ } = options in
+  let { Options.config; index; monitor } = options in
+  let config = Option.value config ~default:(Config.default ()) in
   (* An existing file dictates its page size; the configured one only
      applies when the file is created. *)
-  let page_size =
-    match Natix_store.Disk.detect_page_size path with
-    | Some ps -> ps
-    | None -> (
-      match config with Some c -> c.Config.page_size | None -> create_page_size)
-  in
   let config =
-    match config with
-    | Some c -> { c with Config.page_size }
-    | None -> { (Config.default ()) with Config.page_size }
+    match Natix_store.Disk.detect_page_size path with
+    | Some page_size -> { config with Config.page_size }
+    | None -> config
   in
   let config = ensure_obs ~monitor config in
-  let disk = Natix_store.Disk.on_file ~page_size path in
+  let disk = Natix_store.Disk.on_file ~page_size:config.Config.page_size path in
   (* Attach the monitor before the store opens so crash recovery's page
      I/O feeds its registry's reads and writes series.  If recovery (or
      any other part of opening) fails, a flight dump (the disk's I/O

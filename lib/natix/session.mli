@@ -39,10 +39,9 @@ type t
 module Options : sig
   type t = {
     config : Config.t option;
-        (** full store configuration; [None] uses {!Config.default} *)
-    create_page_size : int;
-        (** page size when creating a new file and no [config] is given
-            (an existing file dictates its own); default 8192 *)
+        (** full store configuration; [None] uses {!Config.default}.
+            Its page size applies only when {!open_store} creates the
+            file: an existing file keeps its own. *)
     index : Document_manager.index_mode;
         (** element-index policy, default {!Document_manager.Ensure}:
             open or create the index, rebuilding it when stale.
@@ -50,8 +49,6 @@ module Options : sig
             should use [Fresh_only] so a stale index is skipped instead
             of rebuilt. *)
     monitor : bool;  (** attach a {!Natix_mon.Mon} monitor; default [true] *)
-    model : Natix_store.Io_model.t option;
-        (** I/O cost model for {!open_memory} (ignored by file stores) *)
   }
 
   val default : t

@@ -8,7 +8,6 @@ type ring = {
 type t =
   | Ring of ring
   | Jsonl of { oc : out_channel; buf : Buffer.t; mutable count : int }
-  | Console of { ppf : Format.formatter; mutable count : int }
   | Callback of { f : Event.t -> unit; mutable count : int }
   | Multi of t list
 
@@ -17,7 +16,6 @@ let ring ?(capacity = 4096) () =
   Ring { capacity; items = Array.make capacity None; next = 0; stored = 0 }
 
 let jsonl path = Jsonl { oc = open_out path; buf = Buffer.create 256; count = 0 }
-let console ppf = Console { ppf; count = 0 }
 let callback f = Callback { f; count = 0 }
 let multi sinks = Multi sinks
 
@@ -33,9 +31,6 @@ let rec emit t event =
     Buffer.add_char j.buf '\n';
     Buffer.output_buffer j.oc j.buf;
     j.count <- j.count + 1
-  | Console c ->
-    Format.fprintf c.ppf "%a@." Event.pp event;
-    c.count <- c.count + 1
   | Callback c ->
     c.f event;
     c.count <- c.count + 1
@@ -49,13 +44,12 @@ let rec events = function
         match r.items.((first + i) mod r.capacity) with
         | Some e -> e
         | None -> assert false)
-  | Jsonl _ | Console _ | Callback _ -> []
+  | Jsonl _ | Callback _ -> []
   | Multi sinks -> List.concat_map events sinks
 
 let rec emitted = function
   | Ring r -> r.stored
   | Jsonl j -> j.count
-  | Console c -> c.count
   | Callback c -> c.count
   | Multi sinks -> List.fold_left (fun acc s -> acc + emitted s) 0 sinks
 
@@ -66,17 +60,16 @@ let rec write_json t v =
     Json.to_buffer j.buf v;
     Buffer.add_char j.buf '\n';
     Buffer.output_buffer j.oc j.buf
-  | Ring _ | Console _ | Callback _ -> ()
+  | Ring _ | Callback _ -> ()
   | Multi sinks -> List.iter (fun s -> write_json s v) sinks
 
 let rec flush = function
   | Jsonl j -> Stdlib.flush j.oc
-  | Console c -> Format.pp_print_flush c.ppf ()
   | Ring _ | Callback _ -> ()
   | Multi sinks -> List.iter flush sinks
 
 let rec close = function
   | Ring _ -> ()
   | Jsonl j -> close_out j.oc
-  | Console _ | Callback _ -> ()
+  | Callback _ -> ()
   | Multi sinks -> List.iter close sinks

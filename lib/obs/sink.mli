@@ -7,8 +7,8 @@
       events, for tests and post-mortem inspection with no I/O;
     - {!jsonl}: one JSON object per line appended to a file, for offline
       analysis and the CLI inspector;
-    - {!console}: a human-readable line per event on a formatter, for
-      interactive tracing.
+    - {!callback}: each event handed to a function as it is emitted, for
+      in-process consumers.
 
     {!multi} fans one event out to several sinks. *)
 
@@ -21,8 +21,6 @@ val ring : ?capacity:int -> unit -> t
     event.  {!close} flushes and closes the file. *)
 val jsonl : string -> t
 
-val console : Format.formatter -> t
-
 (** [callback f] hands each event to [f] as it is emitted; nothing is
     retained.  Used by in-process consumers (the profiler) that want the
     stream without buffering it. *)
@@ -32,7 +30,7 @@ val multi : t list -> t
 val emit : t -> Event.t -> unit
 
 (** Events currently held, oldest first.  Ring sinks report their
-    contents; a [multi] concatenates its children's; file and console
+    contents; a [multi] concatenates its children's; file and callback
     sinks report []. *)
 val events : t -> Event.t list
 
@@ -44,8 +42,8 @@ val emitted : t -> int
     metrics snapshot after the event stream); ignored by other sinks. *)
 val write_json : t -> Json.t -> unit
 
-(** Push buffered output to the OS: JSONL sinks flush their channel,
-    console sinks their formatter; ring and callback sinks hold nothing.
+(** Push buffered output to the OS: JSONL sinks flush their channel;
+    ring and callback sinks hold nothing.
 
     {b Buffering contract.}  JSONL event lines are buffered in the
     [out_channel]; a crash of the process (or a simulated

@@ -24,9 +24,10 @@ let with_ctx obs ?doc ~phase f =
    the only addition is a stats snapshot around the run to fill in the
    single worker entry.
 
-   jobs >= 2: tasks are seeded round-robin into per-worker deques; each
-   worker drains its own (LIFO) and then steals round-robin from the
-   others (FIFO).  Workers 1.. run on spawned domains; worker 0 runs on
+   jobs >= 2: each worker claims the next task index from one shared
+   atomic counter until the index passes the last task.  A task is a
+   whole document, so one [fetch_and_add] per task is all the scheduling
+   the fleet needs.  Workers 1.. run on spawned domains; worker 0 runs on
    the caller, which would otherwise only wait in [Domain.join] — one
    domain fewer for every stop-the-world minor collection to stop.  A
    worker failure sets [stop] so the rest drain out; the first exception
@@ -56,35 +57,22 @@ let map_tasks ~jobs ~disk ~make_ctx ~f tasks =
     }
   end
   else begin
-    let deques = Array.init jobs (fun _ -> Deque.create ~capacity:n) in
-    Array.iteri (fun i task -> ignore (Deque.push deques.(i mod jobs) (i, task) : bool)) tasks;
+    let next = Atomic.make 0 in
     let results = Array.make n None in
     let stop = Atomic.make false in
     let fatal = Atomic.make None in
-    let body w () =
+    let body () =
       Disk.with_stream disk (fun () ->
           match
             let ctx = make_ctx () in
-            let next () =
-              match Deque.pop deques.(w) with
-              | Some _ as r -> r
-              | None ->
-                let rec go k =
-                  if k >= jobs then None
-                  else
-                    match Deque.steal deques.((w + k) mod jobs) with
-                    | Some _ as r -> r
-                    | None -> go (k + 1)
-                in
-                go 1
-            in
             let rec loop () =
-              if not (Atomic.get stop) then
-                match next () with
-                | None -> ()
-                | Some (i, task) ->
-                  results.(i) <- Some (timed ctx task);
+              if not (Atomic.get stop) then begin
+                let i = Atomic.fetch_and_add next 1 in
+                if i < n then begin
+                  results.(i) <- Some (timed ctx tasks.(i));
                   loop ()
+                end
+              end
             in
             loop ()
           with
@@ -93,8 +81,8 @@ let map_tasks ~jobs ~disk ~make_ctx ~f tasks =
             if Atomic.compare_and_set fatal None (Some e) then Atomic.set stop true)
     in
     (* A worker idles once its task loop ends: its pool hits go in then. *)
-    let worker w () =
-      let r = body w () in
+    let worker () =
+      let r = body () in
       Buffer_pool.apply_hits ();
       r
     in
@@ -106,14 +94,14 @@ let map_tasks ~jobs ~disk ~make_ctx ~f tasks =
       Option.iter (fun o -> Natix_obs.Obs.set_context o None) obs;
       Fun.protect
         ~finally:(fun () -> Option.iter (fun o -> Natix_obs.Obs.set_context o ctx) obs)
-        (fun () -> Natix_trace.Trace.detached (worker 0))
+        (fun () -> Natix_trace.Trace.detached worker)
     in
     Disk.enter_parallel_region disk;
     let streams =
       Fun.protect
         ~finally:(fun () -> Disk.exit_parallel_region disk)
         (fun () ->
-          let domains = Array.init (jobs - 1) (fun w -> Domain.spawn (worker (w + 1))) in
+          let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
           let first = match on_caller () with s -> Ok s | exception e -> Error e in
           let rest = Array.map Domain.join domains in
           match first with Ok s -> Array.append [| s |] rest | Error e -> raise e)

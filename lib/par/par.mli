@@ -1,11 +1,11 @@
 (** Domain-parallel query and bulk-load execution.
 
     Work is partitioned {e by document}: each task (one document to
-    query, scan, or load) goes to one of [jobs] worker domains via a
-    bounded work-stealing {!Deque} (round-robin seeding, owner-LIFO /
-    thief-FIFO), and results come back in task-submission order — an
-    ordered merge, so output is document-order deterministic regardless
-    of which domain ran what.
+    query, scan, or load) runs on one of [jobs] worker domains, which
+    claim task indices in order from one shared atomic counter, and
+    results come back in task-submission order — an ordered merge, so
+    output is document-order deterministic regardless of which domain
+    ran what.
 
     Read-path workers share the process-wide buffer pool (latch-striped,
     see {!Natix_store.Buffer_pool}) but each gets a private

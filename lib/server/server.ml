@@ -1,6 +1,5 @@
 open Natix_core
 module Api = Natix.Api
-module Deque = Natix_par.Deque
 module Disk = Natix_store.Disk
 module Io_stats = Natix_store.Io_stats
 module Lock_rank = Natix_store.Lock_rank
@@ -42,9 +41,7 @@ type t = {
   registry : Registry.t;
   conn_mu : Mutex.t;  (* rank conn: admission + queue state, never held across execution *)
   work : Condition.t;
-  deques : ticket Deque.t array;  (* empty in inline mode (jobs = 0) *)
-  mutable next_deque : int;
-  mutable queued : int;
+  queue : ticket Queue.t;  (* admitted tickets, oldest first; empty in inline mode (jobs = 0) *)
   mutable running : int;
   mutable served : int;
   mutable shed_count : int;
@@ -263,39 +260,22 @@ let execute t ?trace (tenant : Registry.tenant) req =
 
 (* ---- the worker pool ---------------------------------------------- *)
 
-let steal_any t w =
-  let n = Array.length t.deques in
-  let rec go k =
-    if k >= n then None
-    else
-      match Deque.steal t.deques.((w + k) mod n) with Some _ as r -> r | None -> go (k + 1)
-  in
-  go 0
-
 let answer ticket reply =
   Mutex.lock ticket.tmu;
   ticket.reply <- Some reply;
   Condition.signal ticket.tcond;
   Mutex.unlock ticket.tmu
 
-let worker t w () =
+let worker t () =
   let rec loop () =
     let next =
       with_conn t (fun () ->
-          let rec wait () =
-            match steal_any t w with
-            | Some ticket ->
-              t.queued <- t.queued - 1;
-              t.running <- t.running + 1;
-              Some ticket
-            | None ->
-              if t.stopping then None
-              else begin
-                Condition.wait t.work t.conn_mu;
-                wait ()
-              end
-          in
-          wait ())
+          while Queue.is_empty t.queue && not t.stopping do
+            Condition.wait t.work t.conn_mu
+          done;
+          let ticket = Queue.take_opt t.queue in
+          if Option.is_some ticket then t.running <- t.running + 1;
+          ticket)
     in
     match next with
     | None -> ()
@@ -328,9 +308,7 @@ let create ?(config = default_config) registry =
       registry;
       conn_mu = Mutex.create ();
       work = Condition.create ();
-      deques = Array.init config.jobs (fun _ -> Deque.create ~capacity:config.queue_depth);
-      next_deque = 0;
-      queued = 0;
+      queue = Queue.create ();
       running = 0;
       served = 0;
       shed_count = 0;
@@ -348,7 +326,7 @@ let create ?(config = default_config) registry =
       slo_breaches = [];
     }
   in
-  t.workers <- List.init config.jobs (fun w -> Domain.spawn (worker t w));
+  t.workers <- List.init config.jobs (fun _ -> Domain.spawn (worker t));
   t
 
 let stats t =
@@ -357,7 +335,7 @@ let stats t =
         served = t.served;
         shed = t.shed_count;
         max_queue = t.max_queue;
-        queued = t.queued;
+        queued = Queue.length t.queue;
         running = t.running;
       })
 
@@ -367,7 +345,6 @@ let trace_reports t = Mutex.protect t.trace_mu (fun () -> List.rev t.reports)
 let slow_reports t = Mutex.protect t.trace_mu (fun () -> List.rev t.slow)
 let slo_breaches t = Mutex.protect t.trace_mu (fun () -> List.rev t.slo_breaches)
 let slo_snapshot t ~at_ms = Slo.snapshot t.slo ~at_ms
-let set_slo_target t ~tenant ~p99_ms = Slo.set_target t.slo ~tenant ~p99_ms
 
 let server_statted t =
   let s = stats t in
@@ -419,14 +396,15 @@ let submit ?trace_id t ~tenant:name req =
             t.shed_count <- t.shed_count + 1;
             `Shed reason
           in
+          let queued = Queue.length t.queue in
           if t.stopping then shed "shutting_down"
           else
             match (if t.config.shed_on_breach then tenant.shed else None) with
             | Some reason -> shed reason
             | None ->
-              if t.running + t.queued >= t.config.max_inflight then shed "inflight_limit"
-              else if t.queued >= t.config.queue_depth then shed "queue_full"
-              else if Array.length t.deques = 0 then begin
+              if t.running + queued >= t.config.max_inflight then shed "inflight_limit"
+              else if queued >= t.config.queue_depth then shed "queue_full"
+              else if t.config.jobs = 0 then begin
                 t.running <- t.running + 1;
                 `Inline
               end
@@ -435,22 +413,10 @@ let submit ?trace_id t ~tenant:name req =
                   { tenant; req; trace; tmu = Mutex.create (); tcond = Condition.create ();
                     reply = None }
                 in
-                let n = Array.length t.deques in
-                (* Round-robin with fallback: the per-deque capacity sums
-                   past [queue_depth], so a full deque just means this
-                   slot is unlucky — try the rest before shedding. *)
-                let rec push k =
-                  if k >= n then shed "queue_full"
-                  else if Deque.push t.deques.((t.next_deque + k) mod n) ticket then begin
-                    t.next_deque <- (t.next_deque + k + 1) mod n;
-                    t.queued <- t.queued + 1;
-                    if t.queued > t.max_queue then t.max_queue <- t.queued;
-                    Condition.signal t.work;
-                    `Queued ticket
-                  end
-                  else push (k + 1)
-                in
-                push 0
+                Queue.push ticket t.queue;
+                t.max_queue <- max t.max_queue (queued + 1);
+                Condition.signal t.work;
+                `Queued ticket
               end)
     in
     match decision with
@@ -482,9 +448,10 @@ let shutdown t =
         t.workers <- [];
         ws)
   in
-  (* Workers drain the deques before exiting (the take loop steals until
-     empty even once [stopping] is set), so every admitted ticket gets
-     its answer before the join returns. *)
+  (* Workers drain the queue before exiting (a worker waits only while
+     the queue is empty, so it keeps taking tickets once [stopping] is
+     set), and every admitted ticket gets its answer before the join
+     returns. *)
   List.iter Domain.join workers
 
 (* ---- in-process loopback ------------------------------------------ *)

@@ -1,12 +1,10 @@
 (** The request dispatcher: many tenants, one domain pool, bounded
     admission.
 
-    A {!t} owns [jobs] worker domains fed through the parallel
-    executor's work-stealing deques ({!Natix_par.Deque}) — with the
-    roles reversed: {e submitters}, serialised by the connection lock,
-    act as the single logical owner pushing round-robin, and every
-    worker only ever [steal]s (the thief side is safe from any domain).
-    A submitted request becomes a ticket; {!submit} blocks its caller
+    A {!t} owns [jobs] worker domains fed from one FIFO queue of
+    tickets under the connection lock: a submitted request that is
+    admitted becomes a ticket at the back, and a free worker takes the
+    oldest admitted ticket from the front.  {!submit} blocks its caller
     until a worker fills in the reply, so one connection maps naturally
     onto one submitting thread.
 
@@ -16,8 +14,7 @@
     - the tenant's budget-breach latch is set (and [shed_on_breach]) →
       [Overloaded "budget:<resource>"];
     - [running + queued >= max_inflight] → [Overloaded "inflight_limit"];
-    - [queued >= queue_depth] (or every deque full) →
-      [Overloaded "queue_full"].
+    - [queued >= queue_depth] → [Overloaded "queue_full"].
 
     Shedding is the {e only} overload behaviour: an admitted request is
     always executed and always answered, and {!shutdown} drains the
@@ -77,7 +74,7 @@ type stats = {
   served : int;  (** requests executed and answered *)
   shed : int;  (** requests refused with [Overloaded] *)
   max_queue : int;  (** high-water mark of the queue *)
-  queued : int;  (** tickets waiting in the deques right now *)
+  queued : int;  (** admitted tickets waiting in the queue right now *)
   running : int;  (** requests executing right now *)
 }
 
@@ -120,9 +117,6 @@ val slo_breaches : t -> Natix_mon.Slo.breach list
 (** Per-tenant latency window stats as of [at_ms] (the tenant disk's
     simulated clock). *)
 val slo_snapshot : t -> at_ms:float -> Natix_mon.Slo.stat list
-
-(** Override one tenant's p99 target ([None] clears it). *)
-val set_slo_target : t -> tenant:string -> p99_ms:float option -> unit
 
 (** Drain the queue, answer everything admitted, join the workers.
     Further {!submit}s shed.  Idempotent.  Does {e not} close the

@@ -123,8 +123,9 @@ let alloc_node t ?near node =
 (* ---- node images ---------------------------------------------------- *)
 
 (* Searches read a node where it lies, inside its record's page fix, and
-   copy out only what they return.  Each visit fixes the pages
-   [read_node] fixes and emits its read event after the fix. *)
+   copy out only what they return.  A search fixes each node it visits
+   once, fixing the pages [read_node] fixes, and emits the node's read
+   event after the fix. *)
 
 let is_leaf_image b off =
   match Bytes.get b off with
@@ -159,15 +160,6 @@ let route_image key b off =
   done;
   Rid.read b !child
 
-(* Read [rid] in place: [None] for a leaf, else the child [step] picks. *)
-let visit t rid step =
-  let next =
-    Record_manager.with_record t.rm rid (fun b ~off ~len:_ ->
-        if is_leaf_image b off then None else Some (step b off))
-  in
-  note t rid Natix_obs.Event.Bt_read ~leaf:(Option.is_none next);
-  next
-
 (* ---- construction -------------------------------------------------- *)
 
 let create rm =
@@ -189,10 +181,18 @@ let route entries child0 key =
   in
   go child0 entries
 
-let rec find_leaf t rid key =
-  match visit t rid (route_image key) with
-  | None -> rid
-  | Some child -> find_leaf t child key
+(* Descend from [rid] to the leaf responsible for [key] (the leftmost
+   leaf for [None]) and return it with [leaf b ~off ~len], which runs on
+   the leaf's image inside the fix that reached it. *)
+let rec descend t rid key leaf =
+  let r =
+    Record_manager.with_record t.rm rid (fun b ~off ~len ->
+        if is_leaf_image b off then Ok (leaf b ~off ~len)
+        else
+          Error (match key with Some key -> route_image key b off | None -> Rid.read b (off + 3)))
+  in
+  note t rid Natix_obs.Event.Bt_read ~leaf:(Result.is_ok r);
+  match r with Ok v -> (rid, v) | Error child -> descend t child key leaf
 
 (* The value bound to [key] in the leaf image at [off]. *)
 let leaf_value key b off =
@@ -210,14 +210,7 @@ let leaf_value key b off =
   done;
   !found
 
-let find t ~key =
-  let leaf = find_leaf t t.root key in
-  let value =
-    Record_manager.with_record t.rm leaf (fun b ~off ~len:_ ->
-        if is_leaf_image b off then leaf_value key b off else assert false)
-  in
-  note t leaf Natix_obs.Event.Bt_read ~leaf:true;
-  value
+let find t ~key = snd (descend t t.root (Some key) (fun b ~off ~len:_ -> leaf_value key b off))
 
 let mem t ~key = find t ~key <> None
 
@@ -311,23 +304,14 @@ let insert t ~key ~value =
 (* ---- deletion (lazy) ------------------------------------------------ *)
 
 let remove t ~key =
-  let rid = find_leaf t t.root key in
-  match read_node t rid with
-  | Leaf l ->
+  match descend t t.root (Some key) (fun b ~off ~len -> decode (Bytes.sub_string b off len)) with
+  | rid, Leaf l ->
     let n = List.length l.entries in
     l.entries <- List.filter (fun (k, _) -> k <> key) l.entries;
     if List.length l.entries <> n then write_node t rid (Leaf l)
-  | Internal _ -> assert false
+  | _, Internal _ -> assert false
 
 (* ---- scans ----------------------------------------------------------- *)
-
-let leftmost_leaf t =
-  let rec go rid =
-    match visit t rid (fun b off -> Rid.read b (off + 3)) with
-    | None -> rid
-    | Some child -> go child
-  in
-  go t.root
 
 (* The bindings of the leaf image at [off] with [lo <= key < hi], copied
    out in key order, whether a key at or past [hi] ended the scan, and the
@@ -348,20 +332,15 @@ let leaf_range ~lo ~hi b off =
   done;
   (List.rev !acc, !stop, Rid.read b (off + 3))
 
+(* The first leaf's range is read in the fix that reached it; the walk
+   then follows the leaf chain, one fix per leaf. *)
 let iter_range t ~lo ~hi f =
-  let start = match lo with Some k -> find_leaf t t.root k | None -> leftmost_leaf t in
-  let rec walk rid =
-    if not (Rid.is_null rid) then begin
-      let bindings, stop, next =
-        Record_manager.with_record t.rm rid (fun b ~off ~len:_ ->
-            if is_leaf_image b off then leaf_range ~lo ~hi b off else assert false)
-      in
-      note t rid Natix_obs.Event.Bt_read ~leaf:true;
-      List.iter (fun (k, v) -> f k v) bindings;
-      if not stop then walk next
-    end
+  let range b ~off ~len:_ = leaf_range ~lo ~hi b off in
+  let rec walk (bindings, stop, next) =
+    List.iter (fun (k, v) -> f k v) bindings;
+    if not (stop || Rid.is_null next) then walk (snd (descend t next None range))
   in
-  walk start
+  walk (snd (descend t t.root lo range))
 
 let iter t f = iter_range t ~lo:None ~hi:None f
 
@@ -435,6 +414,6 @@ let check t =
       | Leaf l -> chain l.next (rid :: acc)
       | Internal _ -> fail "leaf chain reaches an internal node"
   in
-  let chained = chain (leftmost_leaf t) [] in
+  let chained = chain (fst (descend t t.root None (fun _ ~off:_ ~len:_ -> ()))) [] in
   if not (List.length chained = List.length in_order && List.for_all2 Rid.equal chained in_order)
   then fail "leaf chain disagrees with tree order"

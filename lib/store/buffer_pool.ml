@@ -304,14 +304,11 @@ let iter_frames t fn =
   iter_lru fn t.hot;
   iter_lru fn t.cold
 
-let count_segment t seg =
+let resident_cold t =
   with_pool t (fun () ->
       let n = ref 0 in
-      iter_frames t (fun f -> if f.seg = seg then incr n);
+      iter_frames t (fun f -> if f.seg = Cold then incr n);
       !n)
-
-let resident_hot t = count_segment t Hot
-let resident_cold t = count_segment t Cold
 
 let pinned_frames t =
   with_pool t (fun () ->

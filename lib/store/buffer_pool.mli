@@ -231,9 +231,6 @@ val scan_resistant : t -> bool
 (** Whether the page is currently cached (pinned or not). *)
 val is_resident : t -> int -> bool
 
-(** Resident frames currently in the hot segment. *)
-val resident_hot : t -> int
-
 (** Resident frames currently in the cold (probationary) segment.  Always
     0 without [scan_resistant]. *)
 val resident_cold : t -> int

@@ -428,18 +428,6 @@ let read_raw t page buf =
         Bytes.blit m.pages.(page) 0 buf 0 t.payload_size
       | File f -> read_physical t f.fd ~page buf)
 
-let write_raw t page buf =
-  with_latch t (fun () ->
-      check_bounds t page;
-      assert (Bytes.length buf = t.page_size);
-      charge t ~page ~is_read:false;
-      match t.backend with
-      | Mem m -> Bytes.blit buf 0 m.pages.(page) 0 t.payload_size
-      | File f ->
-        ignore (Unix.lseek f.fd ((page + 1) * t.page_size) Unix.SEEK_SET);
-        let n = Unix.write f.fd buf 0 t.page_size in
-        if n <> t.page_size then bad ~page "short write (%d of %d bytes)" n t.page_size)
-
 let verify t page =
   with_latch t (fun () ->
       if page < 0 || page >= page_count t then Error "page out of bounds"

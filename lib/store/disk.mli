@@ -98,19 +98,15 @@ val write : ?lsn:int -> t -> int -> bytes -> unit
     [Io_stats.read_ahead_pages]. *)
 val read_run : t -> first:int -> ?speculative:bool -> bytes list -> int
 
-(** {2 Raw access — WAL and recovery only}
+(** {2 Raw access — recovery only}
 
     Whole physical pages, trailer included, with no checksum verification
-    and no fault injection: the WAL captures exact pre-images (torn or
-    not), and recovery puts them back verbatim. *)
+    and no fault injection: recovery reads a page's trailer LSN this way
+    even when the page is torn. *)
 
 (** [read_raw t page buf] fills [buf] (of length {!page_size}) with the
     raw page image. *)
 val read_raw : t -> int -> bytes -> unit
-
-(** [write_raw t page buf] writes a raw page image back, preserving its
-    embedded trailer. *)
-val write_raw : t -> int -> bytes -> unit
 
 (** Verify one page's trailer without raising; [Ok ()] always for the
     in-memory backend.  Used by [natix fsck]. *)

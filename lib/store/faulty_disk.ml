@@ -11,7 +11,6 @@ type t = {
   prng : Prng.t;
   mutable crash_after : int;
   mutable tearing : bool;
-  mutable read_fail_p : float;
   mutable fail_next : int;
   mutable fsync_crash_after : int;
   mutable fsync_mode : fsync_mode;
@@ -26,7 +25,6 @@ let create ~seed () =
     prng = Prng.create ~seed;
     crash_after = -1;
     tearing = true;
-    read_fail_p = 0.0;
     fail_next = 0;
     fsync_crash_after = -1;
     fsync_mode = `Lose_all;
@@ -51,12 +49,7 @@ let arm_fsync_crash ?(mode = `Lose_all) t n =
 let disarm t =
   t.crash_after <- -1;
   t.fsync_crash_after <- -1;
-  t.read_fail_p <- 0.0;
   t.fail_next <- 0
-
-let set_read_fail_p t p =
-  if p < 0.0 || p >= 1.0 then invalid_arg "Faulty_disk.set_read_fail_p: p must be in [0, 1)";
-  t.read_fail_p <- p
 
 let fail_next_reads t n =
   if n < 0 then invalid_arg "Faulty_disk.fail_next_reads: negative count";
@@ -119,5 +112,4 @@ let on_read t ~page =
   if t.fail_next > 0 then begin
     t.fail_next <- t.fail_next - 1;
     raise (Read_error page)
-  end;
-  if t.read_fail_p > 0.0 && Prng.float t.prng < t.read_fail_p then raise (Read_error page)
+  end

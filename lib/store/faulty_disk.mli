@@ -13,7 +13,7 @@
       is lost entirely, and {!Crash} is raised to kill the simulated
       process.  After a crash every further write is lost and every read
       fails, so leaked handles cannot persist post-mortem state.
-    - {b transient read errors} ({!set_read_fail_p}, {!fail_next_reads}):
+    - {b transient read errors} ({!fail_next_reads}):
       {!Read_error} is raised; the buffer pool retries these. *)
 
 (** The simulated process death.  Escapes through every store layer; the
@@ -53,12 +53,9 @@ val arm_crash : ?torn:bool -> t -> int -> unit
     the given {!fsync_mode} (default [`Lose_all]). *)
 val arm_fsync_crash : ?mode:fsync_mode -> t -> int -> unit
 
-(** Clear the crash trigger and all read-failure knobs ({!crashed} state is
-    kept). *)
+(** Clear the crash triggers and any pending read failures ({!crashed}
+    state is kept). *)
 val disarm : t -> unit
-
-(** Probability that any given read fails transiently. *)
-val set_read_fail_p : t -> float -> unit
 
 (** Fail exactly the next [n] reads, then recover. *)
 val fail_next_reads : t -> int -> unit

@@ -83,10 +83,6 @@ let live_count b =
 let contiguous b = data_start b - slot_end b
 let total_free b = contiguous b + gap_bytes b
 
-let fill_ratio b =
-  let usable = Bytes.length b - header_size in
-  if usable <= 0 then 1.0 else 1.0 -. (float_of_int (total_free b) /. float_of_int usable)
-
 let free_for_insert b =
   let slot_cost = if free_slots b > 0 then 0 else slot_size in
   max 0 (total_free b - slot_cost)

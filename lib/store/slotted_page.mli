@@ -45,11 +45,6 @@ val free_for_insert : bytes -> int
 (** Total free bytes including fragmentation gaps (excluding slot reuse). *)
 val total_free : bytes -> int
 
-(** Fraction of the usable area (page minus header) occupied by record
-    data and slot entries: [1 - total_free / (page_size - header_size)].
-    The observability layer reports this per page at split time. *)
-val fill_ratio : bytes -> float
-
 (** 32-bit field reserved for upper layers (e.g. catalog bootstrap). *)
 val get_user32 : bytes -> int
 

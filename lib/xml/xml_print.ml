@@ -18,16 +18,6 @@ let escape_into buf ~attr s =
   done;
   Buffer.add_substring buf s !run (String.length s - !run)
 
-let escape_text s =
-  let buf = Buffer.create (String.length s + 8) in
-  escape_into buf ~attr:false s;
-  Buffer.contents buf
-
-let escape_attr s =
-  let buf = Buffer.create (String.length s + 8) in
-  escape_into buf ~attr:true s;
-  Buffer.contents buf
-
 let add_attrs buf attrs =
   List.iter
     (fun (k, v) ->

@@ -15,9 +15,3 @@ val add_to_buffer : Buffer.t -> Xml_tree.t -> unit
 (** [escape_into buf ~attr s] appends [s] to [buf] escaped as character
     data, or as an attribute value when [attr]. *)
 val escape_into : Buffer.t -> attr:bool -> string -> unit
-
-(** Escape character data ([&], [<], [>]). *)
-val escape_text : string -> string
-
-(** Escape an attribute value (ampersand, less-than, double quote). *)
-val escape_attr : string -> string

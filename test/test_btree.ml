@@ -192,47 +192,43 @@ let decode_ref rm rid =
     let child0 = rid () in
     R_internal (child0, entries rid)
 
-(* The decoded walk: results and the number of nodes it reads. *)
+(* The decoded walk: results and the number of nodes it reads.  It reads
+   each node on its path once, the leaf included. *)
 let ref_walk rm root =
   let reads = ref 0 in
   let read rid =
     incr reads;
     decode_ref rm rid
   in
+  (* The leaf for [key] as its chain link and entries; [None] sorts
+     below every separator, so it finds the leftmost leaf. *)
   let rec leaf_for key rid =
     match read rid with
-    | R_leaf _ -> rid
+    | R_leaf (next, entries) -> (next, entries)
     | R_internal (child0, entries) ->
       let rec pick prev = function
         | [] -> prev
-        | (sep, c) :: rest -> if key < sep then prev else pick c rest
+        | (sep, c) :: rest -> if key < Some sep then prev else pick c rest
       in
       leaf_for key (pick child0 entries)
   in
-  let rec leftmost rid = match read rid with R_leaf _ -> rid | R_internal (c, _) -> leftmost c in
-  let find key =
-    match read (leaf_for key root) with
-    | R_leaf (_, entries) -> List.assoc_opt key entries
-    | R_internal _ -> assert false
-  in
+  let find key = List.assoc_opt key (snd (leaf_for (Some key) root)) in
   let range lo hi =
-    let start = match lo with Some k -> leaf_for k root | None -> leftmost root in
-    let rec walk rid acc =
-      if Rid.is_null rid then acc
+    let rec walk (next, entries) acc =
+      let acc = ref acc and stop = ref false in
+      List.iter
+        (fun (k, v) ->
+          let above = match lo with Some lo -> k >= lo | None -> true in
+          let below = match hi with Some hi -> k < hi | None -> true in
+          if above && below then acc := (k, v) :: !acc else if not below then stop := true)
+        entries;
+      if !stop || Rid.is_null next then !acc
       else
-        match read rid with
+        match read next with
         | R_internal _ -> assert false
-        | R_leaf (next, entries) ->
-          let acc = ref acc and stop = ref false in
-          List.iter
-            (fun (k, v) ->
-              let above = match lo with Some lo -> k >= lo | None -> true in
-              let below = match hi with Some hi -> k < hi | None -> true in
-              if above && below then acc := (k, v) :: !acc else if not below then stop := true)
-            entries;
-          if !stop then !acc else walk next !acc
+        | R_leaf (next, entries) -> walk (next, entries) !acc
     in
-    List.rev (walk start [])
+    List.rev (walk (leaf_for lo root) [])
   in
   (reads, find, range)
 

@@ -328,20 +328,98 @@ let scan_refcount () =
   Alcotest.(check bool) "scan mode survives the first region's exit" true still_on;
   Alcotest.(check bool) "scan mode off after the last region" false (Buffer_pool.scan_mode pool)
 
-let deque_semantics () =
-  let d = Natix_par.Deque.create ~capacity:3 in
-  Alcotest.(check bool) "push 1" true (Natix_par.Deque.push d 1);
-  Alcotest.(check bool) "push 2" true (Natix_par.Deque.push d 2);
-  Alcotest.(check bool) "push 3" true (Natix_par.Deque.push d 3);
-  Alcotest.(check bool) "bounded: 4th push refused" false (Natix_par.Deque.push d 4);
-  Alcotest.(check (option int)) "thief takes the oldest" (Some 1) (Natix_par.Deque.steal d);
-  Alcotest.(check (option int)) "owner takes the newest" (Some 3) (Natix_par.Deque.pop d);
-  Alcotest.(check bool) "slot freed" true (Natix_par.Deque.push d 5);
-  Alcotest.(check (option int)) "fifo continues" (Some 2) (Natix_par.Deque.steal d);
-  Alcotest.(check (option int)) "lifo continues" (Some 5) (Natix_par.Deque.pop d);
-  Alcotest.(check (option int)) "empty pop" None (Natix_par.Deque.pop d);
-  Alcotest.(check (option int)) "empty steal" None (Natix_par.Deque.steal d);
-  Alcotest.(check int) "length" 0 (Natix_par.Deque.length d)
+(* [map_tasks]'s own contract, over tasks that each read a known number
+   of pages straight from the disk and sleep a task-dependent time, so
+   the tasks' costs are uneven and every task's I/O is known exactly
+   whichever domain runs it. *)
+let task_disk () =
+  let disk = Disk.in_memory ~page_size:512 () in
+  let pages = Array.init 4 (fun _ -> Disk.allocate disk) in
+  Array.iter (fun p -> Disk.write disk p (Bytes.make (Disk.payload_size disk) 'x')) pages;
+  (disk, pages)
+
+let task_reads i = 1 + (i * 5 mod 7)
+
+let read_pages disk pages k =
+  let buf = Bytes.create (Disk.payload_size disk) in
+  for r = 1 to k do
+    Disk.read disk pages.(r mod Array.length pages) buf
+  done
+
+let map_tasks_contract () =
+  let disk, pages = task_disk () in
+  let check ~jobs n =
+    let what = Printf.sprintf "jobs %d, %d tasks" jobs n in
+    let runs = Array.init n (fun _ -> Atomic.make 0) in
+    let before = Io_stats.copy (Disk.stats disk) in
+    let outcome =
+      Par.map_tasks ~jobs ~disk
+        ~make_ctx:(fun () -> ())
+        ~f:(fun () i ->
+          Atomic.incr runs.(i);
+          read_pages disk pages (task_reads i);
+          Unix.sleepf (float_of_int (i mod 3) *. 0.002);
+          i * i)
+        (Array.init n Fun.id)
+    in
+    let delta = Io_stats.diff (Io_stats.copy (Disk.stats disk)) before in
+    Alcotest.(check (list int))
+      (what ^ ": each task ran once") (List.init n (fun _ -> 1))
+      (Array.to_list (Array.map Atomic.get runs));
+    Alcotest.(check (list int))
+      (what ^ ": results in task order") (List.init n (fun i -> i * i)) outcome.Par.results;
+    Alcotest.(check (list int))
+      (what ^ ": task I/O in task order") (List.init n task_reads)
+      (List.map (fun io -> io.Io_stats.reads) outcome.Par.task_io);
+    Alcotest.(check (list int))
+      (what ^ ": one worker entry per domain")
+      (List.init (max 1 (min jobs n)) Fun.id)
+      (List.map (fun w -> w.Par.worker) outcome.Par.workers);
+    Alcotest.(check int)
+      (what ^ ": worker I/O sums to the disk's delta") delta.Io_stats.reads
+      (List.fold_left (fun acc w -> acc + w.Par.io.Io_stats.reads) 0 outcome.Par.workers);
+    Alcotest.(check int)
+      (what ^ ": the disk's delta is every task's reads")
+      (List.fold_left (fun acc i -> acc + task_reads i) 0 (List.init n Fun.id))
+      delta.Io_stats.reads
+  in
+  List.iter (fun jobs -> check ~jobs 9) [ 1; 2; 3; 4 ];
+  check ~jobs:6 3;
+  check ~jobs:4 0
+
+exception Boom
+
+(* A raising task stops the fleet, and the caller sees the exception
+   only after every domain has joined: every task that started has
+   finished by then, its reads are merged into the disk's stats, and the
+   parallel region is closed. *)
+let map_tasks_raise () =
+  let disk, pages = task_disk () in
+  let started = Atomic.make 0 and finished = Atomic.make 0 and reads = Atomic.make 0 in
+  let before = Io_stats.copy (Disk.stats disk) in
+  (match
+     Par.map_tasks ~jobs:4 ~disk
+       ~make_ctx:(fun () -> ())
+       ~f:(fun () i ->
+         Atomic.incr started;
+         read_pages disk pages (task_reads i);
+         ignore (Atomic.fetch_and_add reads (task_reads i) : int);
+         if i = 1 then begin
+           Unix.sleepf 0.002;
+           Atomic.incr finished;
+           raise Boom
+         end;
+         Unix.sleepf 0.03;
+         Atomic.incr finished)
+       (Array.init 12 Fun.id)
+   with
+  | _ -> Alcotest.fail "a raising task must re-raise on the caller"
+  | exception Boom -> ());
+  Alcotest.(check int) "every started task finished" (Atomic.get started) (Atomic.get finished);
+  Alcotest.(check bool) "the fleet stopped early" true (Atomic.get started < 12);
+  Alcotest.(check bool) "region closed" false (Disk.in_parallel_region disk);
+  Alcotest.(check int) "every domain's reads merged" (Atomic.get reads)
+    (Io_stats.diff (Io_stats.copy (Disk.stats disk)) before).Io_stats.reads
 
 (* The store-wide dictionaries under concurrent interning.  Four domains
    intern overlapping seeded key sets into one name pool and one
@@ -556,7 +634,10 @@ let suites =
         Alcotest.test_case "scan stress: small scan-resistant pool, 4 domains" `Quick scan_stress;
         Alcotest.test_case "reset_stats rejected inside a parallel region" `Quick reset_rejected;
         Alcotest.test_case "scan regions refcount across domains" `Quick scan_refcount;
-        Alcotest.test_case "deque: owner LIFO, thief FIFO, bounded" `Quick deque_semantics;
+        Alcotest.test_case "map_tasks: each task once, results and I/O in task order" `Quick
+          map_tasks_contract;
+        Alcotest.test_case "map_tasks: a raising task re-raises after every domain joined" `Quick
+          map_tasks_raise;
       ] );
     ( "par.dict",
       [

@@ -432,21 +432,18 @@ let exec_tests =
         Alcotest.(check (list string)) "without" indexed walked;
         Alcotest.(check (list int)) "counts with the index" [ 2; 2; 1 ] indexed_counts;
         Alcotest.(check (list int)) "counts without" indexed_counts walked_counts);
-    Alcotest.test_case "Options record and the keyword shims agree" `Quick (fun () ->
-        let o = Natix.Session.Options.default in
+    Alcotest.test_case "Options: monitor = false leaves a session unmonitored, the default monitors"
+      `Quick (fun () ->
         let s1 =
           Natix.Session.open_memory
-            ~options:{ o with Natix.Session.Options.monitor = false }
+            ~options:{ Natix.Session.Options.default with monitor = false }
             ()
         in
-        Alcotest.(check bool) "options: no monitor" true (Natix.Session.mon s1 = None);
+        Alcotest.(check bool) "monitor = false: no monitor" true (Natix.Session.mon s1 = None);
         Natix.Session.close s1;
-        let s2 = Natix.Session.open_memory ~options:{ Natix.Session.Options.default with monitor = false } () in
-        Alcotest.(check bool) "shim: no monitor" true (Natix.Session.mon s2 = None);
-        Natix.Session.close s2;
-        let s3 = Natix.Session.open_memory () in
-        Alcotest.(check bool) "default: monitored" true (Natix.Session.mon s3 <> None);
-        Natix.Session.close s3);
+        let s2 = Natix.Session.open_memory () in
+        Alcotest.(check bool) "default: monitored" true (Natix.Session.mon s2 <> None);
+        Natix.Session.close s2);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -683,6 +680,64 @@ let admission_tests =
         Alcotest.(check int) "shed" 1 st.Server.shed;
         Alcotest.(check bool) "bounded queue" true (st.Server.max_queue <= 1);
         Server.shutdown server;
+        Natix.Session.close s);
+    Alcotest.test_case "shutdown drains every queued ticket with its hits" `Quick (fun () ->
+        let s = session_with_docs [ "d" ] in
+        let registry = Registry.create () in
+        Registry.mount registry "t" s;
+        let tenant =
+          match Registry.find registry "t" with Ok t -> t | Error e -> Error.raise_error e
+        in
+        let k = 4 in
+        (* Room for exactly two running and [k] queued requests: one more
+           sheds "inflight_limit" until shutdown starts, then
+           "shutting_down". *)
+        let server =
+          Server.create
+            ~config:
+              { Server.default_config with Server.jobs = 2; max_inflight = 2 + k; queue_depth = k }
+            registry
+        in
+        let release, holder = hold_gate tenant in
+        (* Counted, so a ticket left unanswered fails the wait below
+           instead of hanging the join. *)
+        let answered = Atomic.make 0 in
+        let submit_query () =
+          Domain.spawn (fun () ->
+              let r =
+                Server.submit server ~tenant:"t"
+                  (Api.Query { doc = "d"; path = "//SPEAKER"; texts = false })
+              in
+              Atomic.incr answered;
+              r)
+        in
+        let running = List.init 2 (fun _ -> submit_query ()) in
+        wait_for "both workers blocked on the gate" (fun () ->
+            (Server.stats server).Server.running = 2);
+        let queued = List.init k (fun _ -> submit_query ()) in
+        wait_for "tickets queued" (fun () -> (Server.stats server).Server.queued = k);
+        let probes = ref 0 in
+        let probe () =
+          incr probes;
+          match Server.submit server ~tenant:"t" Api.Ping with
+          | Api.Overloaded { reason = "shutting_down" } -> true
+          | Api.Overloaded { reason = "inflight_limit" } -> false
+          | r -> Alcotest.failf "probe: %a" Api.pp_response r
+        in
+        let stopper = Domain.spawn (fun () -> Server.shutdown server) in
+        wait_for "shutdown started" probe;
+        Atomic.set release true;
+        Domain.join holder;
+        wait_for "every ticket answered" (fun () -> Atomic.get answered = 2 + k);
+        Domain.join stopper;
+        List.iteri
+          (fun i d -> check_hits (Printf.sprintf "request %d answered" i) 40 (Domain.join d))
+          (running @ queued);
+        let st = Server.stats server in
+        Alcotest.(check int) "served" (2 + k) st.Server.served;
+        Alcotest.(check int) "only the probes shed" !probes st.Server.shed;
+        Alcotest.(check int) "queue empty" 0 st.Server.queued;
+        Alcotest.(check int) "nothing running" 0 st.Server.running;
         Natix.Session.close s);
     Alcotest.test_case "budget breach sheds only when configured to" `Quick (fun () ->
         let s = session_with_docs [ "d" ] in
