@@ -1001,16 +1001,13 @@ let top_cmd =
               Float.max acc (r.Natix_trace.Trace.submitted_ms +. r.Natix_trace.Trace.dur_ms))
             0. reports
         in
-        Printf.printf "%-24s %8s %10s %10s %10s %10s %8s %s\n" "TENANT" "REQS" "P50-MS"
-          "P95-MS" "P99-MS" "TARGET" "BREACH" "STATE";
+        Printf.printf "%-24s %8s %10s %10s %10s\n" "TENANT" "REQS" "P50-MS" "P95-MS" "P99-MS";
         List.iter
           (fun (st : Natix_mon.Slo.stat) ->
             let q = function None -> "-" | Some v -> Printf.sprintf "%.2f" v in
-            Printf.printf "%-24s %8d %10s %10s %10s %10s %8d %s\n" st.Natix_mon.Slo.tenant
+            Printf.printf "%-24s %8d %10s %10s %10s\n" st.Natix_mon.Slo.tenant
               st.Natix_mon.Slo.count (q st.Natix_mon.Slo.p50_ms) (q st.Natix_mon.Slo.p95_ms)
-              (q st.Natix_mon.Slo.p99_ms) (q st.Natix_mon.Slo.target_ms)
-              st.Natix_mon.Slo.breaches
-              (if st.Natix_mon.Slo.breached then "OVER" else "ok"))
+              (q st.Natix_mon.Slo.p99_ms))
           (Natix_server.Server.slo_snapshot server ~at_ms);
         match Natix_server.Server.slow_reports server with
         | [] -> ()
@@ -1053,14 +1050,12 @@ let top_cmd =
         (fun a b -> compare b.Account.win_sim_ms.Window.sum a.Account.win_sim_ms.Window.sum)
         (Mon.accounts mon ~at_ms)
     in
-    Printf.printf "%-24s %10s %8s %12s %10s %5s %s\n" "DOC" "READS" "RD/WIN" "SIM-MS" "MS/WIN"
-      "PIN" "BUDGET";
+    Printf.printf "%-24s %10s %8s %12s %10s %5s\n" "DOC" "READS" "RD/WIN" "SIM-MS" "MS/WIN" "PIN";
     List.iteri
       (fun i (d : Account.doc_stats) ->
         if i < n then
-          Printf.printf "%-24s %10d %8.0f %12.2f %10.2f %5d %s\n" d.Account.doc d.reads_total
-            d.win_reads.Window.sum d.sim_ms_total d.win_sim_ms.Window.sum d.pinned_peak
-            (match d.breached with [] -> "-" | l -> "OVER:" ^ String.concat "," l))
+          Printf.printf "%-24s %10d %8.0f %12.2f %10.2f %5d\n" d.Account.doc d.reads_total
+            d.win_reads.Window.sum d.sim_ms_total d.win_sim_ms.Window.sum d.pinned_peak)
       accounts;
     Natix.Session.close ~commit:false sess
     end
@@ -1188,9 +1183,7 @@ let replay_cmd =
         exit 2
     in
     let sess = open_session store_path in
-    (* Replays via the Api command layer (Session.replay) so the dump is
-       verified against the same execution path a server would use. *)
-    let report = Natix.Session.replay ?jobs sess meta ops in
+    let report = Natix_mon.Replay.run ?jobs (Natix.Session.store sess) meta ops in
     let r_reads, r_writes, r_total = report.Natix_mon.Replay.replayed_io in
     let c_reads, c_writes, c_total = report.Natix_mon.Replay.captured_io in
     Printf.printf "replayed %d op(s) (%d skipped: not replayable)\n"

@@ -1,27 +1,22 @@
 module Json = Natix_obs.Json
 
-type budget = { max_reads : int option; max_sim_ms : float option }
-type breach = { doc : string; resource : string; used : float; limit : float }
-
-let no_budget = { max_reads = None; max_sim_ms = None }
-
 type acct = {
   mutable reads_total : int;
   mutable sim_ms_total : float;
   mutable pinned_peak : int;
   win_reads : Window.t;
   win_sim_ms : Window.t;
-  mutable budget : budget;
-  mutable fired : string list;  (* resources whose breach already fired *)
 }
 
-type t = { bucket_ms : float; buckets : int; accounts : (string, acct) Hashtbl.t }
+type t = (string, acct) Hashtbl.t
 
-let create ?(bucket_ms = 1000.) ?(buckets = 60) () =
-  { bucket_ms; buckets; accounts = Hashtbl.create 8 }
+let create () = Hashtbl.create 8
+
+let window () =
+  Window.create ~bucket_ms:Window.default_bucket_ms ~buckets:Window.default_buckets ()
 
 let acct t doc =
-  match Hashtbl.find_opt t.accounts doc with
+  match Hashtbl.find_opt t doc with
   | Some a -> a
   | None ->
     let a =
@@ -29,45 +24,23 @@ let acct t doc =
         reads_total = 0;
         sim_ms_total = 0.;
         pinned_peak = 0;
-        win_reads = Window.create ~bucket_ms:t.bucket_ms ~buckets:t.buckets ();
-        win_sim_ms = Window.create ~bucket_ms:t.bucket_ms ~buckets:t.buckets ();
-        budget = no_budget;
-        fired = [];
+        win_reads = window ();
+        win_sim_ms = window ();
       }
     in
-    Hashtbl.add t.accounts doc a;
+    Hashtbl.add t doc a;
     a
-
-let set_budget t ~doc budget =
-  let a = acct t doc in
-  a.budget <- budget;
-  a.fired <- []
-
-let breach a ~doc resource used limit =
-  if List.mem resource a.fired then None
-  else begin
-    a.fired <- resource :: a.fired;
-    Some { doc; resource; used; limit }
-  end
 
 let charge_reads t ~doc ~at_ms n =
   let a = acct t doc in
   a.reads_total <- a.reads_total + n;
-  Window.add a.win_reads ~at_ms (float_of_int n);
-  match a.budget.max_reads with
-  | Some limit when a.reads_total > limit ->
-    Option.to_list (breach a ~doc "reads" (float_of_int a.reads_total) (float_of_int limit))
-  | _ -> []
+  Window.add a.win_reads ~at_ms (float_of_int n)
 
 let charge_op t ~doc ~at_ms ~sim_ms ~pinned =
   let a = acct t doc in
   a.sim_ms_total <- a.sim_ms_total +. sim_ms;
   if pinned > a.pinned_peak then a.pinned_peak <- pinned;
-  Window.add a.win_sim_ms ~at_ms sim_ms;
-  match a.budget.max_sim_ms with
-  | Some limit when a.sim_ms_total > limit ->
-    Option.to_list (breach a ~doc "sim_ms" a.sim_ms_total limit)
-  | _ -> []
+  Window.add a.win_sim_ms ~at_ms sim_ms
 
 type doc_stats = {
   doc : string;
@@ -76,12 +49,10 @@ type doc_stats = {
   pinned_peak : int;
   win_reads : Window.agg;
   win_sim_ms : Window.agg;
-  budget : budget;
-  breached : string list;
 }
 
 let snapshot t ~at_ms =
-  Hashtbl.fold (fun doc a acc -> (doc, a) :: acc) t.accounts []
+  Hashtbl.fold (fun doc a acc -> (doc, a) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.map (fun (doc, (a : acct)) ->
          {
@@ -91,8 +62,6 @@ let snapshot t ~at_ms =
            pinned_peak = a.pinned_peak;
            win_reads = Window.agg a.win_reads ~at_ms;
            win_sim_ms = Window.agg a.win_sim_ms ~at_ms;
-           budget = a.budget;
-           breached = List.sort String.compare a.fired;
          })
 
 let json_of_agg (a : Window.agg) =
@@ -103,26 +72,13 @@ let to_json stats =
   Json.List
     (List.map
        (fun d ->
-         let budget =
-           (match d.budget.max_reads with
-           | None -> []
-           | Some r -> [ ("max_reads", Json.Int r) ])
-           @
-           match d.budget.max_sim_ms with
-           | None -> []
-           | Some ms -> [ ("max_sim_ms", Json.Float ms) ]
-         in
          Json.Obj
-           ([
-              ("doc", Json.String d.doc);
-              ("reads_total", Json.Int d.reads_total);
-              ("sim_ms_total", Json.Float d.sim_ms_total);
-              ("pinned_peak", Json.Int d.pinned_peak);
-              ("win_reads", json_of_agg d.win_reads);
-              ("win_sim_ms", json_of_agg d.win_sim_ms);
-            ]
-           @ (if budget = [] then [] else [ ("budget", Json.Obj budget) ])
-           @
-           if d.breached = [] then []
-           else [ ("breached", Json.List (List.map (fun r -> Json.String r) d.breached)) ]))
+           [
+             ("doc", Json.String d.doc);
+             ("reads_total", Json.Int d.reads_total);
+             ("sim_ms_total", Json.Float d.sim_ms_total);
+             ("pinned_peak", Json.Int d.pinned_peak);
+             ("win_reads", json_of_agg d.win_reads);
+             ("win_sim_ms", json_of_agg d.win_sim_ms);
+           ])
        stats)

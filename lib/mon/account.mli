@@ -1,39 +1,26 @@
-(** Per-document resource accounting with soft budgets.
+(** Per-document resource accounting.
 
     Each document's account accumulates physical page reads (fed
     per-event, see {!charge_reads}), simulated milliseconds and the peak
     number of pages pinned (fed per completed operation, see
     {!charge_op}).  Cumulative totals live for the account's lifetime;
-    windowed totals ride the same sliding windows as {!Registry}.
-
-    Budgets are {e soft}: crossing one never fails the operation, it
-    produces a {!breach} the caller turns into a [Budget_exceeded] event.
-    Breaches are edge-triggered — one per (doc, resource) when the
-    cumulative total first crosses the limit, re-armed by {!set_budget}.
+    windowed totals ride the same one-minute windows as {!Registry}.
 
     Not thread-safe; {!Mon} serialises. *)
 
-type budget = { max_reads : int option; max_sim_ms : float option }
-
-type breach = { doc : string; resource : string; used : float; limit : float }
-(** [resource] is ["reads"] or ["sim_ms"]. *)
-
 type t
 
-val create : ?bucket_ms:float -> ?buckets:int -> unit -> t
-
-(** Install (or replace) a document's budget; re-arms its breaches. *)
-val set_budget : t -> doc:string -> budget -> unit
+val create : unit -> t
 
 (** [charge_reads t ~doc ~at_ms n] accumulates [n] physical page reads —
     fed from [Io] events, whose (doc, phase) context attributes them even
-    inside parallel batches — and returns any newly crossed budget. *)
-val charge_reads : t -> doc:string -> at_ms:float -> int -> breach list
+    inside parallel batches. *)
+val charge_reads : t -> doc:string -> at_ms:float -> int -> unit
 
 (** [charge_op t ~doc ~at_ms ~sim_ms ~pinned] accumulates one completed
     operation's simulated time and peak pages-pinned (per-op figures only
     exist for operations recorded individually). *)
-val charge_op : t -> doc:string -> at_ms:float -> sim_ms:float -> pinned:int -> breach list
+val charge_op : t -> doc:string -> at_ms:float -> sim_ms:float -> pinned:int -> unit
 
 type doc_stats = {
   doc : string;
@@ -42,8 +29,6 @@ type doc_stats = {
   pinned_peak : int;  (** highest pages-pinned any single op reached *)
   win_reads : Window.agg;
   win_sim_ms : Window.agg;
-  budget : budget;
-  breached : string list;  (** resources over budget, sorted *)
 }
 
 (** All accounts, sorted by document name. *)

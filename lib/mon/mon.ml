@@ -2,18 +2,7 @@ module Json = Natix_obs.Json
 module Event = Natix_obs.Event
 module Io_stats = Natix_store.Io_stats
 
-type t = {
-  registry : Registry.t;
-  account : Account.t;
-  recorder : Recorder.t;
-  obs : Natix_obs.Obs.t;
-  lock : Mutex.t;
-  mutable on_budget : (Account.breach -> unit) list;  (* newest first *)
-  mutable pending : Account.breach list;
-      (* breaches detected inside the event subscriber, which runs under
-         the handle's delivery lock and therefore cannot emit; drained
-         (and emitted) at the next call that enters from outside *)
-}
+type t = { registry : Registry.t; account : Account.t; recorder : Recorder.t; lock : Mutex.t }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -28,47 +17,27 @@ let locked t f =
 let feed t (ev : Event.t) =
   let record name v = Registry.record t.registry ?ctx:ev.ctx ~at_ms:ev.at_ms name v in
   match ev.kind with
-  | Event.Io { write = false; _ } ->
+  | Event.Io { write = false; _ } -> (
     record "reads" 1.;
-    (match ev.ctx with
-    | Some { Event.doc = Some doc; _ } ->
-      let breaches = Account.charge_reads t.account ~doc ~at_ms:ev.at_ms 1 in
-      if breaches <> [] then t.pending <- t.pending @ breaches
+    match ev.ctx with
+    | Some { Event.doc = Some doc; _ } -> Account.charge_reads t.account ~doc ~at_ms:ev.at_ms 1
     | _ -> ())
   | Event.Io { write = true; _ } -> record "writes" 1.
   | Event.Wal_append { bytes; _ } -> record "wal_bytes" (float_of_int bytes)
   | _ -> ()
 
-(* Emit breaches (as events + callbacks) with no lock held: emitting
-   re-enters the handle, and thus this monitor's own subscriber. *)
-let fire_breaches t breaches =
-  List.iter
-    (fun (b : Account.breach) ->
-      Natix_obs.Obs.emit t.obs
-        (Event.Budget_exceeded
-           { doc = b.doc; resource = b.resource; used = b.used; limit = b.limit });
-      List.iter (fun f -> f b) (List.rev t.on_budget))
-    breaches
-
-let drain_pending t =
-  let pending = locked t (fun () -> let p = t.pending in t.pending <- []; p) in
-  fire_breaches t pending
-
 let query_ms_edges =
   [| 0.1; 0.5; 1.; 2.; 5.; 10.; 20.; 50.; 100.; 250.; 500.; 1000.; 2500.; 5000.; 10000. |]
 
-let attach ?(bucket_ms = 1000.) ?(buckets = 60) ?(ring_capacity = 1024) obs =
-  let registry = Registry.create ~bucket_ms ~buckets () in
+let attach obs =
+  let registry = Registry.create () in
   Registry.define registry "query_sim_ms" ~quantile_edges:query_ms_edges;
   let t =
     {
       registry;
-      account = Account.create ~bucket_ms ~buckets ();
-      recorder = Recorder.create ~capacity:ring_capacity;
-      obs;
+      account = Account.create ();
+      recorder = Recorder.create ~capacity:1024;
       lock = Mutex.create ();
-      on_budget = [];
-      pending = [];
     }
   in
   (* The kinds [feed] handles: the handle counts the rest (page fixes
@@ -77,46 +46,25 @@ let attach ?(bucket_ms = 1000.) ?(buckets = 60) ?(ring_capacity = 1024) obs =
       locked t (fun () -> feed t ev));
   t
 
-let obs t = t.obs
-
-let set_budget t ~doc ?max_reads ?max_sim_ms () =
-  locked t (fun () -> Account.set_budget t.account ~doc { Account.max_reads; max_sim_ms })
-
-let on_budget t f = t.on_budget <- f :: t.on_budget
-
 let record_op t ?(pinned = 0) (op : Recorder.op) =
-  let breaches =
-    locked t (fun () ->
-        Recorder.add t.recorder op;
-        let ctx = Some { Event.doc = op.doc; phase = op.kind } in
-        Registry.record t.registry ?ctx ~at_ms:op.at_ms "ops" 1.;
-        if op.kind = "query" then
-          Registry.record t.registry ?ctx ~at_ms:op.at_ms "query_sim_ms" op.sim_ms;
-        let breaches =
-          match op.doc with
-          | None -> []
-          | Some doc ->
-            Account.charge_op t.account ~doc ~at_ms:op.at_ms ~sim_ms:op.sim_ms ~pinned
-        in
-        let pending = t.pending in
-        t.pending <- [];
-        pending @ breaches)
-  in
-  fire_breaches t breaches
+  locked t (fun () ->
+      Recorder.add t.recorder op;
+      let ctx = Some { Event.doc = op.doc; phase = op.kind } in
+      Registry.record t.registry ?ctx ~at_ms:op.at_ms "ops" 1.;
+      if op.kind = "query" then
+        Registry.record t.registry ?ctx ~at_ms:op.at_ms "query_sim_ms" op.sim_ms;
+      match op.doc with
+      | None -> ()
+      | Some doc -> Account.charge_op t.account ~doc ~at_ms:op.at_ms ~sim_ms:op.sim_ms ~pinned)
 
-let metrics_snapshot t ~at_ms =
-  drain_pending t;
-  locked t (fun () -> Registry.snapshot t.registry ~at_ms)
+let metrics_snapshot t ~at_ms = locked t (fun () -> Registry.snapshot t.registry ~at_ms)
 
-let accounts t ~at_ms =
-  drain_pending t;
-  locked t (fun () -> Account.snapshot t.account ~at_ms)
+let accounts t ~at_ms = locked t (fun () -> Account.snapshot t.account ~at_ms)
 
 let flight_ops t = locked t (fun () -> Recorder.ops t.recorder)
 let flight_added t = locked t (fun () -> Recorder.added t.recorder)
 
 let export_json t ~at_ms =
-  drain_pending t;
   locked t (fun () ->
       Json.Obj
         [
@@ -132,7 +80,6 @@ let export_json t ~at_ms =
         ])
 
 let export_prometheus t ~at_ms =
-  drain_pending t;
   locked t (fun () -> Registry.to_prometheus (Registry.snapshot t.registry ~at_ms))
 
 let dump_flight t ~io ~jobs ?store ?trace_id oc =

@@ -13,11 +13,12 @@
     - an {!Account} per document: reads fed from the event stream (the
       context attributes them even inside parallel batches), simulated
       time and peak pages-pinned from operation records, each cumulative
-      and windowed, with soft budgets;
-    - a {!Recorder} flight ring of recent operations.
+      and windowed;
+    - a {!Recorder} flight ring of the last 1,024 operations.
 
-    Everything is stamped with the {e simulated} clock, so a
-    deterministic workload yields byte-identical exports.
+    Windows span one minute of the {e simulated} clock (see
+    {!Window.default_bucket_ms}), and everything is stamped with that
+    clock, so a deterministic workload yields byte-identical exports.
 
     {b Cost when idle.}  The subscriber does constant work per event
     (a few window-bucket additions under one mutex); no allocation grows
@@ -27,35 +28,20 @@
     {b Locking.}  One internal mutex serialises all feeds and snapshots.
     The event subscriber runs under the observability handle's delivery
     lock and only ever takes the monitor's lock (never the reverse
-    order), and budget breaches are emitted {e after} the monitor's lock
-    is released — the monitor never calls into the handle while holding
-    its own lock. *)
+    order); the monitor never calls back into the handle. *)
 
 type t
 
-val attach :
-  ?bucket_ms:float -> ?buckets:int -> ?ring_capacity:int -> Natix_obs.Obs.t -> t
-
-val obs : t -> Natix_obs.Obs.t
-
-(** {2 Budgets} *)
-
-(** Install a soft budget; omitted limits are unbounded.  Crossing a
-    limit emits a [Budget_exceeded] event through the handle and invokes
-    every {!on_budget} callback, once per (doc, resource).  A breach
-    detected inside the event subscriber (a [reads] budget crossed
-    mid-operation) cannot emit from under the delivery lock; it fires at
-    the next operation record or snapshot call. *)
-val set_budget : t -> doc:string -> ?max_reads:int -> ?max_sim_ms:float -> unit -> unit
-
-val on_budget : t -> (Account.breach -> unit) -> unit
+(** Subscribe a fresh monitor to the handle's [io] and [wal_append]
+    events. *)
+val attach : Natix_obs.Obs.t -> t
 
 (** {2 Operation records} *)
 
 (** [record_op t ?pinned op] appends to the flight ring ([op.seq] is
     reassigned), charges [op.doc]'s account with the op's simulated time
     and [pinned] (pages pinned at completion), and feeds the [ops] /
-    [query_sim_ms] series.  Emits budget-breach events on the way out. *)
+    [query_sim_ms] series. *)
 val record_op : t -> ?pinned:int -> Recorder.op -> unit
 
 (** {2 Snapshots and export} *)

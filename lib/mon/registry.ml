@@ -14,7 +14,7 @@ type t = {
   entries : (string, entry) Hashtbl.t;
 }
 
-let create ?(bucket_ms = 1000.) ?(buckets = 60) () =
+let create ?(bucket_ms = Window.default_bucket_ms) ?(buckets = Window.default_buckets) () =
   if not (bucket_ms > 0.) then invalid_arg "Registry.create: bucket_ms must be positive";
   if buckets <= 0 then invalid_arg "Registry.create: buckets must be positive";
   { bucket_ms; buckets; entries = Hashtbl.create 16 }

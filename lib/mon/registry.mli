@@ -11,8 +11,8 @@
 
 type t
 
-(** [create ()] — windows default to 60 buckets of 1000 simulated
-    milliseconds (a one-minute sim-clock window). *)
+(** [create ()] — windows default to {!Window.default_bucket_ms} ×
+    {!Window.default_buckets} (a one-minute sim-clock window). *)
 val create : ?bucket_ms:float -> ?buckets:int -> unit -> t
 
 (** Declare [name] with histogram edges so its snapshot carries moving

@@ -84,9 +84,7 @@ let render_outcome (op : Recorder.op) =
   | "ok", Some d, Some n -> Printf.sprintf "ok rows=%d digest=%s" n d
   | outcome, _, _ -> outcome
 
-type executor = jobs:int -> (string * string) list -> (string list, Natix_core.Error.t) result list
-
-let run ?jobs ?exec store (meta : Recorder.meta) ops =
+let run ?jobs store (meta : Recorder.meta) ops =
   let jobs = Option.value jobs ~default:meta.Recorder.jobs in
   let queries, others = List.partition (fun (o : Recorder.op) -> o.kind = "query") ops in
   let tasks =
@@ -94,22 +92,7 @@ let run ?jobs ?exec store (meta : Recorder.meta) ops =
       (fun (o : Recorder.op) -> (Option.value o.Recorder.doc ~default:"", o.Recorder.detail))
       queries
   in
-  let results, io =
-    match exec with
-    | None -> cold_run ~jobs store tasks
-    | Some exec ->
-      (* The caller supplies the execution surface (the session's
-         [exec_batch], i.e. the Api command layer); the cold protocol —
-         buffers cleared, counters zeroed — stays ours so the totals
-         assertion keeps meaning the same thing on every surface.  The
-         per-task I/O deltas are informational-only in a replay, so the
-         custom path reports zeros rather than pretending to attribute. *)
-      Natix_core.Tree_store.clear_buffers store;
-      Natix_core.Tree_store.reset_io_stats store;
-      let results = exec ~jobs tasks in
-      let io = Io_stats.copy (Natix_core.Tree_store.io_stats store) in
-      (List.map (fun r -> (r, Io_stats.create ())) results, io)
-  in
+  let results, io = cold_run ~jobs store tasks in
   let mismatches =
     List.map2
       (fun (o : Recorder.op) result ->

@@ -60,24 +60,9 @@ type report = {
 
 val ok : report -> bool
 
-(** A replacement execution surface for {!run}: given a job count and
-    the [(doc, path)] query tasks, return per-task results in task
-    order.  {!run} still owns the cold protocol (buffers cleared,
-    counters zeroed before the call; totals read after), so the exact
-    I/O assertion keeps its meaning on any surface.  This is how the
-    session routes replay through its [Api] command layer
-    ([Natix.Session.replay]) without this library depending on it. *)
-type executor = jobs:int -> (string * string) list -> (string list, Natix_core.Error.t) result list
-
-(** [run ?jobs ?exec store meta ops] replays against an already-open
-    store.  [jobs] defaults to the dump's job count; [exec] defaults to
-    the {!Natix_par.Par.run_queries} cold path used by {!capture}. *)
-val run :
-  ?jobs:int ->
-  ?exec:executor ->
-  Natix_core.Tree_store.t ->
-  Recorder.meta ->
-  Recorder.op list ->
-  report
+(** [run ?jobs store meta ops] replays against an already-open store,
+    through the same cold {!Natix_par.Par.run_queries} path as
+    {!capture}.  [jobs] defaults to the dump's job count. *)
+val run : ?jobs:int -> Natix_core.Tree_store.t -> Recorder.meta -> Recorder.op list -> report
 
 val report_to_json : report -> Natix_obs.Json.t

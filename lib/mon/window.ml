@@ -11,6 +11,9 @@ type t = {
   edges : float array;  (* [||] = no histogram *)
 }
 
+let default_bucket_ms = 1000.
+let default_buckets = 60
+
 let create ~bucket_ms ~buckets ?(quantile_edges = [||]) () =
   if not (bucket_ms > 0.) then invalid_arg "Window.create: bucket_ms must be positive";
   if buckets <= 0 then invalid_arg "Window.create: buckets must be positive";

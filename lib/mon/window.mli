@@ -2,8 +2,8 @@
 
     The clock is whatever the caller stamps observations with — for the
     monitoring layer that is the {e simulated} I/O clock, so windows (and
-    everything derived from them: rates, moving quantiles, budget checks)
-    are deterministic for a deterministic workload.
+    everything derived from them: rates and moving quantiles) are
+    deterministic for a deterministic workload.
 
     Each bucket accumulates a count, a sum, and optionally a fixed-edge
     histogram (shared edges for the whole window) for moving quantiles.
@@ -21,6 +21,13 @@
     deterministic submission order after a parallel region joins. *)
 
 type t
+
+(** The monitoring layer's window: 60 buckets of 1,000 clock-ms, one
+    minute of the simulated clock.  {!Account} and {!Slo} always use
+    it; {!Registry.create} defaults to it. *)
+val default_bucket_ms : float
+
+val default_buckets : int
 
 (** [create ~bucket_ms ~buckets ()] — a window spanning
     [bucket_ms * buckets] clock-milliseconds.  [quantile_edges] attaches

@@ -65,8 +65,8 @@ type response =
   | Err of Error.t  (** typed failure, same classes as the direct API *)
   | Overloaded of { reason : string }
       (** shed by admission control before execution — the request was
-          {e not} run; retry later.  [reason] is diagnostic
-          (["queue_full"], ["inflight_limit"], ["budget:reads"], ...) *)
+          {e not} run; retry later.  [reason] is diagnostic:
+          ["shutting_down"], ["inflight_limit"] or ["queue_full"] *)
   | Server_statted of server_stats
 
 (** Short stable tag (["ping"], ["load"], ["query"], ["scan"],

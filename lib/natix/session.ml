@@ -140,11 +140,6 @@ let record_eager t ~kind ?doc ~detail ?plan ?rows ~outcome before =
       (op ~at_ms:(now_ms t) ~kind ?doc ~detail ?plan ~reads:d.Io_stats.reads
          ~writes:d.Io_stats.writes ~sim_ms:d.Io_stats.sim_ms ?rows outcome)
 
-let set_budget t ~doc ?max_reads ?max_sim_ms () =
-  match t.mon with
-  | None -> ()
-  | Some mon -> Mon.set_budget mon ~doc ?max_reads ?max_sim_ms ()
-
 let dump_flight ?trace_id t oc =
   match t.mon with
   | None -> ()
@@ -362,35 +357,3 @@ let exec t (req : Api.request) : Api.response =
    asserting poisoning — still sees them.  The server's dispatcher guard
    owns the exhaustive exception → [Err] mapping, because only there
    must a raising request never take down anything else. *)
-
-let exec_batch ?jobs t reqs =
-  let plain_query = function Api.Query { texts = false; _ } -> true | _ -> false in
-  if reqs <> [] && List.for_all plain_query reqs then
-    (* Query-only batches fan out through {!run_queries} — per-worker
-       reader views and navigation-only engines, results in submission
-       order.  At any job count this renders and charges I/O exactly as
-       the parallel executor does, which is what keeps replay's exact
-       totals assertion valid through this surface. *)
-    let tasks =
-      List.map (function Api.Query { doc; path; _ } -> (doc, path) | _ -> assert false) reqs
-    in
-    let outcome = run_queries ?jobs t tasks in
-    List.map
-      (function Ok hits -> Api.Hits hits | Error e -> Api.Err e)
-      outcome.Natix_par.Par.results
-  else
-    (* Mixed batches run inline in order: mutating requests must not
-       interleave, and order is part of their meaning. *)
-    List.map (exec t) reqs
-
-let replay ?jobs t meta ops =
-  let exec ~jobs tasks =
-    let reqs = List.map (fun (doc, path) -> Api.Query { doc; path; texts = false }) tasks in
-    List.map
-      (function
-        | Api.Hits hits -> Ok hits
-        | Api.Err e -> Error e
-        | _ -> assert false)
-      (exec_batch ~jobs t reqs)
-  in
-  Natix_mon.Replay.run ?jobs ~exec t.store meta ops

@@ -20,9 +20,9 @@
     {!Natix_mon.Mon} monitor to the store's observability handle —
     creating a sink-less handle when the configuration has none — so
     sliding-window metrics, per-document accounts and the operation
-    flight ring are always live (see {!mon}, {!set_budget},
-    {!dump_flight}).  [~monitor:false] opts out; a custom [config] with
-    its own handle is monitored through that handle. *)
+    flight ring are always live (see {!mon} and {!dump_flight}).
+    [~monitor:false] opts out; a custom [config] with its own handle is
+    monitored through that handle. *)
 
 open Natix_core
 
@@ -84,11 +84,6 @@ val mon : t -> Natix_mon.Mon.t option
 (** {2 Monitoring}
 
     Conveniences over {!mon}; no-ops on an unmonitored session. *)
-
-(** Soft per-document budget: crossing a limit emits a
-    [Budget_exceeded] event (and fires {!Natix_mon.Mon.on_budget}
-    callbacks), it never fails the operation. *)
-val set_budget : t -> doc:string -> ?max_reads:int -> ?max_sim_ms:float -> unit -> unit
 
 (** Write the operation flight ring as a JSONL dump (see
     {!Natix_mon.Recorder}); the meta line carries the session's
@@ -174,9 +169,9 @@ val load_files_txn :
 (** {2 The command surface}
 
     Every front end — the CLI's store-touching commands, the network
-    server's dispatcher, the in-process loopback client and replay —
-    funnels through [exec]: one {!Api.request} in, one {!Api.response}
-    out, against this session's store. *)
+    server's dispatcher and the in-process loopback client — funnels
+    through [exec]: one {!Api.request} in, one {!Api.response} out,
+    against this session's store. *)
 
 (** [exec t req] executes one request.  Hits render through
     {!Natix_core.Exporter.hit}, as the CLI prints them.  {e Typed}
@@ -188,19 +183,3 @@ val load_files_txn :
     decides what a connection sees.  [exec] never returns [Overloaded]:
     admission control lives in the server. *)
 val exec : t -> Api.request -> Api.response
-
-(** [exec_batch ?jobs t reqs] executes a batch, responses in request
-    order.  A batch of plain queries ([Query] with [texts = false]) fans
-    out through {!run_queries} — worker domains with private reader
-    views, the same partitioning and I/O accounting as the parallel
-    executor, inline and bit-identical to it at [jobs <= 1].  Any other
-    batch runs inline in order ([jobs] is ignored): mutating requests
-    must not interleave. *)
-val exec_batch : ?jobs:int -> t -> Api.request list -> Api.response list
-
-(** {!Natix_mon.Replay.run} routed through {!exec_batch}, so a replay
-    verifies the command surface end to end — digests, row counts and
-    (for cold all-query dumps) exact I/O totals — not just the engine
-    under it. *)
-val replay :
-  ?jobs:int -> t -> Natix_mon.Recorder.meta -> Natix_mon.Recorder.op list -> Natix_mon.Replay.report

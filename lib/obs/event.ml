@@ -27,7 +27,6 @@ type kind =
   | Recovery_redo of { page : int }
   | Recovery_undo of { page : int }
   | Recovery_done of { undone : int; torn_bytes : int }
-  | Budget_exceeded of { doc : string; resource : string; used : float; limit : float }
 
 type t = { seq : int; at_ms : float; kind : kind; ctx : ctx option }
 
@@ -64,7 +63,6 @@ let tag = function
   | Recovery_redo _ -> 17
   | Recovery_undo _ -> 18
   | Recovery_done _ -> 19
-  | Budget_exceeded _ -> 20
 
 let type_names =
   [|
@@ -88,7 +86,6 @@ let type_names =
     "recovery_redo";
     "recovery_undo";
     "recovery_done";
-    "budget_exceeded";
   |]
 
 let tag_count = Array.length type_names
@@ -142,13 +139,6 @@ let kind_fields = function
   | Recovery_undo { page } -> [ ("page", Json.Int page) ]
   | Recovery_done { undone; torn_bytes } ->
     [ ("undone", Json.Int undone); ("torn_bytes", Json.Int torn_bytes) ]
-  | Budget_exceeded { doc; resource; used; limit } ->
-    [
-      ("doc", Json.String doc);
-      ("resource", Json.String resource);
-      ("used", Json.Float used);
-      ("limit", Json.Float limit);
-    ]
 
 let ctx_fields = function
   | None -> []

@@ -71,11 +71,6 @@ type kind =
   | Recovery_done of { undone : int; torn_bytes : int }
       (** Recovery finished: pages restored, and bytes of torn log tail
           discarded. *)
-  | Budget_exceeded of { doc : string; resource : string; used : float; limit : float }
-      (** The monitoring layer's per-document resource accounting found a
-          windowed figure ([resource] is ["reads"] or ["sim_ms"]) above its
-          soft budget.  Informational: nothing is throttled here — the
-          admission-control consumer decides what to do. *)
 
 type t = { seq : int; at_ms : float; kind : kind; ctx : ctx option }
 

@@ -51,10 +51,9 @@ type 'a outcome = {
 }
 
 (** [map_tasks ~jobs ~disk ~make_ctx ~f tasks] is the generic executor
-    behind the entry points below, exported so other batch surfaces
-    ({!Natix.Session.exec_batch}, the server's dispatcher tests) reuse
-    the same partitioning, I/O accounting and determinism story instead
-    of wiring their own domains.  [make_ctx] runs once per worker domain
+    behind the entry points below, exported so a caller with its own
+    kind of task reuses the same partitioning, I/O accounting and
+    determinism story instead of wiring its own domains.  [make_ctx] runs once per worker domain
     (build reader views and engines there — decoded records are mutable
     and must not cross domains); [f ctx task] runs each task.  Results
     come back in task-submission order with per-task I/O deltas.  At

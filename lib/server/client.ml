@@ -2,30 +2,13 @@ module Api = Natix.Api
 
 type t = { fd : Unix.file_descr; mutable seq : int; version : int }
 
-let read_exactly fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off >= n then Bytes.unsafe_to_string buf
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> raise End_of_file
-      | k -> go (off + k)
-  in
-  go 0
-
-let write_all fd s =
-  let buf = Bytes.unsafe_of_string s in
-  let n = Bytes.length buf in
-  let rec go off = if off < n then go (off + Unix.write fd buf off (n - off)) in
-  go 0
-
 let connect ~host ~port ~tenant =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  let read = read_exactly fd and write s = write_all fd s in
+  let read = Protocol.read_exactly fd and write = Protocol.write_all fd in
   Protocol.write_header write;
   let version =
     match Protocol.read_header read with
@@ -39,9 +22,9 @@ let connect ~host ~port ~tenant =
 
 let call ?trace_id t req =
   t.seq <- t.seq + 1;
-  Protocol.write_frame (write_all t.fd) ~version:t.version ~seq:t.seq ?trace_id
+  Protocol.write_frame (Protocol.write_all t.fd) ~version:t.version ~seq:t.seq ?trace_id
     (Api.encode_request req);
-  match Protocol.read_frame ~version:t.version (read_exactly t.fd) with
+  match Protocol.read_frame ~version:t.version (Protocol.read_exactly t.fd) with
   | Ok None -> raise End_of_file
   | Error msg -> failwith ("response frame: " ^ msg)
   | Ok (Some f) ->

@@ -90,3 +90,20 @@ let read_frame ?version:(v = version) read =
             if String.length trace <= 1 then None else Some (String.sub trace 1 (String.length trace - 1))
           in
           Ok (Some { seq; trace_id; payload }))
+
+let read_exactly fd n =
+  let buf = Bytes.create n in
+  let rec go off =
+    if off >= n then Bytes.unsafe_to_string buf
+    else
+      match Unix.read fd buf off (n - off) with
+      | 0 -> raise End_of_file
+      | k -> go (off + k)
+  in
+  go 0
+
+let write_all fd s =
+  let buf = Bytes.unsafe_of_string s in
+  let n = Bytes.length buf in
+  let rec go off = if off < n then go (off + Unix.write fd buf off (n - off)) in
+  go 0

@@ -71,3 +71,15 @@ val write_frame : ?version:int -> ?trace_id:string -> (string -> unit) -> seq:in
     all fatal to the connection.  [version] (default {!version})
     selects the frame layout negotiated for the stream. *)
 val read_frame : ?version:int -> (int -> string) -> (frame option, string) result
+
+(** {2 Socket callbacks}
+
+    The reader and the writer this module takes, over a connected
+    socket. *)
+
+(** [read_exactly fd n] returns exactly [n] bytes read from [fd].
+    @raise End_of_file when the peer closes first. *)
+val read_exactly : Unix.file_descr -> int -> string
+
+(** [write_all fd s] writes all of [s] to [fd]. *)
+val write_all : Unix.file_descr -> string -> unit

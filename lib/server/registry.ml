@@ -7,7 +7,6 @@ type tenant = {
   gate : Rw_lock.t;
   stats_mu : Mutex.t;
   owned : bool;
-  mutable shed : string option;
   mutable crashed : bool;
 }
 
@@ -30,22 +29,8 @@ let locked t f =
       Lock_rank.release Lock_rank.registry)
     f
 
-(* Latch the first budget breach so the dispatcher can shed; later
-   breaches keep the first reason, which is the one that tripped. *)
-let watch_budget tenant =
-  match Natix.Session.mon tenant.session with
-  | None -> ()
-  | Some mon ->
-    Natix.Mon.on_budget mon (fun (b : Natix_mon.Account.breach) ->
-        if tenant.shed = None then tenant.shed <- Some ("budget:" ^ b.resource))
-
 let make ~name ~owned session =
-  let tenant =
-    { name; session; gate = Rw_lock.create (); stats_mu = Mutex.create (); owned; shed = None;
-      crashed = false }
-  in
-  watch_budget tenant;
-  tenant
+  { name; session; gate = Rw_lock.create (); stats_mu = Mutex.create (); owned; crashed = false }
 
 let mount t name session =
   locked t (fun () ->

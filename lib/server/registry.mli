@@ -2,8 +2,7 @@
 
     A tenant is one {!Natix.Session} (one store file) plus the serving
     state the dispatcher needs around it: the {!Rw_lock} gate, the
-    stats-merge lock, and the shed/crash flags.  Tenants arrive two
-    ways:
+    stats-merge lock, and the crash flag.  Tenants arrive two ways:
 
     - {!mount} hands the registry an already-open session (tests,
       in-memory tenants).  The registry does {e not} close these.
@@ -16,13 +15,7 @@
 
     The table itself is guarded at {!Natix_store.Lock_rank.registry},
     the lowest rank: a lazy open runs under it and takes every engine
-    lock above.
-
-    {b Budget shedding.}  Whenever a tenant's session carries a monitor,
-    the registry registers a {!Natix_mon.Mon.on_budget} hook that
-    latches the first breach into [shed] (e.g. ["budget:reads"]).  The
-    dispatcher turns that latch into typed [Overloaded] replies when its
-    configuration says to; the registry only records. *)
+    lock above. *)
 
 type tenant = {
   name : string;
@@ -33,7 +26,6 @@ type tenant = {
           disk's default accumulator; a leaf lock — nothing else is ever
           taken while holding it *)
   owned : bool;  (** opened lazily by the registry, closed by {!close_all} *)
-  mutable shed : string option;  (** latched budget-breach shed reason *)
   mutable crashed : bool;
       (** a request hit {!Natix_store.Faulty_disk.Crash}: the store's
           disk refuses further writes, so the dispatcher answers with a

@@ -6,24 +6,13 @@ module Lock_rank = Natix_store.Lock_rank
 module Trace = Natix_trace.Trace
 module Slo = Natix_mon.Slo
 
-type trace_config = {
-  slow_ms : float;
-  trace_ring : int;
-  slo_target_p99_ms : float option;
-}
+type trace_config = { slow_ms : float; trace_ring : int }
 
-let default_trace = { slow_ms = infinity; trace_ring = 256; slo_target_p99_ms = None }
+let default_trace = { slow_ms = infinity; trace_ring = 256 }
 
-type config = {
-  jobs : int;
-  max_inflight : int;
-  queue_depth : int;
-  shed_on_breach : bool;
-  trace : trace_config option;
-}
+type config = { jobs : int; max_inflight : int; queue_depth : int; trace : trace_config option }
 
-let default_config =
-  { jobs = 4; max_inflight = 64; queue_depth = 32; shed_on_breach = true; trace = None }
+let default_config = { jobs = 4; max_inflight = 64; queue_depth = 32; trace = None }
 
 type stats = { served : int; shed : int; max_queue : int; queued : int; running : int }
 
@@ -55,7 +44,6 @@ type t = {
   mutable reports : Trace.report list;  (* newest first, capped at trace_ring *)
   mutable slow : Trace.report list;  (* newest first, capped at trace_ring *)
   slo : Slo.t;
-  mutable slo_breaches : Slo.breach list;  (* newest first *)
 }
 
 let registry t = t.registry
@@ -175,15 +163,12 @@ let record_trace t (report : Trace.report) =
   let cap = match t.config.trace with Some tc -> tc.trace_ring | None -> 0 in
   let keep n l = if List.length l > n then List.filteri (fun i _ -> i < n) l else l in
   let slow_ms = match t.config.trace with Some tc -> tc.slow_ms | None -> infinity in
-  let breach =
-    Slo.observe t.slo ~tenant:report.Trace.tenant
-      ~at_ms:(report.Trace.submitted_ms +. report.Trace.dur_ms)
-      ~dur_ms:report.Trace.dur_ms
-  in
+  Slo.observe t.slo ~tenant:report.Trace.tenant
+    ~at_ms:(report.Trace.submitted_ms +. report.Trace.dur_ms)
+    ~dur_ms:report.Trace.dur_ms;
   Mutex.lock t.trace_mu;
   t.reports <- keep cap (report :: t.reports);
   if report.Trace.dur_ms >= slow_ms then t.slow <- keep cap (report :: t.slow);
-  (match breach with None -> () | Some b -> t.slo_breaches <- b :: t.slo_breaches);
   Mutex.unlock t.trace_mu
 
 (* Execute one admitted request: exception guard outermost, then the
@@ -287,13 +272,14 @@ let worker t () =
         try execute t ?trace:ticket.trace ticket.tenant ticket.req
         with e -> Api.Err (Error.Storage ("dispatcher failure: " ^ Printexc.to_string e))
       in
-      (* The request's pool hits go in before its reply, so the pool's
-         counters a client reads next include them. *)
+      (* The request's pool hits and its place in the dispatcher's
+         counters go in before its reply, so the counters a client reads
+         next include them, as on the inline path. *)
       Natix_store.Buffer_pool.apply_hits ();
-      answer ticket reply;
       with_conn t (fun () ->
           t.running <- t.running - 1;
           t.served <- t.served + 1);
+      answer ticket reply;
       loop ()
   in
   loop ()
@@ -319,11 +305,7 @@ let create ?(config = default_config) registry =
       trace_seq = 0;
       reports = [];
       slow = [];
-      slo =
-        Slo.create
-          ?target_p99_ms:(Option.bind config.trace (fun tc -> tc.slo_target_p99_ms))
-          ();
-      slo_breaches = [];
+      slo = Slo.create ();
     }
   in
   t.workers <- List.init config.jobs (fun _ -> Domain.spawn (worker t));
@@ -343,7 +325,6 @@ let stats t =
    submission order. *)
 let trace_reports t = Mutex.protect t.trace_mu (fun () -> List.rev t.reports)
 let slow_reports t = Mutex.protect t.trace_mu (fun () -> List.rev t.slow)
-let slo_breaches t = Mutex.protect t.trace_mu (fun () -> List.rev t.slo_breaches)
 let slo_snapshot t ~at_ms = Slo.snapshot t.slo ~at_ms
 
 let server_statted t =
@@ -398,26 +379,22 @@ let submit ?trace_id t ~tenant:name req =
           in
           let queued = Queue.length t.queue in
           if t.stopping then shed "shutting_down"
-          else
-            match (if t.config.shed_on_breach then tenant.shed else None) with
-            | Some reason -> shed reason
-            | None ->
-              if t.running + queued >= t.config.max_inflight then shed "inflight_limit"
-              else if queued >= t.config.queue_depth then shed "queue_full"
-              else if t.config.jobs = 0 then begin
-                t.running <- t.running + 1;
-                `Inline
-              end
-              else begin
-                let ticket =
-                  { tenant; req; trace; tmu = Mutex.create (); tcond = Condition.create ();
-                    reply = None }
-                in
-                Queue.push ticket t.queue;
-                t.max_queue <- max t.max_queue (queued + 1);
-                Condition.signal t.work;
-                `Queued ticket
-              end)
+          else if t.running + queued >= t.config.max_inflight then shed "inflight_limit"
+          else if queued >= t.config.queue_depth then shed "queue_full"
+          else if t.config.jobs = 0 then begin
+            t.running <- t.running + 1;
+            `Inline
+          end
+          else begin
+            let ticket =
+              { tenant; req; trace; tmu = Mutex.create (); tcond = Condition.create ();
+                reply = None }
+            in
+            Queue.push ticket t.queue;
+            t.max_queue <- max t.max_queue (queued + 1);
+            Condition.signal t.work;
+            `Queued ticket
+          end)
     in
     match decision with
     | `Shed reason -> Api.Overloaded { reason }
@@ -508,28 +485,11 @@ end
 
 (* ---- sockets ------------------------------------------------------- *)
 
-let read_exactly fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off >= n then Bytes.unsafe_to_string buf
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> raise End_of_file
-      | k -> go (off + k)
-  in
-  go 0
-
-let write_all fd s =
-  let buf = Bytes.unsafe_of_string s in
-  let n = Bytes.length buf in
-  let rec go off = if off < n then go (off + Unix.write fd buf off (n - off)) in
-  go 0
-
 let serve_connection t fd =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let read = read_exactly fd and write s = write_all fd s in
+      let read = Protocol.read_exactly fd and write = Protocol.write_all fd in
       Protocol.write_header write;
       match Protocol.read_header read with
       | Error _ -> ()

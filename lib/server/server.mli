@@ -11,8 +11,6 @@
     {b Admission.}  Before queueing, under the connection lock (rank
     [conn], never held across execution):
     - dispatcher shutting down → [Overloaded "shutting_down"];
-    - the tenant's budget-breach latch is set (and [shed_on_breach]) →
-      [Overloaded "budget:<resource>"];
     - [running + queued >= max_inflight] → [Overloaded "inflight_limit"];
     - [queued >= queue_depth] → [Overloaded "queue_full"].
 
@@ -43,20 +41,15 @@ type trace_config = {
           slow-request log (with their EXPLAIN ANALYZE text for queries);
           [infinity] disables the slow log *)
   trace_ring : int;  (** finished reports (and slow entries) kept, newest win *)
-  slo_target_p99_ms : float option;
-      (** default per-tenant p99 latency target; [None] tracks latency
-          windows without breach events *)
 }
 
-(** [{ slow_ms = infinity; trace_ring = 256; slo_target_p99_ms = None }] *)
+(** [{ slow_ms = infinity; trace_ring = 256 }] *)
 val default_trace : trace_config
 
 type config = {
   jobs : int;  (** worker domains; [0] executes inline in {!submit} *)
   max_inflight : int;  (** running + queued admission ceiling *)
   queue_depth : int;  (** queued-only ceiling *)
-  shed_on_breach : bool;
-      (** turn a tenant's budget-breach latch into [Overloaded] replies *)
   trace : trace_config option;
       (** [Some _] traces every admitted request end to end: a
           {!Natix_trace.Trace.report} per request — queue wait, gate
@@ -66,8 +59,7 @@ type config = {
           simulated figures are identical with tracing on or off. *)
 }
 
-(** [{ jobs = 4; max_inflight = 64; queue_depth = 32; shed_on_breach = true;
-      trace = None }] *)
+(** [{ jobs = 4; max_inflight = 64; queue_depth = 32; trace = None }] *)
 val default_config : config
 
 type stats = {
@@ -109,10 +101,6 @@ val trace_reports : t -> Natix_trace.Trace.report list
 
 (** Reports whose simulated duration reached [slow_ms]. *)
 val slow_reports : t -> Natix_trace.Trace.report list
-
-(** Edge-triggered SLO breach events, oldest first.  A tenant fires
-    again only after its windowed p99 drops back under target. *)
-val slo_breaches : t -> Natix_mon.Slo.breach list
 
 (** Per-tenant latency window stats as of [at_ms] (the tenant disk's
     simulated clock). *)

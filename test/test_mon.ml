@@ -1,5 +1,5 @@
-(* Monitoring layer: sliding windows, per-document accounts with soft
-   budgets, the flight recorder, capture/replay, and the session wiring.
+(* Monitoring layer: sliding windows, per-document accounts, the flight
+   recorder, capture/replay, and the session wiring.
 
    Determinism is the backbone of every assertion here: windows and
    accounts run on the simulated I/O clock, so a deterministic workload
@@ -186,49 +186,25 @@ let registry_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Accounts and budgets                                                *)
+(* Accounts                                                            *)
 
 let account_tests =
   [
-    Alcotest.test_case "budgets are edge-triggered, re-armed by set_budget" `Quick (fun () ->
-        let a = Account.create () in
-        Account.set_budget a ~doc:"d" { Account.max_reads = Some 5; max_sim_ms = None };
-        Alcotest.(check int) "under budget: no breach" 0
-          (List.length (Account.charge_reads a ~doc:"d" ~at_ms:0. 4));
-        (match Account.charge_reads a ~doc:"d" ~at_ms:1. 3 with
-        | [ b ] ->
-          Alcotest.(check string) "resource" "reads" b.Account.resource;
-          Alcotest.(check (float 1e-9)) "used" 7. b.Account.used;
-          Alcotest.(check (float 1e-9)) "limit" 5. b.Account.limit
-        | l -> Alcotest.failf "expected one breach, got %d" (List.length l));
-        Alcotest.(check int) "already fired: silent" 0
-          (List.length (Account.charge_reads a ~doc:"d" ~at_ms:2. 100));
-        (* Re-arm with a higher limit; the cumulative total crosses it
-           again on the next charge. *)
-        Account.set_budget a ~doc:"d" { Account.max_reads = Some 200; max_sim_ms = None };
-        Alcotest.(check int) "re-armed, under new limit" 0
-          (List.length (Account.charge_reads a ~doc:"d" ~at_ms:3. 10));
-        Alcotest.(check int) "crosses new limit once" 1
-          (List.length (Account.charge_reads a ~doc:"d" ~at_ms:4. 200)));
     Alcotest.test_case "sim-ms budget and pinned peak ride operation charges" `Quick
       (fun () ->
         let a = Account.create () in
-        Account.set_budget a ~doc:"d" { Account.max_reads = None; max_sim_ms = Some 10. };
-        Alcotest.(check int) "under" 0
-          (List.length (Account.charge_op a ~doc:"d" ~at_ms:0. ~sim_ms:6. ~pinned:2));
-        (match Account.charge_op a ~doc:"d" ~at_ms:1. ~sim_ms:7. ~pinned:1 with
-        | [ b ] -> Alcotest.(check string) "resource" "sim_ms" b.Account.resource
-        | l -> Alcotest.failf "expected one breach, got %d" (List.length l));
+        Account.charge_op a ~doc:"d" ~at_ms:0. ~sim_ms:6. ~pinned:2;
+        Account.charge_op a ~doc:"d" ~at_ms:1. ~sim_ms:7. ~pinned:1;
         match Account.snapshot a ~at_ms:2. with
         | [ d ] ->
           Alcotest.(check (float 1e-9)) "sim_ms total" 13. d.Account.sim_ms_total;
-          Alcotest.(check int) "pinned peak" 2 d.Account.pinned_peak;
-          Alcotest.(check (list string)) "breached resources" [ "sim_ms" ] d.Account.breached
+          Alcotest.(check (float 1e-9)) "sim_ms windowed" 13. d.Account.win_sim_ms.Window.sum;
+          Alcotest.(check int) "pinned peak" 2 d.Account.pinned_peak
         | l -> Alcotest.failf "expected one account, got %d" (List.length l));
     Alcotest.test_case "snapshot sorted by document" `Quick (fun () ->
         let a = Account.create () in
-        ignore (Account.charge_reads a ~doc:"zeta" ~at_ms:0. 1);
-        ignore (Account.charge_reads a ~doc:"alpha" ~at_ms:0. 1);
+        Account.charge_reads a ~doc:"zeta" ~at_ms:0. 1;
+        Account.charge_reads a ~doc:"alpha" ~at_ms:0. 1;
         Alcotest.(check (list string)) "order" [ "alpha"; "zeta" ]
           (List.map (fun d -> d.Account.doc) (Account.snapshot a ~at_ms:0.)));
   ]
@@ -440,31 +416,6 @@ let session_tests =
         ignore (Natix.Session.scan_all ~jobs:2 s);
         Alcotest.(check int) "one scan op per document" 3
           (List.length (find_ops mon "scan")));
-    Alcotest.test_case "budget breach fires the event and the callback once" `Quick (fun () ->
-        let s = session_with_docs [ "a"; "b" ] in
-        let mon = mon_of s in
-        let obs = Option.get (Tree_store.obs (Natix.Session.store s)) in
-        let events = ref [] in
-        Natix_obs.Obs.subscribe obs (fun ev ->
-            match ev.Event.kind with
-            | Event.Budget_exceeded { doc; resource; _ } -> events := (doc, resource) :: !events
-            | _ -> ());
-        let callbacks = ref [] in
-        Mon.on_budget mon (fun b -> callbacks := b :: !callbacks);
-        Natix.Session.set_budget s ~doc:"a" ~max_reads:1 ();
-        cold s;
-        ignore (Natix.Session.run_queries ~jobs:2 s (tasks_of [ "a"; "b" ]));
-        Alcotest.(check (list (pair string string))) "one event, right doc" [ ("a", "reads") ]
-          !events;
-        (match !callbacks with
-        | [ b ] ->
-          Alcotest.(check string) "callback doc" "a" b.Account.doc;
-          Alcotest.(check bool) "used over limit" true (b.Account.used > b.Account.limit)
-        | l -> Alcotest.failf "expected one callback, got %d" (List.length l));
-        (* Crossing again without re-arming stays silent. *)
-        cold s;
-        ignore (Natix.Session.run_queries ~jobs:2 s (tasks_of [ "a" ]));
-        Alcotest.(check int) "edge-triggered" 1 (List.length !events));
     Alcotest.test_case "deterministic workload exports byte-identical snapshots" `Quick
       (fun () ->
         let run () =
@@ -491,8 +442,6 @@ let session_tests =
         Alcotest.(check bool) "no monitor" true (Natix.Session.mon s = None);
         Alcotest.(check bool) "no handle" true
           (Tree_store.obs (Natix.Session.store s) = None);
-        (* The no-op conveniences must stay no-ops. *)
-        Natix.Session.set_budget s ~doc:"d" ~max_reads:1 ();
         match Natix.Session.store_document s ~name:"d" (parse (play_xml "d")) with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "store: %s" (Error.to_string e));

@@ -217,7 +217,7 @@ let obs_tests =
             Event.Io { page = 0; write = false; sequential = false };
             Event.Page_fix { page = 0; hit = true };
             Event.Wal_append { lsn = 1; page = 0; bytes = 8 };
-            Event.Budget_exceeded { doc = "d"; resource = "reads"; used = 2.; limit = 1. };
+            Event.Recovery_done { undone = 0; torn_bytes = 0 };
           ]
         in
         List.iter

@@ -9,6 +9,7 @@
 
 open Natix_core
 module Api = Natix.Api
+module Client = Natix_server.Client
 module Protocol = Natix_server.Protocol
 module Registry = Natix_server.Registry
 module Rw_lock = Natix_server.Rw_lock
@@ -354,33 +355,35 @@ let exec_tests =
         | Api.Err (Error.Storage _) -> ()
         | r -> Alcotest.failf "stat unknown: %a" Api.pp_response r);
         Natix.Session.close s);
-    Alcotest.test_case "exec_batch renders every hit kind as exec does" `Quick (fun () ->
+    Alcotest.test_case "run_queries renders every hit kind as exec does" `Quick (fun () ->
         (* Element, text-node and attribute hits, with characters that
-           markup escapes and text does not; [exec_batch] fans plain
+           markup escapes and text does not; [run_queries] fans plain
            queries out through the parallel executor's reader views. *)
         let s = attribute_session () in
-        let reqs =
+        let tasks =
           List.concat_map
             (fun doc ->
               List.map
-                (fun path -> Api.Query { doc; path; texts = false })
+                (fun path -> (doc, path))
                 [ "//e"; "//e/text()"; "//@id"; "//node()"; "//nosuch" ])
             [ "a"; "b" ]
-          @ [
-              Api.Query { doc = "nope"; path = "//e"; texts = false };
-              Api.Query { doc = "a"; path = "//["; texts = false };
-            ]
+          @ [ ("nope", "//e"); ("a", "//[") ]
         in
-        let direct = List.map (Natix.Session.exec s) reqs in
+        let direct =
+          List.map
+            (fun (doc, path) -> Natix.Session.exec s (Api.Query { doc; path; texts = false }))
+            tasks
+        in
         List.iter
           (fun jobs ->
             List.iter2
-              (fun direct batched ->
+              (fun direct result ->
+                let batched = match result with Ok hits -> Api.Hits hits | Error e -> Api.Err e in
                 if Api.encode_response batched <> Api.encode_response direct then
                   Alcotest.failf "jobs=%d: batched %a <> exec %a" jobs Api.pp_response batched
                     Api.pp_response direct)
               direct
-              (Natix.Session.exec_batch ~jobs s reqs))
+              (Natix.Session.run_queries ~jobs s tasks).Natix_par.Par.results)
           [ 1; 2 ];
         check_hits "attribute hits" 2 (List.nth direct 2);
         Natix.Session.close s);
@@ -739,28 +742,6 @@ let admission_tests =
         Alcotest.(check int) "queue empty" 0 st.Server.queued;
         Alcotest.(check int) "nothing running" 0 st.Server.running;
         Natix.Session.close s);
-    Alcotest.test_case "budget breach sheds only when configured to" `Quick (fun () ->
-        let s = session_with_docs [ "d" ] in
-        let registry = Registry.create () in
-        Registry.mount registry "t" s;
-        let shedding = Server.create ~config:{ Server.default_config with Server.jobs = 0 } registry in
-        let lenient =
-          Server.create
-            ~config:{ Server.default_config with Server.jobs = 0; Server.shed_on_breach = false }
-            registry
-        in
-        Natix.Session.set_budget s ~doc:"d" ~max_reads:1 ();
-        cold s;
-        (* The breaching request itself completes; the latch trips during it. *)
-        check_hits "breaching query" 40
-          (Server.submit shedding ~tenant:"t" (Api.Query { doc = "d"; path = "//SPEAKER"; texts = false }));
-        check_overloaded "latched" "budget:reads" (Server.submit shedding ~tenant:"t" Api.Ping);
-        (match Server.submit lenient ~tenant:"t" Api.Ping with
-        | Api.Pong -> ()
-        | r -> Alcotest.failf "lenient server: %a" Api.pp_response r);
-        Server.shutdown shedding;
-        Server.shutdown lenient;
-        Natix.Session.close s);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -863,17 +844,6 @@ let tenant_tests =
         in
         check_partition "alpha" alpha a0;
         check_partition "beta" beta b0;
-        (* Budget breach on alpha never touches beta. *)
-        Natix.Session.set_budget alpha.Registry.session ~doc:"a1" ~max_reads:1 ();
-        cold alpha.Registry.session;
-        check_hits "alpha breaching query" 40
-          (Server.submit server ~tenant:"alpha"
-             (Api.Query { doc = "a1"; path = "//SPEAKER"; texts = false }));
-        check_overloaded "alpha latched" "budget:reads"
-          (Server.submit server ~tenant:"alpha" Api.Ping);
-        check_hits "beta unaffected" 40
-          (Server.submit server ~tenant:"beta"
-             (Api.Query { doc = "b1"; path = "//SPEAKER"; texts = false }));
         (* Per-tenant export carries the (doc, serve:query) context. *)
         (match Natix.Session.mon beta.Registry.session with
         | None -> Alcotest.fail "no monitor"
@@ -908,22 +878,7 @@ let tenant_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Socket path: serve_connection over a socketpair                     *)
-
-let write_all fd s =
-  let buf = Bytes.unsafe_of_string s in
-  let n = Bytes.length buf in
-  let rec go off = if off < n then go (off + Unix.write fd buf off (n - off)) in
-  go 0
-
-let read_exactly fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off >= n then Bytes.unsafe_to_string buf
-    else
-      match Unix.read fd buf off (n - off) with 0 -> raise End_of_file | k -> go (off + k)
-  in
-  go 0
+(* Socket path: serve_connection over a socketpair, and Client over TCP *)
 
 let socket_tests =
   [
@@ -936,7 +891,7 @@ let socket_tests =
         let server = Server.create ~config:{ Server.default_config with Server.jobs = 0 } registry in
         let server_fd, client_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         let d = Domain.spawn (fun () -> Server.serve_connection server server_fd) in
-        let w = write_all client_fd and read = read_exactly client_fd in
+        let w = Protocol.write_all client_fd and read = Protocol.read_exactly client_fd in
         Protocol.write_header w;
         (match Protocol.read_header read with
         | Ok _version -> ()
@@ -974,6 +929,59 @@ let socket_tests =
         Domain.join d;
         Server.shutdown server;
         Natix.Session.close s);
+    Alcotest.test_case "a TCP client on loopback: ping, a traced query, close" `Quick (fun () ->
+        let s = session_with_docs [ "d" ] in
+        let registry = Registry.create () in
+        Registry.mount registry "t" s;
+        let server =
+          Server.create
+            ~config:
+              { Server.default_config with Server.jobs = 0; trace = Some Server.default_trace }
+            registry
+        in
+        let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        Unix.listen listener 1;
+        let port =
+          match Unix.getsockname listener with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> 0
+        in
+        let accepted = Atomic.make false in
+        let d =
+          Domain.spawn (fun () ->
+              let fd, _ = Unix.accept listener in
+              Atomic.set accepted true;
+              Server.serve_connection server fd)
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            (* A client that never connected leaves the domain in
+               [accept]: release it with an empty connection. *)
+            if not (Atomic.get accepted) then begin
+              let poke = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+              (try Unix.connect poke (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+               with Unix.Unix_error _ -> ());
+              Unix.close poke
+            end;
+            Domain.join d;
+            Unix.close listener;
+            Server.shutdown server;
+            Natix.Session.close s)
+          (fun () ->
+            let c = Client.connect ~host:"127.0.0.1" ~port ~tenant:"t" in
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () ->
+                (match Client.call c Api.Ping with
+                | Api.Pong -> ()
+                | r -> Alcotest.failf "ping: %a" Api.pp_response r);
+                check_hits "query over tcp" 40
+                  (Client.call ~trace_id:"sock-1" c
+                     (Api.Query { doc = "d"; path = "//SPEAKER"; texts = false }));
+                Alcotest.(check (list string))
+                  "the client's trace id reached the server" [ "t-000001"; "sock-1" ]
+                  (List.map
+                     (fun (r : Natix_trace.Trace.report) -> r.Natix_trace.Trace.trace_id)
+                     (Server.trace_reports server)))));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -383,7 +383,7 @@ let server_tests =
     Alcotest.test_case "client trace ids ride the frame; the ring caps; slow log" `Quick
       (fun () ->
         with_traced_server
-          ~trace:{ Server.slow_ms = 0.; trace_ring = 4; slo_target_p99_ms = None }
+          ~trace:{ Server.slow_ms = 0.; trace_ring = 4 }
           (fun server s ->
             cold s;
             let conn = Server.Loopback.connect server ~tenant:"t" in
@@ -500,67 +500,47 @@ let commit_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* SLO windows: edge-triggered breaches that re-arm                     *)
+(* SLO windows: per-tenant request latency on the simulated clock      *)
 
 let slo_tests =
   [
-    Alcotest.test_case "a burn fires once, re-arms on recovery, fires again" `Quick (fun () ->
-        let slo = Slo.create ~bucket_ms:100. ~buckets:10 ~target_p99_ms:50. () in
-        Alcotest.(check bool) "below target: quiet" true
-          (Slo.observe slo ~tenant:"t" ~at_ms:0. ~dur_ms:10. = None);
-        (match Slo.observe slo ~tenant:"t" ~at_ms:1. ~dur_ms:100. with
-        | Some b ->
-          Alcotest.(check string) "breach tenant" "t" b.Slo.tenant;
-          Alcotest.(check (float 1e-9)) "breach target" 50. b.Slo.target_ms;
-          Alcotest.(check (float 1e-9)) "breach stamp" 1. b.Slo.at_ms;
-          Alcotest.(check bool) "breach p99 over target" true (b.Slo.p99_ms > 50.)
-        | None -> Alcotest.fail "crossing the target must fire");
-        Alcotest.(check bool) "still burning: no second event" true
-          (Slo.observe slo ~tenant:"t" ~at_ms:2. ~dur_ms:120. = None);
-        (* The window spans 1000 ms; by 2000 the burn has slid out and a
-           healthy observation re-arms the trigger. *)
-        Alcotest.(check bool) "recovered: quiet" true
-          (Slo.observe slo ~tenant:"t" ~at_ms:2000. ~dur_ms:5. = None);
-        (match Slo.observe slo ~tenant:"t" ~at_ms:2001. ~dur_ms:200. with
-        | Some _ -> ()
-        | None -> Alcotest.fail "a second burn after recovery must fire again");
-        Slo.set_target slo ~tenant:"a" ~p99_ms:(Some 1.);
-        (match Slo.observe slo ~tenant:"a" ~at_ms:2002. ~dur_ms:2. with
-        | Some b -> Alcotest.(check (float 1e-9)) "per-tenant target" 1. b.Slo.target_ms
-        | None -> Alcotest.fail "per-tenant target must apply");
-        match Slo.snapshot slo ~at_ms:2002. with
+    Alcotest.test_case "per-tenant latency windows slide, sorted by tenant" `Quick (fun () ->
+        let slo = Slo.create () in
+        List.iter
+          (fun (at_ms, dur_ms) -> Slo.observe slo ~tenant:"t" ~at_ms ~dur_ms)
+          [ (0., 10.); (1., 100.); (2., 120.) ];
+        (match Slo.snapshot slo ~at_ms:2. with
+        | [ t ] ->
+          Alcotest.(check int) "all three live" 3 t.Slo.count;
+          Alcotest.(check bool) "p99 over the slow pair" true (Option.get t.Slo.p99_ms > 100.)
+        | l -> Alcotest.failf "expected one tenant, got %d" (List.length l));
+        (* The window spans 60 s of the clock; by 62 s the first three
+           observations have slid out. *)
+        Slo.observe slo ~tenant:"t" ~at_ms:62_000. ~dur_ms:5.;
+        Slo.observe slo ~tenant:"t" ~at_ms:62_001. ~dur_ms:200.;
+        Slo.observe slo ~tenant:"a" ~at_ms:62_002. ~dur_ms:2.;
+        match Slo.snapshot slo ~at_ms:62_002. with
         | [ a; t ] ->
           Alcotest.(check string) "sorted by tenant" "a" a.Slo.tenant;
           Alcotest.(check string) "sorted by tenant" "t" t.Slo.tenant;
-          Alcotest.(check int) "t burned twice" 2 t.Slo.breaches;
-          Alcotest.(check bool) "t currently burning" true t.Slo.breached;
-          Alcotest.(check int) "t window holds the live observations" 2 t.Slo.count;
-          Alcotest.(check (option (float 1e-9))) "targets surface" (Some 50.) t.Slo.target_ms
+          Alcotest.(check int) "a holds its one observation" 1 a.Slo.count;
+          Alcotest.(check int) "t window holds the live observations" 2 t.Slo.count
         | l -> Alcotest.failf "expected two tenants, got %d" (List.length l));
-    Alcotest.test_case "the server's slo wiring burns once per sustained breach" `Quick
-      (fun () ->
-        with_traced_server
-          ~trace:{ Server.default_trace with Server.slo_target_p99_ms = Some 0. }
-          (fun server s ->
+    Alcotest.test_case "the server's slo wiring feeds one window per tenant" `Quick (fun () ->
+        with_traced_server (fun server s ->
             cold s;
             let conn = Server.Loopback.connect server ~tenant:"t" in
             for _ = 1 to 4 do
               ignore
                 (Server.Loopback.call conn (Api.Query { doc = "a"; path = "//SPEAKER"; texts = false }))
             done;
-            (match Server.slo_breaches server with
-            | [ b ] ->
-              Alcotest.(check string) "tenant" "t" b.Slo.tenant;
-              Alcotest.(check (float 1e-9)) "target" 0. b.Slo.target_ms
-            | l -> Alcotest.failf "expected one breach event, got %d" (List.length l));
             let store = Natix.Session.store s in
             let at_ms = (Tree_store.io_stats store).Io_stats.sim_ms in
             match Server.slo_snapshot server ~at_ms with
             | [ st ] ->
               Alcotest.(check string) "tenant" "t" st.Slo.tenant;
               Alcotest.(check int) "observations" 4 st.Slo.count;
-              Alcotest.(check bool) "burning" true st.Slo.breached;
-              Alcotest.(check int) "one edge" 1 st.Slo.breaches
+              Alcotest.(check bool) "moving p99" true (st.Slo.p99_ms <> None)
             | l -> Alcotest.failf "expected one tenant, got %d" (List.length l)));
   ]
 
