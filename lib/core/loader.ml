@@ -70,11 +70,6 @@ let insert_fragment store point xml = insert_preorder store point (pre_of_xml st
 let load_stream store ~name input =
   with_load_context store name @@ fun () ->
   let lexer = Xml_lexer.of_string input in
-  let is_ws s =
-    let ok = ref true in
-    String.iter (function ' ' | '\t' | '\n' | '\r' -> () | _ -> ok := false) s;
-    !ok
-  in
   let point parent last =
     match last with
     | None -> Tree_store.First_under parent
@@ -82,7 +77,7 @@ let load_stream store ~name input =
   in
   let rec skip_prolog () =
     match Xml_lexer.next lexer with
-    | Some (Xml_event.Text s) when is_ws s -> skip_prolog ()
+    | Some (Xml_event.Text s) when Xml_lexer.is_blank s -> skip_prolog ()
     | other -> other
   in
   let root, root_attrs =
@@ -117,7 +112,7 @@ let load_stream store ~name input =
         in
         stack := (node, insert_attrs node attrs None) :: (parent, Some node) :: up
       | Xml_event.Text s, (parent, last) :: up ->
-        if is_ws s then ()
+        if Xml_lexer.is_blank s then ()
         else begin
           let node = Tree_store.insert_node store (point parent last) (Tree_store.Text s) in
           stack := (parent, Some node) :: up
@@ -135,7 +130,7 @@ let load_stream store ~name input =
   let rec drain () =
     match Xml_lexer.next lexer with
     | None -> ()
-    | Some (Xml_event.Text s) when is_ws s -> drain ()
+    | Some (Xml_event.Text s) when Xml_lexer.is_blank s -> drain ()
     | Some _ -> invalid_arg "Loader.load_stream: content after the root element"
   in
   drain ();

@@ -70,19 +70,21 @@ let header_size (n : Phys_node.t) =
   | None -> Phys_node.standalone_header_size
   | Some _ -> Phys_node.embedded_header_size
 
-(* [(n, header offset of n)] for [n] and each of its ancestors up to the
-   record root, [n] first.  A child's header follows its parent's header
-   and the subtrees of its earlier siblings. *)
+(* [(n, header offset of n, siblings after n)] for [n] and each of its
+   ancestors up to the record root, [n] first.  A child's header follows
+   its parent's header and the subtrees of its earlier siblings; the walk
+   that sums them stops at the child, where the siblings after it begin. *)
 let rec path_offsets (n : Phys_node.t) =
   match n.parent with
-  | None -> [ (n, 0) ]
+  | None -> [ (n, 0, []) ]
   | Some p ->
     let up = path_offsets p in
+    let _, p_off, _ = List.hd up in
     let rec before off = function
       | [] -> invalid_arg "Node_codec.splice: broken parent link"
-      | (c : Phys_node.t) :: rest -> if c == n then off else before (off + c.size) rest
+      | (c : Phys_node.t) :: rest -> if c == n then (n, off, rest) else before (off + c.size) rest
     in
-    (n, before (snd (List.hd up) + header_size p) (Phys_node.children p)) :: up
+    before (p_off + header_size p) (Phys_node.children p) :: up
 
 let splice tbl (node : Phys_node.t) ~old ~old_len dst at =
   let root = Phys_node.record_root node in
@@ -94,8 +96,8 @@ let splice tbl (node : Phys_node.t) ~old ~old_len dst at =
     write_record tbl ~parent_rid:(Rid.read old parent_rid_offset) root dst at
   else begin
     let path = path_offsets node in
-    let pos = snd (List.hd path) in
-    let parent_off = match path with _ :: (_, p) :: _ -> p | _ -> 0 in
+    let _, pos, _ = List.hd path in
+    let parent_off = match path with _ :: (_, p, _) :: _ -> p | _ -> 0 in
     Bytes.blit old 0 dst at pos;
     ignore (write_node tbl dst ~base:at pos parent_off node);
     Bytes.blit old pos dst (at + pos + grow) (old_len - pos);
@@ -111,14 +113,12 @@ let splice tbl (node : Phys_node.t) ~old ~old_len dst at =
            (n_off + Phys_node.embedded_header_size)
            (Phys_node.children n))
     in
-    let rec siblings_after child = function
-      | [] -> []
-      | c :: rest -> if c == child then rest else siblings_after child rest
-    in
     (* At every level up to the root: the ancestor's size (the root has
-       no size field), then the subtrees after the path child. *)
+       no size field), then the subtrees after the path child, which the
+       offset walk already reached. *)
     let rec fix_level = function
-      | ((child : Phys_node.t), child_off) :: (((anc : Phys_node.t), anc_off) :: _ as up) ->
+      | ((child : Phys_node.t), child_off, after) :: (((anc : Phys_node.t), anc_off, _) :: _ as up)
+        ->
         (match anc.parent with
         | Some _ -> Bytes_util.set_u16 dst (at + anc_off + 2) anc.size
         | None -> ());
@@ -127,8 +127,7 @@ let splice tbl (node : Phys_node.t) ~old ~old_len dst at =
              (fun off (c : Phys_node.t) ->
                repoint c off;
                off + c.size)
-             (child_off + child.size)
-             (siblings_after child (Phys_node.children anc)));
+             (child_off + child.size) after);
         fix_level up
       | [ _ ] | [] -> ()
     in

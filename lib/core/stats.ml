@@ -12,6 +12,16 @@ type doc_stats = {
   pages : int;
 }
 
+(* The distinct home pages of the records under [rid], each record
+   visited by [f] after its home page is looked up. *)
+let record_pages store rid f =
+  let rm = Tree_store.record_manager store in
+  let pages = Hashtbl.create 64 in
+  Tree_store.iter_records store rid (fun rid root depth ->
+      Hashtbl.replace pages (Record_manager.home_page rm rid) ();
+      f root depth);
+  pages
+
 let document store name =
   match Tree_store.document_rid store name with
   | None -> invalid_arg (Printf.sprintf "Stats.document: no document %S" name)
@@ -23,32 +33,31 @@ let document store name =
     let bytes = ref 0 in
     let depth = ref 0 in
     let max_bytes = ref 0 in
-    let rm = Tree_store.record_manager store in
-    let pages = Hashtbl.create 64 in
-    Tree_store.iter_records store rid (fun rid root d ->
-        incr records;
-        depth := max !depth (d + 1);
-        let size = Phys_node.record_size root in
-        bytes := !bytes + size;
-        max_bytes := max !max_bytes size;
-        Hashtbl.replace pages (Record_manager.home_page rm rid) ();
-        let rec count (n : Phys_node.t) =
-          match n.Phys_node.kind with
-          | Phys_node.Frag_aggregate _ ->
-            (* One logical text node; its chunks are scaffolding. *)
-            incr facade;
-            scaffold := !scaffold + Phys_node.count n - 1
-          | Phys_node.Aggregate _ | Phys_node.Literal _ ->
-            if Phys_node.is_facade n then incr facade else incr scaffold;
-            List.iter count (Phys_node.children n)
-          | Phys_node.Proxy _ ->
-            incr scaffold;
-            incr proxies
-        in
-        count root);
+    let pages =
+      record_pages store rid @@ fun root d ->
+      incr records;
+      depth := max !depth (d + 1);
+      let size = Phys_node.record_size root in
+      bytes := !bytes + size;
+      max_bytes := max !max_bytes size;
+      let rec count (n : Phys_node.t) =
+        match n.Phys_node.kind with
+        | Phys_node.Frag_aggregate _ ->
+          (* One logical text node; its chunks are scaffolding. *)
+          incr facade;
+          scaffold := !scaffold + Phys_node.count n - 1
+        | Phys_node.Aggregate _ | Phys_node.Literal _ ->
+          if Phys_node.is_facade n then incr facade else incr scaffold;
+          List.iter count (Phys_node.children n)
+        | Phys_node.Proxy _ ->
+          incr scaffold;
+          incr proxies
+      in
+      count root
+    in
     (* Fill averaged over the distinct pages the document's records live
        on, sampled from the free-space inventory (no I/O charged). *)
-    let seg = Record_manager.segment rm in
+    let seg = Record_manager.segment (Tree_store.record_manager store) in
     let fill_sum = Hashtbl.fold (fun p () a -> a +. Segment.fill_factor seg p) pages 0. in
     let avg_fill_factor =
       let n = Hashtbl.length pages in
@@ -77,10 +86,14 @@ let disk_bytes store =
 
 let pages_key doc = "stats:pages:" ^ doc
 
+(* The same record walk and page fixes as [document], without its node
+   counts and fill sampling. *)
 let record_page_hint store doc =
   match Tree_store.document_rid store doc with
   | None -> ()
-  | Some _ -> Tree_store.meta_put store (pages_key doc) (string_of_int (document store doc).pages)
+  | Some rid ->
+    let pages = record_pages store rid (fun _ _ -> ()) in
+    Tree_store.meta_put store (pages_key doc) (string_of_int (Hashtbl.length pages))
 
 let drop_page_hint store doc = Tree_store.meta_remove store (pages_key doc)
 

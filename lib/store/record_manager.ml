@@ -43,13 +43,14 @@ let insert t ?owner ?near ?policy data =
 
 let with_record t rid f =
   Segment.with_page t.seg (Rid.page rid) (fun b ->
-      let off, len, flags = Slotted_page.read b (Rid.slot rid) in
-      if not flags.Slotted_page.forward then f b ~off ~len
+      let slot = Rid.slot rid in
+      if not (Slotted_page.forwarded b slot) then
+        f b ~off:(Slotted_page.offset b slot) ~len:(Slotted_page.length b slot)
       else begin
-        let target = Rid.read b off in
+        let target = Rid.read b (Slotted_page.offset b slot) in
         Segment.with_page t.seg (Rid.page target) (fun tb ->
-            let off, len, _ = Slotted_page.read tb (Rid.slot target) in
-            f tb ~off ~len)
+            let slot = Rid.slot target in
+            f tb ~off:(Slotted_page.offset tb slot) ~len:(Slotted_page.length tb slot))
       end)
 
 let read t rid = with_record t rid (fun b ~off ~len -> Bytes.sub_string b off len)
@@ -61,8 +62,9 @@ let exists t rid =
 
 let forward_target t rid =
   Segment.with_page t.seg (Rid.page rid) (fun b ->
-      let off, _len, flags = Slotted_page.read b (Rid.slot rid) in
-      if flags.Slotted_page.forward then Some (Rid.read b off) else None)
+      let slot = Rid.slot rid in
+      if Slotted_page.forwarded b slot then Some (Rid.read b (Slotted_page.offset b slot))
+      else None)
 
 let is_forwarded t rid = forward_target t rid <> None
 
@@ -130,7 +132,7 @@ let update t rid ~len fill =
   let old_len = ref 0 in
   let written =
     Segment.with_page_mut t.seg page (fun b ->
-        let off, n, _ = Slotted_page.read b slot in
+        let off = Slotted_page.offset b slot and n = Slotted_page.length b slot in
         let old = scratch t n in
         Bytes.blit b off old 0 n;
         old_len := n;
@@ -148,7 +150,7 @@ let update_string t rid data =
 let patch t rid ~off data =
   let write_at page slot =
     Segment.with_page_mut t.seg page (fun b ->
-        let roff, rlen, _ = Slotted_page.read b slot in
+        let roff = Slotted_page.offset b slot and rlen = Slotted_page.length b slot in
         if off < 0 || off + String.length data > rlen then
           invalid_arg "Record_manager.patch: range outside record";
         Bytes.blit_string data 0 b (roff + off) (String.length data))

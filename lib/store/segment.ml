@@ -15,8 +15,9 @@
    Locking: each arena has its own lock (rank [arena]) held across a
    placement search and its possible refill; the global allocator lock
    (rank [alloc]) serialises [Disk.allocate] batches; the [meta] mutex is
-   an unordered leaf guarding the two registry tables (held only for
-   hashtable operations, never while taking another lock).  A domain
+   an unordered leaf serialising writes to the two registries (held only
+   for table operations, never while taking another lock).  The
+   page -> arena map is read without [meta] (see [page_entry]).  A domain
    holds at most one arena lock, except [release_arena], which takes
    arena 0's and the dying arena's in id order.  The refill writes go
    through [Buffer_pool.mark_dirty] before [Slotted_page.format], so
@@ -35,7 +36,7 @@ type arena = {
 type t = {
   pool : Buffer_pool.t;
   arenas : (int, arena) Hashtbl.t;
-  page_arena : (int, arena * int) Hashtbl.t;  (* global page -> (arena, local) *)
+  page_arena : (arena * int) option array Atomic.t;  (* global page -> (arena, local) *)
   meta : Mutex.t;
   alloc_lock : Mutex.t;
   batch : int;  (* refill batch for private arenas; arena 0 grows by 1 *)
@@ -77,6 +78,34 @@ let with_alloc t f =
 let mk_arena id =
   { id; pages = Array.make 8 (-1); npages = 0; fsi = Fsi.create (); rover = 0; lock = Mutex.create () }
 
+(* The arena owning [page] and its local index there, read without
+   [meta].  Writers change the map under [meta]: a slot is written in
+   place, and growth publishes a filled copy through the [Atomic].  A
+   domain always sees the registration of a page it writes or looks up,
+   because it learns a page id only after that registration: from
+   [find_space], which hands out pages of the arena's inventory under the
+   arena lock that [refill] held while registering them, from a RID read
+   on a page fixed after the RID's record was placed there, or after
+   [create]'s reopen scan, which registers every page before returning.
+   The lock releases and acquisitions (and the [Atomic]) order the
+   registration's writes before the read.  A read racing a re-registration
+   by [release_arena] sees the old entry or the new one, as a read taken
+   before or after it under [meta] would. *)
+let page_entry t page =
+  let m = Atomic.get t.page_arena in
+  if page < Array.length m then m.(page) else None
+
+(* Caller holds [meta]. *)
+let set_page_entry t page entry =
+  let m = Atomic.get t.page_arena in
+  if page < Array.length m then m.(page) <- entry
+  else begin
+    let bigger = Array.make (max (page + 1) (2 * Array.length m)) None in
+    Array.blit m 0 bigger 0 (Array.length m);
+    bigger.(page) <- entry;
+    Atomic.set t.page_arena bigger
+  end
+
 (* Register [page] as the next local page of [a].  Meta lock taken here;
    the caller holds [a.lock] (or is single-threaded setup). *)
 let register t a page free =
@@ -89,7 +118,7 @@ let register t a page free =
   a.pages.(local) <- page;
   a.npages <- local + 1;
   Fsi.append a.fsi free;
-  with_meta t (fun () -> Hashtbl.replace t.page_arena page (a, local));
+  with_meta t (fun () -> set_page_entry t page (Some (a, local)));
   local
 
 let arena t id =
@@ -99,10 +128,7 @@ let arena t id =
       | None -> invalid_arg (Printf.sprintf "Segment: unknown arena %d" id))
 
 let owner_of t page =
-  if page = 0 then 0
-  else
-    with_meta t (fun () ->
-        match Hashtbl.find_opt t.page_arena page with Some (a, _) -> a.id | None -> 0)
+  if page = 0 then 0 else match page_entry t page with Some (a, _) -> a.id | None -> 0
 
 let arena_ids t =
   with_meta t (fun () -> List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.arenas []))
@@ -168,7 +194,7 @@ let create ?(batch = 8) pool =
     {
       pool;
       arenas = Hashtbl.create 8;
-      page_arena = Hashtbl.create 256;
+      page_arena = Atomic.make (Array.make 256 None);
       meta = Mutex.create ();
       alloc_lock = Mutex.create ();
       batch;
@@ -203,7 +229,7 @@ let with_page t page f = Buffer_pool.with_page t.pool page (fun frame -> f frame
    [Fsi.set] point: the page fix has already been released back to
    pin-only. *)
 let note_free t page free =
-  match with_meta t (fun () -> Hashtbl.find_opt t.page_arena page) with
+  match page_entry t page with
   | None -> ()
   | Some (a, local) -> with_arena a (fun () -> Fsi.set a.fsi local free)
 
@@ -215,7 +241,7 @@ let with_page_mut t page f =
       r)
 
 let free_bytes t page =
-  match with_meta t (fun () -> Hashtbl.find_opt t.page_arena page) with
+  match page_entry t page with
   | None -> 0
   | Some (a, local) -> with_arena a (fun () -> Fsi.get a.fsi local)
 
@@ -237,7 +263,7 @@ let find_space t ?owner ?near ?(policy = `Forward) n =
         match near with
         | None -> None
         | Some p -> (
-          match with_meta t (fun () -> Hashtbl.find_opt t.page_arena p) with
+          match page_entry t p with
           | Some (na, local) when na == a -> Some local
           | Some _ | None -> None)
       in

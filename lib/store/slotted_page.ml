@@ -73,6 +73,19 @@ let entry b i =
     len_f land flag_mask,
     { forward = len_f land flag_bit <> 0; moved = off_f land flag_bit <> 0 } )
 
+(* A live slot's entry position; the accessors below read its fields in
+   place, so a record visit allocates nothing. *)
+let live_slot b i =
+  if i < 0 || i >= slot_count b then invalid_arg "Slotted_page: bad slot";
+  let p = slot_pos i in
+  if Bytes_util.get_u16 b p = free_sentinel && Bytes_util.get_u16 b (p + 2) = 0 then
+    invalid_arg "Slotted_page: free slot";
+  p
+
+let offset b i = Bytes_util.get_u16 b (live_slot b i) land flag_mask
+let length b i = Bytes_util.get_u16 b (live_slot b i + 2) land flag_mask
+let forwarded b i = Bytes_util.get_u16 b (live_slot b i + 2) land flag_bit <> 0
+
 let live_count b =
   let n = ref 0 in
   for i = 0 to slot_count b - 1 do
@@ -86,10 +99,6 @@ let total_free b = contiguous b + gap_bytes b
 let free_for_insert b =
   let slot_cost = if free_slots b > 0 then 0 else slot_size in
   max 0 (total_free b - slot_cost)
-
-let read b i =
-  if i < 0 || i >= slot_count b then invalid_arg "Slotted_page.read: bad slot";
-  entry b i
 
 let iter b f =
   for i = 0 to slot_count b - 1 do
@@ -198,14 +207,13 @@ let free_extent b off len =
   else set_gap_bytes b (gap_bytes b + len)
 
 let delete b i =
-  let off, len, _flags = read b i in
-  free_extent b off (extent len);
+  free_extent b (offset b i) (extent (length b i));
   release_slot b i
 
 let blit data dst off = Bytes.blit_string data 0 dst off (String.length data)
 
 let write b i ~len:new_len fill flags =
-  let off, len, _old = read b i in
+  let off = offset b i and len = length b i in
   assert (new_len > 0);
   let old_ext = extent len and new_ext = extent new_len in
   if new_ext <= old_ext then begin

@@ -60,9 +60,14 @@ val moved_flag : flags
     [None] if the page cannot hold it even after compaction. *)
 val insert : bytes -> string -> flags -> int option
 
-(** [read page slot] is [(offset, length, flags)] of a live record.
+(** A live record's offset in the page, its length, and whether it is a
+    forward tombstone ({!forward_flag}).  Each reads the slot entry in
+    place and allocates nothing.
     @raise Invalid_argument on a free or out-of-range slot. *)
-val read : bytes -> int -> int * int * flags
+
+val offset : bytes -> int -> int
+val length : bytes -> int -> int
+val forwarded : bytes -> int -> bool
 
 val is_live : bytes -> int -> bool
 

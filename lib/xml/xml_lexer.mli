@@ -18,3 +18,8 @@ val next : t -> Xml_event.t option
 
 (** Drain the input into an event list. *)
 val all : string -> Xml_event.t list
+
+(** [is_blank s] holds when [s] has only XML white space (space, tab, CR,
+    LF) — the empty string included: the text events a loader drops
+    between elements. *)
+val is_blank : string -> bool

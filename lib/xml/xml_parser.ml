@@ -2,11 +2,6 @@ exception Error of { line : int; col : int; msg : string }
 
 let err ?(line = 0) ?(col = 0) msg = raise (Error { line; col; msg })
 
-let is_all_ws s =
-  let ok = ref true in
-  String.iter (function ' ' | '\t' | '\n' | '\r' -> () | _ -> ok := false) s;
-  !ok
-
 let parse ?(keep_ws = false) input =
   let lexer = Xml_lexer.of_string input in
   let next () =
@@ -41,9 +36,10 @@ let parse ?(keep_ws = false) input =
     | Some (Xml_event.Text s) -> begin
       match stack with
       | [] ->
-        if is_all_ws s then loop stack roots else err "character data outside the root element"
+        if Xml_lexer.is_blank s then loop stack roots
+        else err "character data outside the root element"
       | (name, attrs, children) :: rest ->
-        if (not keep_ws) && is_all_ws s then loop stack roots
+        if (not keep_ws) && Xml_lexer.is_blank s then loop stack roots
         else loop ((name, attrs, Xml_tree.text s :: children) :: rest) roots
     end
   in

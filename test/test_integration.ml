@@ -193,6 +193,67 @@ let persistence_tests =
         Sys.remove path);
   ]
 
+(* The bytes a load leaves on disk, pinned: the length and MD5 of the
+   store file after a fresh file store (WAL on, default configuration
+   but 4 KB pages) is loaded and closed.  Any change to record placement,
+   page layout or the node format moves them; the small pages make more
+   placement decisions per byte, so a change shows on three plays (a
+   free-space inventory one byte short moves both digests; at 8 KB it
+   moved neither).  [txn] is the path of [natix bulkload]:
+   one transaction per document in its own arena, at one job.  [stream]
+   is the path of [natix load --stream]: the SAX loader, one autocommit
+   per document in the shared arena. *)
+let golden_plays () =
+  List.mapi
+    (fun i play -> (Printf.sprintf "play-%d" i, Natix_xml.Xml_print.to_string play))
+    (Shakespeare.generate { (Shakespeare.scaled 0.08) with Shakespeare.seed = 27L })
+
+let store_bytes load =
+  let path = Filename.temp_file "natix_golden" ".natix" in
+  let remove () =
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      [ path; Natix_store.Recovery.wal_path path ]
+  in
+  remove ();
+  Fun.protect ~finally:remove (fun () ->
+      let config = Some { (Config.default ()) with Config.page_size = 4096 } in
+      let index = Document_manager.Maintain in
+      let options = { Natix.Session.Options.default with config; index } in
+      let sess = Natix.Session.open_store ~options path in
+      load sess;
+      Natix.Session.close sess;
+      ((Unix.stat path).Unix.st_size, Digest.to_hex (Digest.file path)))
+
+let load_txn sess =
+  let outcome = Natix.Session.load_files_txn ~jobs:1 sess (golden_plays ()) in
+  List.iter
+    (function Ok () -> () | Error e -> Alcotest.failf "txn load: %s" (Error.to_string e))
+    outcome.Natix_par.Par.results
+
+let load_stream sess =
+  List.iter
+    (fun (name, text) ->
+      match Document_manager.store_stream (Natix.Session.manager sess) ~name text with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "stream load: %s" (Error.to_string e))
+    (golden_plays ())
+
+let golden_tests =
+  let pinned name load expected =
+    Alcotest.test_case name `Quick (fun () ->
+        let first = store_bytes load in
+        Alcotest.(check (pair int string))
+          "the same bytes on a second run" first (store_bytes load);
+        Alcotest.(check (pair int string)) "store length and MD5" expected first)
+  in
+  [
+    pinned "a transactional bulk load writes the pinned store bytes" load_txn
+      (765952, "c825bc44060b2207102c7ec228e4209c");
+    pinned "a streaming load writes the pinned store bytes" load_stream
+      (675840, "b77f41456d29ef2be8d85657da7a01bb");
+  ]
+
 (* An instrumented load of a real corpus must leave a coherent trace:
    split events present, each with a fill factor a split could actually
    have happened at, and counters agreeing with the store's own view. *)
@@ -249,4 +310,5 @@ let suites =
     ("integration.churn", churn_tests);
     ("integration.persistence", persistence_tests);
     ("integration.observability", observability_tests);
+    ("integration.golden", golden_tests);
   ]

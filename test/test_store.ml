@@ -373,15 +373,41 @@ let page_of_size n =
 let write_string b slot data flags =
   Slotted_page.write b slot ~len:(String.length data) (Slotted_page.blit data) flags
 
+let record_bytes b slot =
+  Bytes.sub_string b (Slotted_page.offset b slot) (Slotted_page.length b slot)
+
+(* Both flags of a live slot, as [Slotted_page.iter] reports them. *)
+let slot_flags b slot =
+  let found = ref None in
+  Slotted_page.iter b (fun i _ _ flags -> if i = slot then found := Some flags);
+  Option.get !found
+
 let slotted_page_tests =
   [
     Alcotest.test_case "insert then read" `Quick (fun () ->
         let b = page_of_size 512 in
         let s = Option.get (Slotted_page.insert b "hello world" Slotted_page.no_flags) in
-        let off, len, flags = Slotted_page.read b s in
-        Alcotest.(check string) "content" "hello world" (Bytes.sub_string b off len);
-        Alcotest.(check bool) "no flags" false flags.Slotted_page.forward;
+        Alcotest.(check string) "content" "hello world" (record_bytes b s);
+        Alcotest.(check bool) "no flags" false (Slotted_page.forwarded b s);
         Slotted_page.check b);
+    Alcotest.test_case "slot accessors reject bad and free slots" `Quick (fun () ->
+        let b = page_of_size 512 in
+        let s0 = Option.get (Slotted_page.insert b "aaaa" Slotted_page.no_flags) in
+        let s1 = Option.get (Slotted_page.insert b "bbbbbb" Slotted_page.forward_flag) in
+        Slotted_page.delete b s0;
+        Alcotest.(check (pair int bool)) "live slot" (6, true)
+          (Slotted_page.length b s1, Slotted_page.forwarded b s1);
+        let rejects what f =
+          match f () with
+          | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+          | exception Invalid_argument _ -> ()
+        in
+        List.iter
+          (fun (what, slot) ->
+            rejects (what ^ " offset") (fun () -> Slotted_page.offset b slot);
+            rejects (what ^ " length") (fun () -> Slotted_page.length b slot);
+            rejects (what ^ " forwarded") (fun () -> Bool.to_int (Slotted_page.forwarded b slot)))
+          [ ("free", s0); ("negative", -1); ("past the directory", 2) ]);
     Alcotest.test_case "delete frees space and slot" `Quick (fun () ->
         let b = page_of_size 512 in
         let s0 = Option.get (Slotted_page.insert b "aaaa" Slotted_page.no_flags) in
@@ -409,16 +435,14 @@ let slotted_page_tests =
         (* Growing s1 to 60 requires reclaiming s0's extent. *)
         Alcotest.(check bool) "grow ok" true
           (write_string b s1 (String.make 60 'c') Slotted_page.no_flags);
-        let off, len, _ = Slotted_page.read b s1 in
-        Alcotest.(check string) "content" (String.make 60 'c') (Bytes.sub_string b off len);
+        Alcotest.(check string) "content" (String.make 60 'c') (record_bytes b s1);
         Slotted_page.check b);
     Alcotest.test_case "write fails when page is full" `Quick (fun () ->
         let b = page_of_size 64 in
         let s = Option.get (Slotted_page.insert b (String.make 40 'x') Slotted_page.no_flags) in
         Alcotest.(check bool) "cannot grow" false
           (write_string b s (String.make 60 'y') Slotted_page.no_flags);
-        let off, len, _ = Slotted_page.read b s in
-        Alcotest.(check string) "old intact" (String.make 40 'x') (Bytes.sub_string b off len);
+        Alcotest.(check string) "old intact" (String.make 40 'x') (record_bytes b s);
         Slotted_page.check b);
     Alcotest.test_case "max_record_len record fits empty page" `Quick (fun () ->
         let b = page_of_size 256 in
@@ -432,14 +456,16 @@ let slotted_page_tests =
         let s =
           Option.get (Slotted_page.insert b "12345678" Slotted_page.forward_flag)
         in
-        let _, _, flags = Slotted_page.read b s in
+        let flags = slot_flags b s in
         Alcotest.(check bool) "forward" true flags.Slotted_page.forward;
+        Alcotest.(check bool) "forwarded" true (Slotted_page.forwarded b s);
         Alcotest.(check bool) "not moved" false flags.Slotted_page.moved;
         Alcotest.(check bool) "rewrite as moved" true
           (write_string b s "12345678" Slotted_page.moved_flag);
-        let _, _, flags = Slotted_page.read b s in
+        let flags = slot_flags b s in
         Alcotest.(check bool) "moved now" true flags.Slotted_page.moved;
-        Alcotest.(check bool) "forward cleared" false flags.Slotted_page.forward);
+        Alcotest.(check bool) "forward cleared" false flags.Slotted_page.forward;
+        Alcotest.(check bool) "not forwarded" false (Slotted_page.forwarded b s));
     qtest ~count:300 "random op sequence keeps the page consistent"
       QCheck2.Gen.(list_size (int_bound 120) (pair (int_bound 2) (int_range 1 40)))
       (fun ops ->
@@ -475,8 +501,7 @@ let slotted_page_tests =
           (fun s payload ok ->
             ok
             &&
-            let off, len, _ = Slotted_page.read b s in
-            Bytes.sub_string b off len = payload)
+            record_bytes b s = payload)
           reference true);
   ]
 

@@ -3,10 +3,325 @@
 
 open Natix_xml
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ?print gen prop)
 
 let tree = Alcotest.testable Xml_tree.pp Xml_tree.equal
+
+(* The character-at-a-time lexer that [Xml_lexer] replaced, kept as the
+   oracle of its run-scanning successor: it advances one byte at a time,
+   counts lines as it goes and appends character data byte by byte.  The
+   property below requires the same events, or the same error at the
+   same line and column, on every generated input. *)
+module Oracle = struct
+  exception Error of { line : int; col : int; msg : string }
+
+  type t = {
+    input : string;
+    mutable pos : int;
+    mutable line : int;
+    mutable bol : int;  (* position just after the last newline *)
+    buf : Buffer.t;  (* scratch for text accumulation *)
+    mutable pending_end : string option;  (* synthesised end of a self-closing tag *)
+  }
+
+  let of_string input =
+    { input; pos = 0; line = 1; bol = 0; buf = Buffer.create 256; pending_end = None }
+  let len t = String.length t.input
+  let eof t = t.pos >= len t
+
+  let error t msg = raise (Error { line = t.line; col = t.pos - t.bol + 1; msg })
+
+  let peek t = if eof t then '\000' else t.input.[t.pos]
+
+  let advance t =
+    if peek t = '\n' then begin
+      t.line <- t.line + 1;
+      t.bol <- t.pos + 1
+    end;
+    t.pos <- t.pos + 1
+
+  let next_char t =
+    if eof t then error t "unexpected end of input";
+    let c = peek t in
+    advance t;
+    c
+
+  let expect t c =
+    let got = next_char t in
+    if got <> c then error t (Printf.sprintf "expected %C, got %C" c got)
+
+  let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+
+  let skip_ws t =
+    while (not (eof t)) && is_ws (peek t) do
+      advance t
+    done
+
+  let is_name_start = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true
+    | c -> Char.code c >= 0x80
+
+  let is_name_char c =
+    is_name_start c || match c with '0' .. '9' | '-' | '.' -> true | _ -> false
+
+  let name t =
+    if not (is_name_start (peek t)) then error t "expected a name";
+    let start = t.pos in
+    while (not (eof t)) && is_name_char (peek t) do
+      advance t
+    done;
+    String.sub t.input start (t.pos - start)
+
+  (* Resolve an entity or character reference; the leading '&' is consumed. *)
+  let reference t =
+    if peek t = '#' then begin
+      advance t;
+      let hex = peek t = 'x' in
+      if hex then advance t;
+      let start = t.pos in
+      while peek t <> ';' && not (eof t) do
+        advance t
+      done;
+      let digits = String.sub t.input start (t.pos - start) in
+      expect t ';';
+      let code =
+        try int_of_string (if hex then "0x" ^ digits else digits)
+        with Failure _ -> error t "malformed character reference"
+      in
+      (* Encode the code point as UTF-8. *)
+      let b = Buffer.create 4 in
+      (try Buffer.add_utf_8_uchar b (Uchar.of_int code)
+       with Invalid_argument _ -> error t "character reference out of range");
+      Buffer.contents b
+    end
+    else begin
+      let n = name t in
+      expect t ';';
+      match n with
+      | "lt" -> "<"
+      | "gt" -> ">"
+      | "amp" -> "&"
+      | "apos" -> "'"
+      | "quot" -> "\""
+      | other -> error t (Printf.sprintf "unknown entity &%s;" other)
+    end
+
+  let attr_value t =
+    let quote = next_char t in
+    if quote <> '"' && quote <> '\'' then error t "expected quoted attribute value";
+    Buffer.clear t.buf;
+    let rec loop () =
+      let c = next_char t in
+      if c = quote then Buffer.contents t.buf
+      else if c = '&' then begin
+        Buffer.add_string t.buf (reference t);
+        loop ()
+      end
+      else if c = '<' then error t "'<' in attribute value"
+      else begin
+        Buffer.add_char t.buf c;
+        loop ()
+      end
+    in
+    loop ()
+
+  let attributes t =
+    let rec loop acc =
+      skip_ws t;
+      match peek t with
+      | '>' | '/' | '?' -> List.rev acc
+      | _ ->
+        let n = name t in
+        skip_ws t;
+        expect t '=';
+        skip_ws t;
+        let v = attr_value t in
+        loop ((n, v) :: acc)
+    in
+    loop []
+
+  let skip_comment t =
+    (* "<!--" already consumed *)
+    let rec loop () =
+      if next_char t = '-' && peek t = '-' then begin
+        advance t;
+        expect t '>'
+      end
+      else loop ()
+    in
+    loop ()
+
+  let skip_pi t =
+    (* "<?" and the target already consumed *)
+    let rec loop () = if next_char t = '?' && peek t = '>' then advance t else loop () in
+    loop ()
+
+  let skip_doctype t =
+    (* "<!DOCTYPE" already consumed; skip to the matching '>', allowing one
+       level of internal subset brackets. *)
+    let rec loop depth =
+      match next_char t with
+      | '[' -> loop (depth + 1)
+      | ']' -> loop (depth - 1)
+      | '>' when depth = 0 -> ()
+      | '"' | '\'' ->
+        (* quoted literal inside the declaration *)
+        loop depth
+      | _ -> loop depth
+    in
+    loop 0
+
+  let cdata t =
+    (* "<![CDATA[" already consumed *)
+    let start = t.pos in
+    let rec find () =
+      if t.pos + 2 >= len t then error t "unterminated CDATA section"
+      else if t.input.[t.pos] = ']' && t.input.[t.pos + 1] = ']' && t.input.[t.pos + 2] = '>' then begin
+        let s = String.sub t.input start (t.pos - start) in
+        advance t;
+        advance t;
+        advance t;
+        s
+      end
+      else begin
+        advance t;
+        find ()
+      end
+    in
+    find ()
+
+  (* Character data up to the next '<'; resolves references.  Returns [None]
+     for empty runs. *)
+  let char_data t =
+    Buffer.clear t.buf;
+    let rec loop () =
+      if eof t || peek t = '<' then ()
+      else if peek t = '&' then begin
+        advance t;
+        Buffer.add_string t.buf (reference t);
+        loop ()
+      end
+      else begin
+        Buffer.add_char t.buf (next_char t);
+        loop ()
+      end
+    in
+    loop ();
+    if Buffer.length t.buf = 0 then None else Some (Buffer.contents t.buf)
+
+  let rec scan t : Xml_event.t option =
+    if eof t then None
+    else if peek t = '<' then begin
+      advance t;
+      match peek t with
+      | '/' ->
+        advance t;
+        let n = name t in
+        skip_ws t;
+        expect t '>';
+        Some (Xml_event.End_element n)
+      | '?' ->
+        advance t;
+        let _target = name t in
+        skip_pi t;
+        scan t
+      | '!' ->
+        advance t;
+        if t.pos + 1 < len t && t.input.[t.pos] = '-' && t.input.[t.pos + 1] = '-' then begin
+          advance t;
+          advance t;
+          skip_comment t;
+          scan t
+        end
+        else if t.pos + 6 < len t && String.sub t.input t.pos 7 = "[CDATA[" then begin
+          for _ = 1 to 7 do
+            advance t
+          done;
+          Some (Xml_event.Text (cdata t))
+        end
+        else begin
+          let kw = name t in
+          if kw = "DOCTYPE" then begin
+            skip_doctype t;
+            scan t
+          end
+          else error t (Printf.sprintf "unsupported declaration <!%s" kw)
+        end
+      | _ ->
+        let n = name t in
+        let attrs = attributes t in
+        skip_ws t;
+        if peek t = '/' then begin
+          advance t;
+          expect t '>';
+          (* Self-closing: synthesise the end event on the next call. *)
+          t.pending_end <- Some n;
+          Some (Xml_event.Start_element { name = n; attrs })
+        end
+        else begin
+          expect t '>';
+          Some (Xml_event.Start_element { name = n; attrs })
+        end
+    end
+    else
+      match char_data t with
+      | Some s -> Some (Xml_event.Text s)
+      | None -> scan t
+
+  let next t =
+    match t.pending_end with
+    | Some n ->
+      t.pending_end <- None;
+      Some (Xml_event.End_element n)
+    | None -> scan t
+
+  let all input =
+    let t = of_string input in
+    let rec loop acc =
+      match next t with
+      | None -> List.rev acc
+      | Some e -> loop (e :: acc)
+    in
+    loop []
+end
+
+(* Inputs are concatenations of markup fragments, well-formed and not:
+   tags and attributes in both quote styles, the five entities, character
+   references (valid, unknown, out of range, unterminated), CDATA,
+   comments, PIs and a DOCTYPE with an internal subset, with "\n" and
+   "\r\n" anywhere. *)
+let gen_markup : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let well_formed =
+    [
+      "<a>"; "</a>"; "<b x=\"1\">"; "</b >"; "<c y='v'/>"; "<d/>"; "<e x=\"1\" y='two'>"; "</e>";
+      "<f z=\"a&amp;b\" w='&#65;&lt;'/>"; "hello"; " "; "x y z"; "\t"; "\xc3\xa9t\xc3\xa9"; "]]>";
+      ">"; "&lt;"; "&gt;"; "&amp;"; "&apos;"; "&quot;"; "&#65;"; "&#x42;"; "&#x1F600;"; "&#0;";
+      "<![CDATA[a<b&c]]>"; "<!---->"; "<!-- c -->"; "<!-- a - b -->"; "<?xml version=\"1.0\"?>";
+      "<?pi data?>"; "<!DOCTYPE a [ <!ELEMENT a (b)> ]>"; "<!DOCTYPE a SYSTEM \"x.dtd\">"; "\n";
+      "\r\n"; "\n\n";
+    ]
+  in
+  let malformed =
+    [
+      "<g q=\"<\"/>"; "<h q='"; "<1bad>"; "< a>"; "<a"; "</"; "<a x=1>"; "<a x>"; "&#xZZ;"; "&#;";
+      "&#1114112;"; "&#xD800;"; "&#-5;"; "&nope;"; "&lt"; "&#65"; "&"; "&;"; "&#x"; "<![CDATA[x";
+      "<!-- x -- y -->"; "<?pi"; "<!FOO>"; "<!DOCTYPE a [";
+    ]
+  in
+  (* Mostly well-formed pieces, so errors sit anywhere, not only early. *)
+  let fragment = frequency [ (8, oneofl well_formed); (1, oneofl malformed) ] in
+  let newline = oneofl [ ""; ""; ""; "\n"; "\r\n" ] in
+  map (String.concat "") (list_size (int_range 1 24) (map2 ( ^ ) newline fragment))
+
+let lex_outcome lex s =
+  match lex s with
+  | events -> Ok events
+  | exception Xml_lexer.Error { line; col; msg } -> Error (line, col, msg)
+  | exception Oracle.Error { line; col; msg } -> Error (line, col, msg)
+
+let same_as_oracle s = lex_outcome Xml_lexer.all s = lex_outcome Oracle.all s
 
 let lexer_tests =
   let events s = Xml_lexer.all s in
@@ -44,10 +359,26 @@ let lexer_tests =
         | exception Xml_lexer.Error _ -> ()
         | _ -> Alcotest.fail "expected a lexer error");
     Alcotest.test_case "error carries line numbers" `Quick (fun () ->
-        match events "<a>\n\n  <1bad/></a>" with
-        | exception Xml_lexer.Error { line = 3; _ } -> ()
-        | exception Xml_lexer.Error { line; _ } -> Alcotest.failf "wrong line %d" line
-        | _ -> Alcotest.fail "expected a lexer error");
+        List.iter
+          (fun (input, expected) ->
+            match events input with
+            | exception Xml_lexer.Error { line; col; msg } ->
+              Alcotest.(check (triple int int string)) input expected (line, col, msg)
+            | _ -> Alcotest.failf "%S: expected a lexer error" input)
+          [
+            ("<a>\n\n  <1bad/></a>", (3, 4, "expected a name"));
+            ("<a>\r\n&nope;</a>", (2, 7, "unknown entity &nope;"));
+            ("<a>x&#xD800;y</a>", (1, 13, "character reference out of range"));
+            ("<a b='x<'/>", (1, 9, "'<' in attribute value"));
+            ("<a>\nab&amp", (2, 7, "unexpected end of input"));
+          ]);
+    qtest ~count:1000 "runs lex as the byte-at-a-time oracle, errors included"
+      QCheck2.Gen.(pair gen_markup (float_bound_inclusive 1.0))
+      ~print:(fun (s, cut) -> Printf.sprintf "%S cut at %.3f" s cut)
+      (fun (s, cut) ->
+        (* Also every input cut at a random byte. *)
+        let k = int_of_float (cut *. float_of_int (String.length s)) in
+        same_as_oracle s && same_as_oracle (String.sub s 0 k));
   ]
 
 let parser_tests =
