@@ -614,34 +614,22 @@ let trace_cmd =
     Format.printf "@.== trace ==@.%a@." pp_trace_report report;
     Format.printf "@.== metrics ==@.%a@." Natix_obs.Metrics.pp (Natix_obs.Obs.metrics obs);
     (if summary then begin
-       (* Aggregate the (filtered) event stream per (kind, doc) through
-          the monitoring layer's window machinery: one bucket wide enough
-          for the whole run, context = (doc, event kind), so the
-          registry's per-context aggregation does the grouping. *)
-       let reg = Natix_mon.Registry.create ~bucket_ms:1e12 ~buckets:1 () in
+       (* Count the (filtered) event stream per (doc, kind), printed in
+          that order: events without a document first. *)
+       let counts = Hashtbl.create 64 in
        List.iter
          (fun (e : Natix_obs.Event.t) ->
            if keep e then begin
              let doc = match e.ctx with Some c -> c.Natix_obs.Event.doc | None -> None in
-             let kind = Natix_obs.Event.type_name e.kind in
-             let ctx = { Natix_obs.Event.doc; phase = kind } in
-             Natix_mon.Registry.record reg ~ctx ~at_ms:e.at_ms "events" 1.
+             let key = (doc, Natix_obs.Event.type_name e.kind) in
+             Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
            end)
          (Natix_obs.Obs.events obs);
-       let snap = Natix_mon.Registry.snapshot reg ~at_ms:0. in
-       let events =
-         match
-           List.find_opt (fun s -> s.Natix_mon.Registry.name = "events")
-             snap.Natix_mon.Registry.series
-         with
-         | None -> []
-         | Some s -> s.Natix_mon.Registry.by_ctx
-       in
        Format.printf "@.== summary: events per (kind, doc) ==@.";
-       List.iter
-         (fun ((doc, kind), (a : Natix_mon.Window.agg)) ->
-           Format.printf "%-18s %-18s %8d@." kind (Option.value doc ~default:"-") a.count)
-         events
+       Hashtbl.fold (fun key n acc -> (key, n) :: acc) counts []
+       |> List.sort compare
+       |> List.iter (fun ((doc, kind), n) ->
+              Format.printf "%-18s %-18s %8d@." kind (Option.value doc ~default:"-") n)
      end);
     (if last > 0 then begin
        let events = List.filter keep (Natix_obs.Obs.events obs) in

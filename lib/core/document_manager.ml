@@ -60,13 +60,6 @@ let checkpoint t =
       Option.iter Element_index.refresh t.index;
       Tree_store.sync t.store)
 
-(* Per-document durability (see {!Tree_store.sync_document}): flushes just
-   this document's pages, never blocked by a writer on another document.
-   Pending index postings stay pending — folding them writes shared index
-   pages, which needs the quiet store a full {!checkpoint} has. *)
-let checkpoint_document t doc =
-  in_context t ~doc ~phase:"checkpoint" (fun () -> Tree_store.sync_document t.store doc)
-
 (* [run] is a transaction entry point; a typed failure raised before [f]
    starts — a name that is taken or missing, a poisoned store — wrote
    nothing and comes back as [Error].  Failures from inside [f] still

@@ -48,13 +48,6 @@ val stale_index_skipped : t -> bool
     crash recovers to exactly this state. *)
 val checkpoint : t -> unit
 
-(** Per-document durability (see {!Tree_store.sync_document}): flush just
-    this document's pages, without the store-wide quiesce — an idle
-    document's checkpoint is never blocked by a writer on another
-    document.  Pending element-index postings are {e not} folded (they
-    live on shared pages); they fold at the next full {!checkpoint}. *)
-val checkpoint_document : t -> string -> unit
-
 (** [store_document t ~name ?dtd ?order xml] validates [xml] against [dtd]
     when given (or [infer]s one when [infer_dtd] is set), loads it, and
     persists the DTD with the document.  On a file-backed store the load

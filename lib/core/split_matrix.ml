@@ -5,22 +5,17 @@ type behaviour = Standalone | Cluster | Other
 type t = {
   default : behaviour;
   entries : (Label.t * Label.t, behaviour) Hashtbl.t;
-  child_defaults : (Label.t, behaviour) Hashtbl.t;
 }
 
 let create ?(default = Other) () =
-  { default; entries = Hashtbl.create 16; child_defaults = Hashtbl.create 16 }
+  { default; entries = Hashtbl.create 16 }
 
 let set t ~parent ~child b = Hashtbl.replace t.entries (parent, child) b
-let set_child_default t ~child b = Hashtbl.replace t.child_defaults child b
 
 let get t ~parent ~child =
   match Hashtbl.find_opt t.entries (parent, child) with
   | Some b -> b
-  | None -> (
-    match Hashtbl.find_opt t.child_defaults child with
-    | Some b -> b
-    | None -> t.default)
+  | None -> t.default
 
 let one_to_one () = create ~default:Standalone ()
 let native () = create ~default:Other ()

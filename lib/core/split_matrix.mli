@@ -26,10 +26,8 @@ val create : ?default:behaviour -> unit -> t
 
 val set : t -> parent:Label.t -> child:Label.t -> behaviour -> unit
 
-(** [set_child_default t ~child b] configures [b] for label [child] under
-    every parent (explicit [set] entries still win). *)
-val set_child_default : t -> child:Label.t -> behaviour -> unit
-
+(** [get t ~parent ~child] is the entry [set] for the pair, else the
+    matrix's default. *)
 val get : t -> parent:Label.t -> child:Label.t -> behaviour
 
 (** Named configurations of §4.2. *)

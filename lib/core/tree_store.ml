@@ -46,9 +46,8 @@ type txn_state = {
   counter : int Atomic.t;  (* next transaction id *)
   active : int Atomic.t;  (* transactions between begin and commit ack *)
   poisoned : string option Atomic.t;
-  mutators_lock : Mutex.t;  (* guards the two tables below; leaf *)
+  mutators_lock : Mutex.t;  (* guards [mutators]; leaf *)
   mutators : (int, mutation_ctx) Hashtbl.t;  (* domain id -> its transaction *)
-  doc_active : (string, int) Hashtbl.t;  (* document -> in-flight txns on it *)
 }
 
 type t = {
@@ -255,7 +254,6 @@ let open_store ?(config = Config.default ()) disk =
         poisoned = Atomic.make None;
         mutators_lock = Mutex.create ();
         mutators = Hashtbl.create 8;
-        doc_active = Hashtbl.create 8;
       };
     catalog;
     catalog_lock = Mutex.create ();
@@ -465,21 +463,11 @@ let transaction t gc ?doc ?expect ~private_arenas f =
       unlatch ();
       raise e
   in
-  let count delta =
-    Option.iter (fun doc ->
-        match delta + Option.value ~default:0 (Hashtbl.find_opt t.txns.doc_active doc) with
-        | 0 -> Hashtbl.remove t.txns.doc_active doc
-        | n -> Hashtbl.replace t.txns.doc_active doc n)
-      doc
-  in
   Atomic.incr t.txns.active;
   with_mutators t (fun () ->
-      Hashtbl.replace t.txns.mutators (self_id ()) { serial; private_arenas; journal = [] };
-      count 1);
+      Hashtbl.replace t.txns.mutators (self_id ()) { serial; private_arenas; journal = [] });
   let release () =
-    with_mutators t (fun () ->
-        Hashtbl.remove t.txns.mutators (self_id ());
-        count (-1));
+    with_mutators t (fun () -> Hashtbl.remove t.txns.mutators (self_id ()));
     Atomic.decr t.txns.active;
     unlatch ()
   in
@@ -561,43 +549,6 @@ let sync t =
      event stream (flight recorder, [natix trace --jsonl]) on disk is
      complete up to the last checkpoint even if the process dies. *)
   match t.obs with None -> () | Some obs -> Natix_obs.Obs.flush obs
-
-let doc_active_count t doc =
-  with_mutators t (fun () ->
-      Option.value ~default:0 (Hashtbl.find_opt t.txns.doc_active doc))
-
-(* Per-document durability: write the document's pages home without the
-   store-wide quiesce {!sync} needs, so an idle document's checkpoint is
-   never blocked (or rejected) because an unrelated writer is mid-
-   transaction.  Validation is against {e per-document} transaction
-   state — only a transaction on [doc] itself rejects the call.  Unlike
-   {!sync} this does not truncate the WAL (that demands a store-wide
-   quiet point) and does not persist the catalog (every commit already
-   does); it is purely the flush that moves the document's data from the pool to its
-   pages.  Safe against concurrent writers without any lock: their pages
-   live in other arenas, so the flush list never intersects their
-   working sets, and even a transaction racing onto [doc] after the
-   check is only {e stolen} from — [Buffer_pool.flush_pages] logs the
-   covering update records before any page goes home. *)
-let sync_document t doc =
-  check_usable t;
-  let reject () =
-    storage_error "checkpoint of %S rejected: a transaction on it is in flight" doc
-  in
-  if doc_active_count t doc > 0 then reject ();
-  let seg = Record_manager.segment t.rm in
-  let pages =
-    match document_arena t doc with
-    | Some arena -> Segment.arena_pages seg arena
-    | None ->
-      if with_catalog_lock t (fun () -> Hashtbl.mem t.catalog.Catalog.docs doc) then
-        (* Shared-arena document: its pages are not separable from the
-           rest of the shared arena, so flush all of it. *)
-        Segment.arena_pages seg 0
-      else storage_error "checkpoint of %S rejected: no such document" doc
-  in
-  if doc_active_count t doc > 0 then reject ();
-  Buffer_pool.flush_pages t.pool pages
 
 let close ?(commit = true) t =
   (* A poisoned store must not checkpoint: flushing and truncating the log

@@ -76,18 +76,6 @@ val max_record_size : t -> int
     or after the store was poisoned. *)
 val sync : t -> unit
 
-(** [sync_document t doc] writes [doc]'s pages home without the
-    store-wide quiesce {!sync} needs: validation is against
-    {e per-document} transaction state, so an idle document's checkpoint
-    is never blocked by an unrelated in-flight writer.  It does not
-    truncate the WAL and does not persist the catalog (every commit
-    does); it is exactly the flush moving the document's data from the pool to disk,
-    WAL-before-data preserved per page.
-    @raise Error.Error with [Storage _] while a transaction {e on this
-    document} is in flight, when the document does not exist, or after
-    the store was poisoned. *)
-val sync_document : t -> string -> unit
-
 (** {1 Transactions}
 
     On a file-backed store every write is a transaction: a page marked

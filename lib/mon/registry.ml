@@ -8,27 +8,20 @@ type entry = {
   mutable total_sum : float;
 }
 
-type t = {
-  bucket_ms : float;
-  buckets : int;
-  entries : (string, entry) Hashtbl.t;
-}
+type t = { entries : (string, entry) Hashtbl.t }
 
-let create ?(bucket_ms = Window.default_bucket_ms) ?(buckets = Window.default_buckets) () =
-  if not (bucket_ms > 0.) then invalid_arg "Registry.create: bucket_ms must be positive";
-  if buckets <= 0 then invalid_arg "Registry.create: buckets must be positive";
-  { bucket_ms; buckets; entries = Hashtbl.create 16 }
+let create () = { entries = Hashtbl.create 16 }
 
-let make_window t edges =
-  if Array.length edges = 0 then Window.create ~bucket_ms:t.bucket_ms ~buckets:t.buckets ()
-  else Window.create ~bucket_ms:t.bucket_ms ~buckets:t.buckets ~quantile_edges:edges ()
+let make_window edges =
+  Window.create ~bucket_ms:Window.default_bucket_ms ~buckets:Window.default_buckets
+    ~quantile_edges:edges ()
 
 let entry t name edges =
   match Hashtbl.find_opt t.entries name with
   | Some e -> e
   | None ->
     let e =
-      { edges; global = make_window t edges; by_ctx = Hashtbl.create 4; total_count = 0; total_sum = 0. }
+      { edges; global = make_window edges; by_ctx = Hashtbl.create 4; total_count = 0; total_sum = 0. }
     in
     Hashtbl.add t.entries name e;
     e
@@ -52,7 +45,7 @@ let record t ?ctx ~at_ms name v =
         | Some w -> w
         | None ->
           (* Per-context windows skip the histogram: quantiles are global. *)
-          let w = Window.create ~bucket_ms:t.bucket_ms ~buckets:t.buckets () in
+          let w = make_window [||] in
           Hashtbl.add e.by_ctx key w;
           w
       in
@@ -90,7 +83,7 @@ let snapshot t ~at_ms =
              by_ctx;
            })
   in
-  { at_ms; span_ms = t.bucket_ms *. float_of_int t.buckets; series }
+  { at_ms; span_ms = Window.default_bucket_ms *. float_of_int Window.default_buckets; series }
 
 let json_of_agg (a : Window.agg) =
   Json.Obj

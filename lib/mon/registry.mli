@@ -11,9 +11,9 @@
 
 type t
 
-(** [create ()] — windows default to {!Window.default_bucket_ms} ×
+(** [create ()] — every window is {!Window.default_bucket_ms} ×
     {!Window.default_buckets} (a one-minute sim-clock window). *)
-val create : ?bucket_ms:float -> ?buckets:int -> unit -> t
+val create : unit -> t
 
 (** Declare [name] with histogram edges so its snapshot carries moving
     p50/p95/p99.  Must precede the first {!record} of [name]. *)

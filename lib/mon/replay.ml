@@ -1,4 +1,3 @@
-module Json = Natix_obs.Json
 module Io_stats = Natix_store.Io_stats
 
 let digest_hits hits = Digest.to_hex (Digest.string (String.concat "\n" hits))
@@ -117,33 +116,3 @@ let run ?jobs store (meta : Recorder.meta) ops =
     captured_sim_ms = meta.Recorder.sim_ms;
     replayed_sim_ms = io.Io_stats.sim_ms;
   }
-
-let json_of_io (r, w, t) =
-  Json.Obj [ ("reads", Json.Int r); ("writes", Json.Int w); ("total_ios", Json.Int t) ]
-
-let report_to_json r =
-  Json.Obj
-    [
-      ("ok", Json.Bool (ok r));
-      ("replayed", Json.Int r.replayed);
-      ("skipped", Json.Int r.skipped);
-      ( "mismatches",
-        Json.List
-          (List.map
-             (fun m ->
-               Json.Obj
-                 [
-                   ("seq", Json.Int m.seq);
-                   ("doc", match m.doc with None -> Json.Null | Some d -> Json.String d);
-                   ("detail", Json.String m.detail);
-                   ("expected", Json.String m.expected);
-                   ("got", Json.String m.got);
-                 ])
-             r.mismatches) );
-      ("io_checked", Json.Bool r.io_checked);
-      ("io_ok", Json.Bool r.io_ok);
-      ("captured_io", json_of_io r.captured_io);
-      ("replayed_io", json_of_io r.replayed_io);
-      ("captured_sim_ms", Json.Float r.captured_sim_ms);
-      ("replayed_sim_ms", Json.Float r.replayed_sim_ms);
-    ]

@@ -64,5 +64,3 @@ val ok : report -> bool
     through the same cold {!Natix_par.Par.run_queries} path as
     {!capture}.  [jobs] defaults to the dump's job count. *)
 val run : ?jobs:int -> Natix_core.Tree_store.t -> Recorder.meta -> Recorder.op list -> report
-
-val report_to_json : report -> Natix_obs.Json.t

@@ -1,9 +1,10 @@
 (** Per-tenant request latency windows on the simulated clock.
 
-    The server feeds each traced request's end-to-end duration (global
-    simulated milliseconds, submission → reply) into a per-tenant
-    one-minute {!Window} with latency histograms, and {!snapshot} reads
-    each tenant's moving p50/p95/p99.
+    The server feeds each traced request's end-to-end duration
+    (simulated milliseconds on the request's clock, its own I/O
+    included, submission → reply) into a per-tenant one-minute
+    {!Window} with latency histograms, and {!snapshot} reads each
+    tenant's moving p50/p95/p99.
 
     Everything is keyed by the caller's clock stamps, so a
     deterministic workload yields deterministic snapshots. *)

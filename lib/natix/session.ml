@@ -154,7 +154,6 @@ let store_document t ~name ?dtd ?infer_dtd ?order xml =
   result
 
 let validate t doc = Document_manager.validate t.manager doc
-let insert_fragment t ~doc point xml = Document_manager.insert_fragment t.manager ~doc point xml
 
 let delete_document t doc =
   let before = Io_stats.copy (io t) in

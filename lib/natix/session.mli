@@ -121,13 +121,6 @@ val store_document :
 
 val validate : t -> string -> (unit, Error.t) result
 
-val insert_fragment :
-  t ->
-  doc:string ->
-  Tree_store.insert_point ->
-  Natix_xml.Xml_tree.t ->
-  (Phys_node.t, Error.t) result
-
 val delete_document : t -> string -> unit
 
 (** Re-serialise a stored document; [None] if it does not exist. *)

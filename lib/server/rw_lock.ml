@@ -17,7 +17,7 @@ let create () =
    [tenant], held across execution), not the mutex. *)
 
 (* Gate waits show up in request traces as [gate.read]/[gate.write]
-   intervals on the global simulated clock — zero-length when the gate
+   intervals on the request's simulated clock — zero-length when the gate
    was free, the blocked window (other requests' I/O advancing the
    clock) when it was not.  Sampling happens outside the mutex; the
    tracer is per-domain state and charges nothing. *)

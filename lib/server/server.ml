@@ -151,11 +151,16 @@ let run_query (tenant : Registry.tenant) ~doc ~path ~texts =
       });
   resp
 
-(* The global simulated clock of one tenant's disk: the default
-   accumulator's [sim_ms], which every request's merge and every
-   group-commit delay charge advances — the clock queue waits and gate
-   blocks are visible on. *)
-let global_clock disk () = (Disk.stats disk).Io_stats.sim_ms
+(* The clock a request lives on: the tenant disk's global simulated
+   clock (the default accumulator's [sim_ms], which every finished
+   request's merge and every group-commit delay charge advances, so queue
+   waits and gate blocks show on it), plus, while the calling domain runs
+   inside the request's private stream, that stream's own [sim_ms] — which
+   reaches the global clock only at the merge, after the spans closed. *)
+let request_clock disk () =
+  let global = Disk.stats disk and active = Disk.active_stats disk in
+  if active == global then global.Io_stats.sim_ms
+  else global.Io_stats.sim_ms +. active.Io_stats.sim_ms
 
 (* Book a finished trace: report ring, slow log, SLO window.  [trace_mu]
    is a leaf taken after the request fully completed. *)
@@ -369,7 +374,7 @@ let submit ?trace_id t ~tenant:name req =
         let disk = Natix_store.Buffer_pool.disk (Tree_store.buffer_pool store) in
         Some
           (Trace.create ~trace_id:id ~tenant:name ~kind:(Api.kind req) ~detail:(detail_of req)
-             ~clock:(global_clock disk))
+             ~clock:(request_clock disk))
     in
     let decision =
       with_conn t (fun () ->

@@ -82,12 +82,10 @@ type t = {
   cold : lru;
   scan_resistant : bool;
   read_ahead : int;
-  (* Scan mode is on while [scan_forced] (the {!set_scan_mode} switch) or
-     while any [with_scan] region is active.  The regions are a refcount,
-     not a saved/restored flag: concurrent scanning domains each
-     increment on entry and decrement on exit, so one worker leaving its
-     region cannot clobber another worker still mid-scan. *)
-  mutable scan_forced : bool;
+  (* Scan mode is on while any [with_scan] region is active.  The regions
+     are a refcount, not a saved/restored flag: concurrent scanning
+     domains each increment on entry and decrement on exit, so one worker
+     leaving its region cannot clobber another worker still mid-scan. *)
   mutable scan_depth : int;
   mutable last_miss : int;  (* for sequential-miss detection; -2 = none *)
   mutable fixes : int;
@@ -101,11 +99,10 @@ type t = {
      page logs the update under the right chain. *)
   txns : (int, txn) Hashtbl.t;
   page_txn : (int, txn) Hashtbl.t;
-  read_retries : int;
   obs : Natix_obs.Obs.t option;
 }
 
-let create ~disk ~bytes ?wal ?(read_retries = 3) ?(read_ahead = 0) ?(scan_resistant = false) () =
+let create ~disk ~bytes ?wal ?(read_ahead = 0) ?(scan_resistant = false) () =
   if read_ahead < 0 then invalid_arg "Buffer_pool.create: negative read_ahead";
   let capacity = max 2 (bytes / Disk.page_size disk) in
   {
@@ -120,7 +117,6 @@ let create ~disk ~bytes ?wal ?(read_retries = 3) ?(read_ahead = 0) ?(scan_resist
     cold = { head = None; tail = None };
     scan_resistant;
     read_ahead;
-    scan_forced = false;
     scan_depth = 0;
     last_miss = -2;
     fixes = 0;
@@ -129,14 +125,13 @@ let create ~disk ~bytes ?wal ?(read_retries = 3) ?(read_ahead = 0) ?(scan_resist
     wal;
     txns = Hashtbl.create 8;
     page_txn = Hashtbl.create 64;
-    read_retries;
     obs = Disk.obs disk;
   }
 
 let stripe_of page_id = page_id land (stripe_count - 1)
 
 (* Pool lock held. *)
-let scanning t = t.scan_forced || t.scan_depth > 0
+let scanning t = t.scan_depth > 0
 
 (* ------------------------------------------------------------------ *)
 (* LRU chain primitives — pool lock held                               *)
@@ -204,6 +199,9 @@ type hit_log = {
 
 (* Enough to take the pool lock once per 64 hits; a constant, not a knob. *)
 let hit_log_size = 64
+
+(* Retries of a transiently failing page read before the error escapes. *)
+let read_retry_limit = 3
 
 let hit_logs : hit_log Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { pool = None; hits = [||]; len = 0; counted = 0 })
@@ -273,9 +271,7 @@ let prefetched t = with_pool t (fun () -> t.prefetched)
 let obs t = t.obs
 let wal t = t.wal
 let read_ahead t = t.read_ahead
-let scan_resistant t = t.scan_resistant
 let scan_mode t = with_pool t (fun () -> scanning t)
-let set_scan_mode t on = with_pool t (fun () -> t.scan_forced <- on)
 
 let with_scan t fn =
   with_pool t (fun () -> t.scan_depth <- t.scan_depth + 1);
@@ -518,7 +514,7 @@ let remove_frame t f =
 let read_frame t f =
   let rec go attempt =
     try Disk.read t.disk f.page_id f.data
-    with Faulty_disk.Read_error _ when attempt < t.read_retries ->
+    with Faulty_disk.Read_error _ when attempt < read_retry_limit ->
       (match t.obs with
       | None -> ()
       | Some obs ->
@@ -861,15 +857,6 @@ let with_page t page_id fn =
    pre-striping pool's single hashtable exactly (see the field comment) —
    measured write sequences are bit-identical for single-domain runs. *)
 let flush t = with_pool t (fun () -> Hashtbl.iter (fun _ f -> write_back t f) t.registry)
-
-let flush_pages t pages =
-  with_pool t (fun () ->
-      List.iter
-        (fun page ->
-          match Hashtbl.find_opt t.registry page with
-          | Some f -> write_back t f
-          | None -> ())
-        pages)
 
 let checkpoint t =
   with_pool t (fun () ->

@@ -90,16 +90,15 @@ type frame = private {
 type t
 
 (** [create ~disk ~bytes ()] sizes the pool at [bytes / page_size] frames
-    (at least 2).  [wal] attaches a write-ahead log (file-backed stores);
-    [read_retries] (default 3) bounds retries of transiently failing page
-    reads.  [read_ahead] (default 0 = off) is the number of pages to
-    prefetch on a detected sequential run; [scan_resistant] (default
-    false) enables the segmented-LRU eviction policy. *)
+    (at least 2).  [wal] attaches a write-ahead log (file-backed stores).
+    [read_ahead] (default 0 = off) is the number of pages to prefetch on
+    a detected sequential run; [scan_resistant] (default false) enables
+    the segmented-LRU eviction policy.  A transiently failing page read
+    is retried 3 times before its error escapes. *)
 val create :
   disk:Disk.t ->
   bytes:int ->
   ?wal:Wal.t ->
-  ?read_retries:int ->
   ?read_ahead:int ->
   ?scan_resistant:bool ->
   unit ->
@@ -119,7 +118,7 @@ val resident : t -> int
     @raise All_frames_pinned when every frame is pinned.
     @raise Disk.Bad_page when the page fails checksum verification.
     @raise Faulty_disk.Read_error when the read keeps failing transiently
-    after the configured retries. *)
+    after 3 retries. *)
 val fix : t -> int -> frame
 
 (** [fix_new t page] pins a frame for a freshly {!Disk.allocate}d page
@@ -150,12 +149,6 @@ val with_page : t -> int -> (frame -> 'a) -> 'a
 (** Write all dirty frames back to disk (frames stay resident), forcing
     the log first where a frame's covering record is not durable yet. *)
 val flush : t -> unit
-
-(** [flush_pages t pages] writes back just the listed pages' dirty frames
-    (non-resident or clean pages are skipped).  A page tracked by an
-    in-flight transaction is stolen — its update record is logged under
-    that transaction first — exactly as eviction would. *)
-val flush_pages : t -> int list -> unit
 
 (** {!flush}, then truncate the WAL: every committed transaction's pages
     are home, so the log restarts empty.  Equivalent to {!flush} when no
@@ -208,11 +201,8 @@ val clear : t -> unit
     working-set traffic.  No effect on a pool without [scan_resistant]
     (the flag is tracked but placement ignores it). *)
 
-(** Scan mode is on while {!set_scan_mode}[ t true] is in force or while
-    any {!with_scan} region is active. *)
+(** Scan mode is on exactly while a {!with_scan} region is active. *)
 val scan_mode : t -> bool
-
-val set_scan_mode : t -> bool -> unit
 
 (** [with_scan t f] runs [f] inside a scan region (ended also on
     exceptions).  Regions are a refcount, so they nest and may run
@@ -224,9 +214,6 @@ val with_scan : t -> (unit -> 'a) -> 'a
 
 (** Configured read-ahead window (pages; 0 = off). *)
 val read_ahead : t -> int
-
-(** Whether the segmented-LRU policy is active. *)
-val scan_resistant : t -> bool
 
 (** Whether the page is currently cached (pinned or not). *)
 val is_resident : t -> int -> bool

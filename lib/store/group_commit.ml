@@ -47,7 +47,6 @@ let create ?(commit_delay = 0.) ~charge wal =
 
 let flushes t = t.flushes
 let committed t = t.committed
-let commit_delay t = t.commit_delay
 let poisoned t = t.poisoned <> None
 
 (* The daemon lock nests inside a committer's document latch and outside

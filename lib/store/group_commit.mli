@@ -38,5 +38,4 @@ val flushes : t -> int
     batching factor. *)
 val committed : t -> int
 
-val commit_delay : t -> float
 val poisoned : t -> bool

@@ -90,8 +90,8 @@ let interval t name ~t0 ~t1 =
 
 let io_child t name ~io ~dur_ms =
   let now = t.clock () in
-  let s = { (fresh_span t ~t0:now name) with io0 = zero_io } in
-  s.t1 <- now +. dur_ms;
+  let s = { (fresh_span t ~t0:(now -. dur_ms) name) with io0 = zero_io } in
+  s.t1 <- now;
   s.io1 <- io;
   t.spans <- s :: t.spans
 

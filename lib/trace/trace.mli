@@ -6,9 +6,10 @@
     execution, WAL group commit) opens a span, and every span records
     two independent dimensions:
 
-    - a wall interval on the {e global} simulated clock (so waits on
-      other requests' I/O — queue delay, gate blocking, group-commit
-      fsync absorption — are visible), and
+    - a wall interval on the {e request's} simulated clock: the global
+      clock (so waits on other requests' I/O — queue delay, gate
+      blocking, group-commit fsync absorption — are visible) plus the
+      request's own stream time while it runs, and
     - cumulative snapshots of the request's {e private} I/O stream
       (reads / writes / stream sim-ms), so per-span I/O deltas
       reconcile exactly with the request's `Disk` stream delta the way
@@ -34,14 +35,14 @@ val sub_io : io -> io -> io
 type t
 
 (** [create ~trace_id ~tenant ~kind ~detail ~clock] starts a trace at
-    submission time: [clock] samples the global simulated clock and is
+    submission time: [clock] samples the request's simulated clock and is
     read once immediately (the submission timestamp). *)
 val create :
   trace_id:string -> tenant:string -> kind:string -> detail:string -> clock:(unit -> float) -> t
 
 val trace_id : t -> string
 
-(** Global simulated clock, as sampled by this trace. *)
+(** The request's simulated clock, as sampled by this trace. *)
 val clock : t -> float
 
 (** [run t ~io body] is called on the executing domain, inside the
@@ -74,14 +75,15 @@ val span_here : string -> (unit -> 'a) -> 'a
 val detached : (unit -> 'a) -> 'a
 
 (** [interval t name ~t0 ~t1] emits a child of the innermost open span
-    covering an explicit global-clock window, with no private-stream
+    covering an explicit clock window, with no private-stream
     I/O attributed.  Used for waits measured by the instrumented site
     itself (gate blocking, commit queue/fsync decomposition). *)
 val interval : t -> string -> t0:float -> t1:float -> unit
 
-(** [io_child t name ~io ~dur_ms] emits a zero-width child carrying an
-    explicit private-stream I/O delta — used to attach EXPLAIN ANALYZE
-    operator rows as spans. *)
+(** [io_child t name ~io ~dur_ms] emits a child carrying an explicit
+    private-stream I/O delta, [dur_ms] wide and ending at the current
+    clock value (the I/O it reports has already happened) — used to
+    attach EXPLAIN ANALYZE operator rows as spans. *)
 val io_child : t -> string -> io:io -> dur_ms:float -> unit
 
 (** Attach rendered EXPLAIN ANALYZE text (kept for the slow-request
@@ -106,7 +108,7 @@ type report = {
   kind : string;
   detail : string;
   submitted_ms : float;
-  queued_ms : float;  (** pickup − submission, on the global clock *)
+  queued_ms : float;  (** pickup − submission *)
   dur_ms : float;  (** root duration (includes queue wait) *)
   total : io;  (** root private-stream delta; equals the sum of spans' selves *)
   plan : string option;

@@ -55,12 +55,6 @@ let rec equal a b =
     && List.for_all2 equal x.children y.children
   | Text _, Element _ | Element _, Text _ -> false
 
-let rec fold_preorder f acc t =
-  let acc = f acc t in
-  match t with
-  | Text _ -> acc
-  | Element e -> List.fold_left (fold_preorder f) acc e.children
-
 let names t =
   let seen = Hashtbl.create 16 in
   let out = ref [] in

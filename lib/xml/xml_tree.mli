@@ -35,9 +35,5 @@ val attr : t -> string -> string option
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
-(** Pre-order fold over all nodes (elements and texts; attributes are not
-    visited). *)
-val fold_preorder : ('a -> t -> 'a) -> 'a -> t -> 'a
-
 (** Distinct element and attribute names, in first-occurrence order. *)
 val names : t -> string list

@@ -228,14 +228,13 @@ let split_matrix_tests =
         let m = Split_matrix.create () in
         Alcotest.(check string) "other" "other"
           (Split_matrix.behaviour_to_string (Split_matrix.get m ~parent:2 ~child:3)));
-    Alcotest.test_case "explicit entries win over child defaults" `Quick (fun () ->
+    Alcotest.test_case "explicit entries win over the default" `Quick (fun () ->
         let m = Split_matrix.create ~default:Split_matrix.Other () in
-        Split_matrix.set_child_default m ~child:3 Split_matrix.Standalone;
         Split_matrix.set m ~parent:2 ~child:3 Split_matrix.Cluster;
         Alcotest.(check bool) "entry wins" true
           (Split_matrix.get m ~parent:2 ~child:3 = Split_matrix.Cluster);
-        Alcotest.(check bool) "child default elsewhere" true
-          (Split_matrix.get m ~parent:9 ~child:3 = Split_matrix.Standalone));
+        Alcotest.(check bool) "default elsewhere" true
+          (Split_matrix.get m ~parent:9 ~child:3 = Split_matrix.Other));
     Alcotest.test_case "named configurations" `Quick (fun () ->
         Alcotest.(check bool) "1:1" true
           (Split_matrix.get (Split_matrix.one_to_one ()) ~parent:5 ~child:6

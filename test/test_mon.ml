@@ -143,7 +143,7 @@ let registry_tests =
     Alcotest.test_case "snapshots are deterministically ordered and byte-identical" `Quick
       (fun () ->
         let feed () =
-          let r = Registry.create ~bucket_ms:100. ~buckets:10 () in
+          let r = Registry.create () in
           Registry.define r "lat" ~quantile_edges:[| 1.; 10.; 100. |];
           let ctx doc phase = { Event.doc = Some doc; phase } in
           (* Feed in two different interleavings; the snapshot must not

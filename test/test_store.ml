@@ -882,15 +882,21 @@ let fault_tests =
         let plan = Faulty_disk.create ~seed:3L () in
         let d = Disk.in_memory ~page_size:256 () in
         Disk.set_faults d (Some plan);
-        let pool = Buffer_pool.create ~disk:d ~bytes:(4 * 256) ~read_retries:1 () in
-        let p = Disk.allocate d in
-        Faulty_disk.fail_next_reads plan 10;
-        (match Buffer_pool.with_page pool p (fun _ -> ()) with
+        let pool = Buffer_pool.create ~disk:d ~bytes:(4 * 256) () in
+        let p = Disk.allocate d and q = Disk.allocate d in
+        (* Every pool retries a failing read 3 times: 3 failures are
+           absorbed, a 4th escapes. *)
+        Faulty_disk.fail_next_reads plan 3;
+        Buffer_pool.with_page pool p (fun _ -> ());
+        Alcotest.(check int) "read attempts" 4 (Faulty_disk.reads_seen plan);
+        Faulty_disk.fail_next_reads plan 4;
+        (match Buffer_pool.with_page pool q (fun _ -> ()) with
         | exception Faulty_disk.Read_error _ -> ()
         | () -> Alcotest.fail "expected Read_error");
+        Alcotest.(check int) "read attempts" 8 (Faulty_disk.reads_seen plan);
         Faulty_disk.disarm plan;
         (* The half-made frame must not linger: the next fix succeeds. *)
-        Buffer_pool.with_page pool p (fun _ -> ()));
+        Buffer_pool.with_page pool q (fun _ -> ()));
   ]
 
 let suites = suites @ [ ("store.faults", fault_tests) ]

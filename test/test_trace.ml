@@ -124,8 +124,8 @@ let check_reconciles (r : Trace.report) =
 (* The span tree on a hand-driven clock                                 *)
 
 (* A scripted trace with known figures: submitted at 0, picked up at 2,
-   one exec span [2,8] reading 5 pages with one operator row [6,7]
-   claiming 3 of them, root closing at 9. *)
+   one exec span [2,8] reading 5 pages with one operator row [5,6]
+   (1 ms ending at 6) claiming 3 of them, root closing at 9. *)
 let scripted () =
   let now = ref 0. in
   let reads = ref 0 in
@@ -240,8 +240,8 @@ let unit_tests =
 (* ------------------------------------------------------------------ *)
 (* Through the server: loopback requests, reconciliation, determinism   *)
 
-let with_traced_server ?(jobs = 0) ?(trace = Server.default_trace) f =
-  let s = session_with_docs [ "a"; "b" ] in
+let with_traced_server ?(docs = [ "a"; "b" ]) ?(jobs = 0) ?(trace = Server.default_trace) f =
+  let s = session_with_docs docs in
   let registry = Registry.create () in
   Registry.mount registry "t" s;
   let server =
@@ -341,6 +341,64 @@ let server_tests =
             Alcotest.(check bool) "global sim-ms delta" true
               (close_ms (after.Io_stats.sim_ms -. before.Io_stats.sim_ms) r.Trace.total.Trace.io_ms);
             check_reconciles r));
+    Alcotest.test_case "a served request's spans cover its own I/O" `Quick (fun () ->
+        let docs = [ "a"; "b"; "c"; "d"; "e"; "f" ] in
+        with_traced_server ~docs ~trace:{ Server.slow_ms = 5.; trace_ring = 4 } (fun server s ->
+            let store = Natix.Session.store s in
+            let disk = Natix_store.Buffer_pool.disk (Tree_store.buffer_pool store) in
+            Alcotest.(check bool) "store larger than its pool" true
+              (Disk.size_bytes disk > (config ()).Config.buffer_bytes);
+            cold s;
+            let conn = Server.Loopback.connect server ~tenant:"t" in
+            (match
+               Server.Loopback.call conn (Api.Query { doc = "a"; path = "//SPEAKER"; texts = false })
+             with
+            | Api.Hits _ -> ()
+            | r -> Alcotest.failf "query: %a" Api.pp_response r);
+            let r =
+              match Server.trace_reports server with
+              | [ r ] -> r
+              | l -> Alcotest.failf "expected one report, got %d" (List.length l)
+            in
+            let io_ms = r.Trace.total.Trace.io_ms in
+            Alcotest.(check bool) "the cold query paid for I/O" true (io_ms > 5.);
+            (* Both clocks add the same charges, in a different order. *)
+            Alcotest.(check bool)
+              (Printf.sprintf "root duration %.3f ms covers its I/O %.3f ms" r.Trace.dur_ms io_ms)
+              true
+              (r.Trace.dur_ms >= io_ms || close_ms r.Trace.dur_ms io_ms);
+            let by_id = Hashtbl.create 16 in
+            List.iter (fun (sp : Trace.span_report) -> Hashtbl.replace by_id sp.Trace.id sp) r.Trace.spans;
+            List.iter
+              (fun (sp : Trace.span_report) ->
+                match Hashtbl.find_opt by_id sp.Trace.parent with
+                | None -> ()
+                | Some p ->
+                  let eps = 1e-9 *. (1. +. Float.abs p.Trace.start_ms) in
+                  if
+                    sp.Trace.start_ms < p.Trace.start_ms -. eps
+                    || sp.Trace.start_ms +. sp.Trace.dur_ms
+                       > p.Trace.start_ms +. p.Trace.dur_ms +. eps
+                  then
+                    Alcotest.failf "span %s [%f, +%f] outside its parent %s [%f, +%f]" sp.Trace.name
+                      sp.Trace.start_ms sp.Trace.dur_ms p.Trace.name p.Trace.start_ms p.Trace.dur_ms)
+              r.Trace.spans;
+            check_reconciles r;
+            (* The SLO window holds the request's duration, its I/O
+               included. *)
+            (match
+               Server.slo_snapshot server ~at_ms:(r.Trace.submitted_ms +. r.Trace.dur_ms)
+             with
+            | [ st ] -> (
+              match st.Slo.p50_ms with
+              | Some p50 ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "SLO p50 %.3f ms is at least the I/O %.3f ms" p50 io_ms)
+                  true (p50 >= io_ms)
+              | None -> Alcotest.fail "no SLO p50")
+            | l -> Alcotest.failf "expected one tenant, got %d" (List.length l));
+            Alcotest.(check (list string)) "slow log" [ r.Trace.trace_id ]
+              (List.map (fun (r : Trace.report) -> r.Trace.trace_id) (Server.slow_reports server))));
     Alcotest.test_case "twin runs export byte-identical traces" `Quick (fun () ->
         let run_once () =
           with_traced_server ~jobs:0 (fun server s ->
