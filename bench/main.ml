@@ -24,24 +24,18 @@ type cell = {
   q3 : Io_stats.t;
 }
 
-(* --mon: attach the always-on monitor to every figure build and
-   measurement, turning the gated bench into the telemetry-overhead
-   experiment.  The monitor performs no I/O on the measured disk and the
-   clock is simulated, so every simulated figure must come out
-   byte-identical with it on; CI enforces that by diffing a --mon run
-   against the unmonitored baseline. *)
-let mon_enabled = ref false
+(* --obs: give every figure build and measurement a sink-less
+   observability handle, turning the gated bench into the
+   instrumentation-overhead experiment.  The handle performs no I/O on
+   the measured disk and the clock is simulated, so every simulated
+   figure must come out byte-identical with it on; CI enforces that by
+   diffing an --obs run against the uninstrumented baseline. *)
+let obs_enabled = ref false
 
-let mon_obs () =
-  if not !mon_enabled then None
-  else begin
-    let obs = Natix_obs.Obs.create () in
-    ignore (Natix_mon.Mon.attach obs : Natix_mon.Mon.t);
-    Some obs
-  end
+let cell_obs () = if !obs_enabled then Some (Natix_obs.Obs.create ()) else None
 
 let build_cell ~check page_size series corpus =
-  let built = Harness.build ?obs:(mon_obs ()) ~page_size series corpus in
+  let built = Harness.build ?obs:(cell_obs ()) ~page_size series corpus in
   if check then
     List.iter (fun d -> Tree_store.check_document built.Harness.store d) built.Harness.docs;
   let docs = built.Harness.docs and store = built.Harness.store in
@@ -449,7 +443,7 @@ let qb_planned_vs_naive corpus =
      append, cold buffers\n";
   Printf.printf "%-8s %-28s %8s | %9s %9s | %9s %9s\n" "query" "path" "hits" "plan-rd" "plan-ms"
     "naive-rd" "naive-ms";
-  let built = Harness.build ?obs:(mon_obs ()) ~page_size:8192 qb_series corpus in
+  let built = Harness.build ?obs:(cell_obs ()) ~page_size:8192 qb_series corpus in
   let engine = qb_engine built in
   let docs = built.Harness.docs in
   List.map
@@ -468,7 +462,7 @@ let qb_index_seed corpus =
   Printf.printf
     "\nQuery bench - index seeding on one play (selective SCNDESCR vs dense SPEAKER)\n";
   Printf.printf "%-28s %-12s %8s | %9s %9s\n" "path" "access" "hits" "plan-rd" "naive-rd";
-  let built = Harness.build ?obs:(mon_obs ()) ~page_size:8192 qb_series [ List.hd corpus ] in
+  let built = Harness.build ?obs:(cell_obs ()) ~page_size:8192 qb_series [ List.hd corpus ] in
   let engine = qb_engine built in
   let docs = built.Harness.docs in
   let doc = List.hd docs in
@@ -498,7 +492,7 @@ let qb_scan_pool corpus =
   List.map
     (fun (name, read_ahead, scan_resistant) ->
       let built =
-        Harness.build ?obs:(mon_obs ()) ~page_size:8192 ~buffer_bytes:(512 * 1024) ~read_ahead ~scan_resistant
+        Harness.build ?obs:(cell_obs ()) ~page_size:8192 ~buffer_bytes:(512 * 1024) ~read_ahead ~scan_resistant
           qb_series corpus
       in
       let store = built.Harness.store in
@@ -609,7 +603,7 @@ let run_write_bench () =
 let run_parallel_bench ~jobs corpus =
   Printf.printf "\nParallel query bench - jobs=1 vs jobs=%d (8K pages, 1:n append)\n" jobs;
   Printf.printf "%-8s %10s %10s %10s %12s %10s\n" "jobs" "tasks" "hits" "reads" "writes" "wall-s";
-  let built = Harness.build ?obs:(mon_obs ()) ~page_size:8192 qb_series corpus in
+  let built = Harness.build ?obs:(cell_obs ()) ~page_size:8192 qb_series corpus in
   let store = built.Harness.store in
   let docs = built.Harness.docs in
   let paths =
@@ -753,16 +747,14 @@ let run_serve_bench corpus =
         (m, p))
       [ 0.5; 1.0; 2.0; 4.0 ]
   in
-  (if !serve_export <> "" then
-     match Natix.Session.mon sess with
-     | None -> ()
-     | Some mon ->
-       let at_ms = (Io_stats.copy (Tree_store.io_stats store)).Io_stats.sim_ms in
-       let path = Printf.sprintf "%s-bench.prom" !serve_export in
-       let oc = open_out path in
-       output_string oc (Natix_mon.Mon.export_prometheus mon ~at_ms);
-       close_out oc;
-       Printf.printf "wrote %s\n" path);
+  (if !serve_export <> "" then begin
+     let at_ms = (Io_stats.copy (Tree_store.io_stats store)).Io_stats.sim_ms in
+     let path = Printf.sprintf "%s-bench.prom" !serve_export in
+     let oc = open_out path in
+     output_string oc (Natix_mon.Mon.export_prometheus (Natix.Session.mon sess) ~at_ms);
+     close_out oc;
+     Printf.printf "wrote %s\n" path
+   end);
   Natix_server.Server.shutdown server;
   Natix.Session.close ~commit:false sess;
   J.Obj
@@ -937,10 +929,10 @@ let () =
         Arg.Unit (fun () -> json_path := "BENCH_natix.json"),
         " write a machine-readable report to BENCH_natix.json" );
       ("--json-file", Arg.String (fun p -> json_path := p), "FILE write the JSON report to FILE");
-      ( "--mon",
-        Arg.Set mon_enabled,
-        " attach the always-on monitor to every build/measurement; all simulated figures must \
-         stay byte-identical (the telemetry-overhead experiment)" );
+      ( "--obs",
+        Arg.Set obs_enabled,
+        " give every build/measurement a sink-less observability handle; all simulated figures \
+         must stay byte-identical (the instrumentation-overhead experiment)" );
       ( "--jobs",
         Arg.Set_int jobs,
         "N also run the parallel query bench at N worker domains (adds a \"parallel\" JSON \

@@ -39,26 +39,22 @@ let current_session : Natix.Session.t option ref = ref None
 (* [page_size] applies only when the file is created. *)
 let open_session ?page_size ?(index = Document_manager.Off) path =
   let config = Option.map (fun n -> Config.with_page_size n (Config.default ())) page_size in
-  let sess =
-    Natix.Session.open_store ~options:{ Natix.Session.Options.default with config; index } path
-  in
+  let sess = Natix.Session.open_store ~options:{ Natix.Session.Options.config; index } path in
   current_session := Some sess;
   sess
 
+(* [Session.flight_path] honours NATIX_FLIGHT_PATH, so crash dumps can
+   be steered somewhere writable (CI sandboxes, read-only CWDs); a dump
+   that cannot be written leaves the exit code alone. *)
 let dump_flight_on_error () =
   match !current_session with
   | None -> ()
-  | Some sess ->
-    if Natix.Session.mon sess <> None then begin
-      (* [Session.flight_path] honours NATIX_FLIGHT_PATH, so crash dumps
-         can be steered somewhere writable (CI sandboxes, read-only
-         CWDs). *)
-      let path = Natix.Session.flight_path () in
-      let oc = open_out path in
-      Natix.Session.dump_flight sess oc;
-      close_out oc;
-      Printf.eprintf "natix: flight recorder written to %s\n" path
-    end
+  | Some sess -> (
+    match Natix.Session.write_flight sess with
+    | Some path -> Printf.eprintf "natix: flight recorder written to %s\n" path
+    | None ->
+      Printf.eprintf "natix: could not write the flight recorder to %s\n"
+        (Natix.Session.flight_path ()))
 
 let fail_error e =
   Printf.eprintf "natix: %s\n" (Error.to_string e);
@@ -934,13 +930,6 @@ let cold_arg =
     & info [ "cold" ]
         ~doc:"Drop the buffer pool before the probe, so it measures physical I/O.")
 
-let mon_of sess =
-  match Natix.Session.mon sess with
-  | Some mon -> mon
-  | None ->
-    prerr_endline "natix: monitoring disabled for this session";
-    exit 2
-
 let sim_now sess =
   (Tree_store.io_stats (Natix.Session.store sess)).Natix_store.Io_stats.sim_ms
 
@@ -1015,7 +1004,7 @@ let top_cmd =
     let pool = Tree_store.buffer_pool (Natix.Session.store sess) in
     Natix_store.Buffer_pool.reset_stats pool;
     run_probe ~cold sess queries jobs;
-    let mon = mon_of sess in
+    let mon = Natix.Session.mon sess in
     let at_ms = sim_now sess in
     let snap = Mon.metrics_snapshot mon ~at_ms in
     let series name = List.find_opt (fun s -> s.Registry.name = name) snap.Registry.series in
@@ -1024,8 +1013,7 @@ let top_cmd =
     in
     Printf.printf "natix top — %s  (sim clock %.1f ms, window %.0f ms)\n" store_path at_ms
       snap.Registry.span_ms;
-    Printf.printf "window: reads %.0f  writes %.0f  wal bytes %.0f\n" (wsum "reads")
-      (wsum "writes") (wsum "wal_bytes");
+    Printf.printf "window: reads %.0f  writes %.0f\n" (wsum "reads") (wsum "writes");
     Printf.printf "pool since the probe began: fixes %d  hit ratio %.3f\n"
       (Natix_store.Buffer_pool.fixes pool)
       (Natix_store.Buffer_pool.hit_ratio pool);
@@ -1074,7 +1062,7 @@ let mon_export_cmd =
   let run store_path queries jobs cold format out =
     let sess = open_session store_path in
     run_probe ~cold sess queries jobs;
-    let mon = mon_of sess in
+    let mon = Natix.Session.mon sess in
     let at_ms = sim_now sess in
     let text =
       match format with
@@ -1137,7 +1125,6 @@ let mon_dump_cmd =
   let run store_path queries jobs cold out =
     let sess = open_session store_path in
     run_probe ~cold sess queries jobs;
-    ignore (mon_of sess);
     (match out with
     | None -> Natix.Session.dump_flight sess stdout
     | Some path ->

@@ -31,15 +31,12 @@ let acct t doc =
     Hashtbl.add t doc a;
     a
 
-let charge_reads t ~doc ~at_ms n =
+let charge t ~doc ~at_ms ~reads ~sim_ms ~pinned =
   let a = acct t doc in
-  a.reads_total <- a.reads_total + n;
-  Window.add a.win_reads ~at_ms (float_of_int n)
-
-let charge_op t ~doc ~at_ms ~sim_ms ~pinned =
-  let a = acct t doc in
+  a.reads_total <- a.reads_total + reads;
   a.sim_ms_total <- a.sim_ms_total +. sim_ms;
   if pinned > a.pinned_peak then a.pinned_peak <- pinned;
+  Window.add a.win_reads ~at_ms (float_of_int reads);
   Window.add a.win_sim_ms ~at_ms sim_ms
 
 type doc_stats = {

@@ -8,54 +8,35 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Event feed: runs under the obs delivery lock; must stay cheap and must
-   not call back into the handle.  Every value fed here is a small
-   integer, so window sums are exact however worker domains interleave.
-   Document read accounting comes from here rather than from operation
-   records: the event context attributes reads per document even inside
-   a parallel batch, and read {e counts} are schedule-independent. *)
-let feed t (ev : Event.t) =
-  let record name v = Registry.record t.registry ?ctx:ev.ctx ~at_ms:ev.at_ms name v in
-  match ev.kind with
-  | Event.Io { write = false; _ } -> (
-    record "reads" 1.;
-    match ev.ctx with
-    | Some { Event.doc = Some doc; _ } -> Account.charge_reads t.account ~doc ~at_ms:ev.at_ms 1
-    | _ -> ())
-  | Event.Io { write = true; _ } -> record "writes" 1.
-  | Event.Wal_append { bytes; _ } -> record "wal_bytes" (float_of_int bytes)
-  | _ -> ()
-
 let query_ms_edges =
   [| 0.1; 0.5; 1.; 2.; 5.; 10.; 20.; 50.; 100.; 250.; 500.; 1000.; 2500.; 5000.; 10000. |]
 
-let attach obs =
+let create () =
   let registry = Registry.create () in
   Registry.define registry "query_sim_ms" ~quantile_edges:query_ms_edges;
-  let t =
-    {
-      registry;
-      account = Account.create ();
-      recorder = Recorder.create ~capacity:1024;
-      lock = Mutex.create ();
-    }
-  in
-  (* The kinds [feed] handles: the handle counts the rest (page fixes
-     above all) without its lock. *)
-  Natix_obs.Obs.subscribe obs ~kinds:[ "io"; "wal_append" ] (fun ev ->
-      locked t (fun () -> feed t ev));
-  t
+  {
+    registry;
+    account = Account.create ();
+    recorder = Recorder.create ~capacity:1024;
+    lock = Mutex.create ();
+  }
 
 let record_op t ?(pinned = 0) (op : Recorder.op) =
   locked t (fun () ->
       Recorder.add t.recorder op;
-      let ctx = Some { Event.doc = op.doc; phase = op.kind } in
-      Registry.record t.registry ?ctx ~at_ms:op.at_ms "ops" 1.;
-      if op.kind = "query" then
-        Registry.record t.registry ?ctx ~at_ms:op.at_ms "query_sim_ms" op.sim_ms;
+      let record name v =
+        Registry.record t.registry
+          ~ctx:{ Event.doc = op.doc; phase = op.kind }
+          ~at_ms:op.at_ms name v
+      in
+      record "ops" 1.;
+      record "reads" (float_of_int op.reads);
+      record "writes" (float_of_int op.writes);
+      if op.kind = "query" then record "query_sim_ms" op.sim_ms;
       match op.doc with
       | None -> ()
-      | Some doc -> Account.charge_op t.account ~doc ~at_ms:op.at_ms ~sim_ms:op.sim_ms ~pinned)
+      | Some doc ->
+        Account.charge t.account ~doc ~at_ms:op.at_ms ~reads:op.reads ~sim_ms:op.sim_ms ~pinned)
 
 let metrics_snapshot t ~at_ms = locked t (fun () -> Registry.snapshot t.registry ~at_ms)
 

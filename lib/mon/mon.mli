@@ -1,47 +1,48 @@
-(** The monitor: always-on telemetry over one observability handle.
+(** The monitor: always-on telemetry over a session's operation records.
 
-    {!attach} subscribes to an {!Natix_obs.Obs.t} and from then on feeds
-    three structures from the event stream and from session-level
-    operation records:
+    Every operation a session, the parallel executor or the server
+    completes is handed to {!record_op} as one {!Recorder.op} carrying
+    its exact I/O delta, and that record alone feeds three structures:
 
-    - a {!Registry} of sliding-window series — [reads], [writes] and
-      [wal_bytes] from events, keyed by the emitting [(doc, phase)]
-      context; [ops] and [query_sim_ms] (with moving p50/p95/p99) from
-      operation records.  Page fixes are not consumed: they are the
-      hottest events, and the pool counts fixes and hits itself
-      ({!Natix_store.Buffer_pool.fixes}, {!Natix_store.Buffer_pool.hit_ratio});
-    - an {!Account} per document: reads fed from the event stream (the
-      context attributes them even inside parallel batches), simulated
-      time and peak pages-pinned from operation records, each cumulative
-      and windowed;
+    - a {!Registry} of sliding-window series keyed by the operation's
+      [(doc, kind)]: [ops] (one per operation), [reads] and [writes] (its
+      page transfers), and [query_sim_ms] for queries, with moving
+      p50/p95/p99.  A series' [count] is a number of operations, and its
+      sum is a sum over recorded operations: I/O outside any recorded
+      operation (crash recovery and the reopen scan when a store opens)
+      is not counted;
+    - an {!Account} per document: reads, simulated time and peak
+      pages-pinned, each cumulative and windowed;
     - a {!Recorder} flight ring of the last 1,024 operations.
+
+    The monitor does not read the engine's event stream: fixes, hits and
+    WAL bytes are counted by the buffer pool, the disk and the log
+    themselves.
 
     Windows span one minute of the {e simulated} clock (see
     {!Window.default_bucket_ms}), and everything is stamped with that
     clock, so a deterministic workload yields byte-identical exports.
 
-    {b Cost when idle.}  The subscriber does constant work per event
-    (a few window-bucket additions under one mutex); no allocation grows
-    with time except the bounded flight ring and one window per live
-    [(doc, phase)] pair.  A store opened without monitoring pays nothing.
+    {b Cost.}  Constant work per recorded operation (a few window-bucket
+    additions under one mutex); nothing on the page path.  No allocation
+    grows with time except the bounded flight ring and one window per
+    live [(doc, kind)] pair.
 
-    {b Locking.}  One internal mutex serialises all feeds and snapshots.
-    The event subscriber runs under the observability handle's delivery
-    lock and only ever takes the monitor's lock (never the reverse
-    order); the monitor never calls back into the handle. *)
+    {b Locking.}  One internal mutex serialises all feeds and snapshots;
+    the monitor calls nothing that takes another lock. *)
 
 type t
 
-(** Subscribe a fresh monitor to the handle's [io] and [wal_append]
-    events. *)
-val attach : Natix_obs.Obs.t -> t
+(** A fresh monitor with empty series, accounts and flight ring. *)
+val create : unit -> t
 
 (** {2 Operation records} *)
 
 (** [record_op t ?pinned op] appends to the flight ring ([op.seq] is
-    reassigned), charges [op.doc]'s account with the op's simulated time
-    and [pinned] (pages pinned at completion), and feeds the [ops] /
-    [query_sim_ms] series. *)
+    reassigned), charges [op.doc]'s account with the op's reads,
+    simulated time and [pinned] (pages pinned at completion), and feeds
+    the [ops], [reads], [writes] and (for queries) [query_sim_ms]
+    series. *)
 val record_op : t -> ?pinned:int -> Recorder.op -> unit
 
 (** {2 Snapshots and export} *)

@@ -15,6 +15,33 @@ type op = {
   rows : int option;
 }
 
+let outcome = function
+  | Ok _ -> "ok"
+  | Error (e : Natix_core.Error.t) -> (
+    match e with
+    | Parse _ -> "error:parse"
+    | Validation _ -> "error:validation"
+    | Dtd _ -> "error:dtd"
+    | Query _ -> "error:query"
+    | Storage _ -> "error:storage")
+
+let make ~at_ms ~kind ?doc ~detail ?digest ?rows io outcome =
+  let module Io = Natix_store.Io_stats in
+  {
+    seq = 0;
+    at_ms;
+    kind;
+    doc;
+    detail;
+    plan = None;
+    reads = io.Io.reads;
+    writes = io.Io.writes;
+    sim_ms = io.Io.sim_ms;
+    outcome;
+    digest;
+    rows;
+  }
+
 type meta = {
   version : int;
   store : string option;

@@ -1,11 +1,11 @@
 (** The workload flight recorder: a bounded ring of recent operations.
 
-    Every session-level operation (query, scan, load, bulkload) appends
-    one {!op} — what ran, against which document, the plan choice, the
-    I/O delta the operation observed, and its outcome (including an MD5
-    digest of the rendered result for queries, which is what replay
-    compares).  The ring keeps the most recent [capacity] records; older
-    ones fall off.
+    Every operation a session, the parallel executor or the server
+    completes appends one {!op} — what ran, against which document, the
+    I/O delta the operation observed, and its outcome (with the row
+    count and, where the producer renders one, an MD5 digest of the
+    result, which is what replay compares).  The ring keeps the most
+    recent [capacity] records; older ones fall off.
 
     {!dump} serialises the ring as JSONL — one {!meta} header line, then
     one line per op, oldest first — the format [natix replay] consumes
@@ -14,7 +14,9 @@
 type op = {
   seq : int;  (** assigned by {!add}, monotone over the recorder's life *)
   at_ms : float;  (** sim-clock stamp when the op completed *)
-  kind : string;  (** ["query"] | ["scan"] | ["load"] | ["bulkload"] *)
+  kind : string;
+      (** ["query"] | ["scan"] | ["load"] | ["bulkload"] | ["delete"] |
+          ["checkpoint"] *)
   doc : string option;
   detail : string;  (** query path text, loaded file name, … *)
   plan : string option;  (** planner's choice, when the op reports one *)
@@ -25,6 +27,25 @@ type op = {
   digest : string option;  (** MD5 hex of rendered query output *)
   rows : int option;  (** rendered hit count, queries only *)
 }
+
+(** ["ok"], or ["error:<class>"] with the class one of ["parse"],
+    ["validation"], ["dtd"], ["query"], ["storage"]. *)
+val outcome : ('a, Natix_core.Error.t) result -> string
+
+(** [make ~at_ms ~kind ?doc ~detail ?digest ?rows io outcome] is one op
+    record whose [reads], [writes] and [sim_ms] are those of [io], the
+    operation's I/O delta; [plan] is [None] and [seq] is left for {!add}
+    to assign.  Every producer of records builds them here. *)
+val make :
+  at_ms:float ->
+  kind:string ->
+  ?doc:string ->
+  detail:string ->
+  ?digest:string ->
+  ?rows:int ->
+  Natix_store.Io_stats.t ->
+  string ->
+  op
 
 type meta = {
   version : int;

@@ -2,39 +2,17 @@ module Io_stats = Natix_store.Io_stats
 
 let digest_hits hits = Digest.to_hex (Digest.string (String.concat "\n" hits))
 
-let error_class (e : Natix_core.Error.t) =
-  match e with
-  | Parse _ -> "parse"
-  | Validation _ -> "validation"
-  | Dtd _ -> "dtd"
-  | Query _ -> "query"
-  | Storage _ -> "storage"
-
-(* One op record out of one task result.  [d] is the task's own I/O
-   delta as measured by the executor; per-task read counts are
-   schedule-dependent at jobs >= 2, so they are recorded for inspection
-   but the comparison ({!render_outcome}) never looks at them — the
-   meta totals carry the schedule-independent figures. *)
-let op_of_result at_ms (doc, path) (result, (d : Io_stats.t)) : Recorder.op =
-  let outcome, digest, rows =
+(* [d] is the task's own I/O delta as measured by the executor; per-task
+   read counts are schedule-dependent at jobs >= 2, so they are recorded
+   for inspection but the comparison ({!render_outcome}) never looks at
+   them — the meta totals carry the schedule-independent figures. *)
+let query_op ~at_ms (doc, path) (result, d) =
+  let digest, rows =
     match result with
-    | Ok hits -> ("ok", Some (digest_hits hits), Some (List.length hits))
-    | Error e -> ("error:" ^ error_class e, None, None)
+    | Ok hits -> (Some (digest_hits hits), Some (List.length hits))
+    | Error _ -> (None, None)
   in
-  {
-    Recorder.seq = 0;
-    at_ms;
-    kind = "query";
-    doc = Some doc;
-    detail = path;
-    plan = None;
-    reads = d.Io_stats.reads;
-    writes = d.Io_stats.writes;
-    sim_ms = d.Io_stats.sim_ms;
-    outcome;
-    digest;
-    rows;
-  }
+  Recorder.make ~at_ms ~kind:"query" ~doc ~detail:path ?digest ?rows d (Recorder.outcome result)
 
 let cold_run ~jobs store tasks =
   Natix_core.Tree_store.clear_buffers store;
@@ -46,7 +24,7 @@ let cold_run ~jobs store tasks =
 let capture ?(jobs = 1) ?store_path store tasks =
   let results, io = cold_run ~jobs store tasks in
   let at_ms = io.Io_stats.sim_ms in
-  let ops = List.map2 (op_of_result at_ms) tasks results in
+  let ops = List.map2 (query_op ~at_ms) tasks results in
   let meta =
     {
       Recorder.version = 1;
@@ -78,10 +56,16 @@ type report = {
 
 let ok r = r.mismatches = [] && r.io_ok
 
-let render_outcome (op : Recorder.op) =
-  match (op.outcome, op.digest, op.rows) with
-  | "ok", Some d, Some n -> Printf.sprintf "ok rows=%d digest=%s" n d
-  | outcome, _, _ -> outcome
+(* What a replayed query must reproduce of its captured record: the
+   outcome, then for a result the row count and the digest where the
+   capture recorded them (a served query records rows but no digest). *)
+let render_outcome ~(captured : Recorder.op) (op : Recorder.op) =
+  let field recorded show v =
+    if captured.outcome = "ok" && recorded then Option.to_list (Option.map show v) else []
+  in
+  String.concat " "
+    ((op.outcome :: field (captured.rows <> None) (Printf.sprintf "rows=%d") op.rows)
+    @ field (captured.digest <> None) (( ^ ) "digest=") op.digest)
 
 let run ?jobs store (meta : Recorder.meta) ops =
   let jobs = Option.value jobs ~default:meta.Recorder.jobs in
@@ -95,8 +79,9 @@ let run ?jobs store (meta : Recorder.meta) ops =
   let mismatches =
     List.map2
       (fun (o : Recorder.op) result ->
-        let got = op_of_result 0. (Option.value o.doc ~default:"", o.detail) result in
-        let expected_s = render_outcome o and got_s = render_outcome got in
+        let got = query_op ~at_ms:0. (Option.value o.doc ~default:"", o.detail) result in
+        let expected_s = render_outcome ~captured:o o
+        and got_s = render_outcome ~captured:o got in
         if expected_s = got_s then None
         else Some { seq = o.seq; doc = o.doc; detail = o.detail; expected = expected_s; got = got_s })
       queries results

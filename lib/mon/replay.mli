@@ -4,8 +4,9 @@
     cleared, I/O counters zeroed) through {!Natix_par.Par.run_queries}
     and produces a dump: per-op result digests plus whole-capture I/O
     totals in the {!Recorder.meta} line.  {!run} re-executes the query
-    ops of a dump the same way and checks, per op, that outcome, row
-    count and result digest are byte-identical, and — when the dump was
+    ops of a dump the same way and checks, per op, that the outcome is
+    the same, and the row count and result digest too where the dump
+    recorded them, and — when the dump was
     captured cold and contains only query ops — that the replay's
     [reads]/[writes]/[total_ios] equal the captured totals {e exactly}.
     The totals check is exact even at [jobs > 1]: those counters are
@@ -14,16 +15,19 @@
 
     Dumps written from the session flight ring ([natix mon dump], or the
     automatic dump on a typed-error exit) have [cold = false]; replaying
-    them still verifies result digests, only the totals assertion is
-    skipped. *)
+    them still verifies outcomes, rows and digests as recorded (a query
+    served through [Natix_server] records rows but no digest); only the
+    totals assertion is skipped. *)
 
-(** MD5 hex over the rendered hits, one per line — the digest stored in
-    and compared against dump records. *)
-val digest_hits : string list -> string
-
-(** Short class tag for an error outcome (["parse"], ["validation"],
-    ["dtd"], ["query"], ["storage"]). *)
-val error_class : Natix_core.Error.t -> string
+(** [query_op ~at_ms (doc, path) (result, io)] is the record of one
+    query task: its outcome, its I/O delta [io], and for a result its row
+    count and the MD5 hex over the rendered hits, one per line — the
+    digest replay compares. *)
+val query_op :
+  at_ms:float ->
+  string * string ->
+  (string list, Natix_core.Error.t) result * Natix_store.Io_stats.t ->
+  Recorder.op
 
 (** [capture ?jobs ?store_path store tasks] — cold-runs [(doc, path)]
     query tasks and returns the dump contents.  Per-op [reads]/[writes]

@@ -1,30 +1,21 @@
 open Natix_core
+module Disk = Natix_store.Disk
 module Io_stats = Natix_store.Io_stats
 module Mon = Natix_mon.Mon
+module Recorder = Natix_mon.Recorder
 
 type t = {
   store : Tree_store.t;
   manager : Document_manager.t;
   engine : Natix_query.Engine.t;
-  mon : Mon.t option;
+  mon : Mon.t;
   path : string option;  (* backing file, for flight-dump metadata *)
 }
 
-(* Monitoring is on by default: a session constructor that is not handed
-   an observability handle makes one (no sink — events are consumed by
-   the monitor and dropped) so the monitor has a stream to subscribe to.
-   [~monitor:false] restores the bare store. *)
-let ensure_obs ~monitor config =
-  if not monitor then config
-  else
-    match config.Config.obs with
-    | Some _ -> config
-    | None -> Config.with_obs (Natix_obs.Obs.create ()) config
-
 module Options = struct
-  type t = { config : Config.t option; index : Document_manager.index_mode; monitor : bool }
+  type t = { config : Config.t option; index : Document_manager.index_mode }
 
-  let default = { config = None; index = Document_manager.Ensure; monitor = true }
+  let default = { config = None; index = Document_manager.Ensure }
 end
 
 (* Where error paths drop the flight-recorder ring.  One resolution
@@ -36,55 +27,50 @@ let flight_path () =
   | Some p when p <> "" -> p
   | _ -> "natix-flight.jsonl"
 
-let of_store_with_mon ~index ~mon ?path store =
+(* Error paths call this on their way out, so it must not raise: a dump
+   that cannot be written is reported as [None]. *)
+let write_flight_with dump =
+  let path = flight_path () in
+  try
+    let oc = open_out path in
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> dump oc);
+    Some path
+  with _ -> None
+
+let of_store ?(index = Document_manager.Ensure) ?path store =
   let manager = Document_manager.create ~index store in
   let engine = Natix_query.Engine.of_manager manager in
-  { store; manager; engine; mon; path }
-
-let of_store ?(index = Document_manager.Ensure) ?(monitor = true) ?path store =
-  let mon = if monitor then Option.map Mon.attach (Tree_store.obs store) else None in
-  of_store_with_mon ~index ~mon ?path store
+  { store; manager; engine; mon = Mon.create (); path }
 
 let open_memory ?(options = Options.default) () =
-  let { Options.config; index; monitor } = options in
-  let config = ensure_obs ~monitor (Option.value config ~default:(Config.default ())) in
-  of_store ~index ~monitor (Tree_store.in_memory ~config ())
+  let { Options.config; index } = options in
+  let config = Option.value config ~default:(Config.default ()) in
+  of_store ~index (Tree_store.in_memory ~config ())
 
 let open_store ?(options = Options.default) path =
-  let { Options.config; index; monitor } = options in
+  let { Options.config; index } = options in
   let config = Option.value config ~default:(Config.default ()) in
   (* An existing file dictates its page size; the configured one only
      applies when the file is created. *)
   let config =
-    match Natix_store.Disk.detect_page_size path with
+    match Disk.detect_page_size path with
     | Some page_size -> { config with Config.page_size }
     | None -> config
   in
-  let config = ensure_obs ~monitor config in
-  let disk = Natix_store.Disk.on_file ~page_size:config.Config.page_size path in
-  (* Attach the monitor before the store opens so crash recovery's page
-     I/O feeds its registry's reads and writes series.  If recovery (or
-     any other part of opening) fails, a flight dump (the disk's I/O
-     counters and the ring's operation records) is written next to the
-     store before the exception propagates — the only trace of a store
-     that cannot even open. *)
-  let mon = if monitor then Option.map Mon.attach config.Config.obs else None in
+  let disk = Disk.on_file ~page_size:config.Config.page_size path in
+  (* If recovery (or any other part of opening) fails, a flight dump
+     (the disk's I/O counters under an empty ring) is written next to
+     the store before the exception propagates — the only trace of a
+     store that cannot even open. *)
   let store =
     try Tree_store.open_store ~config disk
     with e ->
-      (match mon with
-      | None -> ()
-      | Some mon -> (
-        try
-          let oc = open_out (flight_path ()) in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> Mon.dump_flight mon ~io:(Natix_store.Disk.stats disk) ~jobs:1 ~store:path oc)
-        with _ -> ()));
-      (try Natix_store.Disk.close disk with _ -> ());
+      let dump = Mon.dump_flight (Mon.create ()) ~io:(Disk.stats disk) ~jobs:1 ~store:path in
+      ignore (write_flight_with dump : string option);
+      (try Disk.close disk with _ -> ());
       raise e
   in
-  of_store_with_mon ~index ~mon ~path store
+  of_store ~index ~path store
 
 let store t = t.store
 let manager t = t.manager
@@ -92,7 +78,36 @@ let engine t = t.engine
 let mon t = t.mon
 let documents t = List.sort String.compare (Tree_store.list_documents t.store)
 
-let checkpoint t = Document_manager.checkpoint t.manager
+(* Operation records for the monitor *)
+
+let io t = Tree_store.io_stats t.store
+let now_ms t = (io t).Io_stats.sim_ms
+let pinned t = Natix_store.Buffer_pool.pinned_frames (Tree_store.buffer_pool t.store)
+
+(* A copy of the accumulator this domain charges: a served request's own
+   stream inside [Natix_server]'s dispatcher, the store's totals
+   elsewhere.  Diffing it around an operation is the operation's exact
+   I/O, even with other requests of the same store in flight. *)
+let snapshot t =
+  Io_stats.copy (Disk.active_stats (Natix_store.Buffer_pool.disk (Tree_store.buffer_pool t.store)))
+
+(* Record an eager operation's flight entry: [before] is the {!snapshot}
+   taken when it started. *)
+let record_eager t ~kind ?doc ~detail ?rows ~outcome before =
+  Mon.record_op t.mon ~pinned:(pinned t)
+    (Recorder.make ~at_ms:(now_ms t) ~kind ?doc ~detail ?rows
+       (Io_stats.diff (snapshot t) before)
+       outcome)
+
+let dump_flight ?trace_id t oc = Mon.dump_flight t.mon ~io:(io t) ~jobs:1 ?store:t.path ?trace_id oc
+let write_flight ?trace_id t = write_flight_with (dump_flight ?trace_id t)
+
+(* The flush is where most page writes happen, so a checkpoint is an
+   operation of its own; [close]'s final checkpoint is not recorded. *)
+let checkpoint t =
+  let before = snapshot t in
+  Document_manager.checkpoint t.manager;
+  record_eager t ~kind:"checkpoint" ~detail:"" ~outcome:"ok" before
 
 let close ?(commit = true) t =
   if commit then Document_manager.checkpoint t.manager;
@@ -102,61 +117,18 @@ let with_store ?options path fn =
   let t = open_store ?options path in
   Fun.protect ~finally:(fun () -> close t) (fun () -> fn t)
 
-(* Operation records for the monitor *)
-
-let io t = Tree_store.io_stats t.store
-let now_ms t = (io t).Io_stats.sim_ms
-let pinned t = Natix_store.Buffer_pool.pinned_frames (Tree_store.buffer_pool t.store)
-
-let op ~at_ms ~kind ?doc ~detail ?plan ?(reads = 0) ?(writes = 0) ?(sim_ms = 0.) ?digest ?rows
-    outcome =
-  {
-    Natix_mon.Recorder.seq = 0;
-    at_ms;
-    kind;
-    doc;
-    detail;
-    plan;
-    reads;
-    writes;
-    sim_ms;
-    outcome;
-    digest;
-    rows;
-  }
-
-let outcome_of_result = function
-  | Ok _ -> "ok"
-  | Error e -> "error:" ^ Natix_mon.Replay.error_class e
-
-(* Record an eager operation's flight entry: [before] is the I/O
-   snapshot taken when it started. *)
-let record_eager t ~kind ?doc ~detail ?plan ?rows ~outcome before =
-  match t.mon with
-  | None -> ()
-  | Some mon ->
-    let d = Io_stats.diff (Io_stats.copy (io t)) before in
-    Mon.record_op mon ~pinned:(pinned t)
-      (op ~at_ms:(now_ms t) ~kind ?doc ~detail ?plan ~reads:d.Io_stats.reads
-         ~writes:d.Io_stats.writes ~sim_ms:d.Io_stats.sim_ms ?rows outcome)
-
-let dump_flight ?trace_id t oc =
-  match t.mon with
-  | None -> ()
-  | Some mon -> Mon.dump_flight mon ~io:(io t) ~jobs:1 ?store:t.path ?trace_id oc
-
 (* Document management *)
 
 let store_document t ~name ?dtd ?infer_dtd ?order xml =
-  let before = Io_stats.copy (io t) in
+  let before = snapshot t in
   let result = Document_manager.store_document t.manager ~name ?dtd ?infer_dtd ?order xml in
-  record_eager t ~kind:"load" ~doc:name ~detail:name ~outcome:(outcome_of_result result) before;
+  record_eager t ~kind:"load" ~doc:name ~detail:name ~outcome:(Recorder.outcome result) before;
   result
 
 let validate t doc = Document_manager.validate t.manager doc
 
 let delete_document t doc =
-  let before = Io_stats.copy (io t) in
+  let before = snapshot t in
   Document_manager.delete_document t.manager doc;
   record_eager t ~kind:"delete" ~doc ~detail:doc ~outcome:"ok" before
 
@@ -193,45 +165,35 @@ let contextual t ~doc seq =
    operation's true cost.  A sequence dropped before its end never
    records — the monitor sees completed operations. *)
 let record_on_exhaust t ~doc ~path before seq =
-  match t.mon with
-  | None -> seq
-  | Some mon ->
-    let count = ref 0 in
-    let done_ = ref false in
-    let finish outcome =
-      if not !done_ then begin
-        done_ := true;
-        let d = Io_stats.diff (Io_stats.copy (io t)) before in
-        Mon.record_op mon ~pinned:(pinned t)
-          (op ~at_ms:(now_ms t) ~kind:"query" ~doc ~detail:path ~reads:d.Io_stats.reads
-             ~writes:d.Io_stats.writes ~sim_ms:d.Io_stats.sim_ms ~rows:!count outcome)
-      end
-    in
-    let rec wrap seq () =
-      match seq () with
-      | Seq.Nil ->
-        finish "ok";
-        Seq.Nil
-      | Seq.Cons (x, rest) ->
-        incr count;
-        Seq.Cons (x, wrap rest)
-      | exception e ->
-        finish
-          (match e with
-          | Error.Error err -> "error:" ^ Natix_mon.Replay.error_class err
-          | _ -> "error:exception");
-        raise e
-    in
-    wrap seq
+  let count = ref 0 in
+  let done_ = ref false in
+  let finish outcome =
+    if not !done_ then begin
+      done_ := true;
+      record_eager t ~kind:"query" ~doc ~detail:path ~rows:!count ~outcome before
+    end
+  in
+  let rec wrap seq () =
+    match seq () with
+    | Seq.Nil ->
+      finish "ok";
+      Seq.Nil
+    | Seq.Cons (x, rest) ->
+      incr count;
+      Seq.Cons (x, wrap rest)
+    | exception e ->
+      finish
+        (match e with Error.Error err -> Recorder.outcome (Error err) | _ -> "error:exception");
+      raise e
+  in
+  wrap seq
 
 let query t ~doc path =
-  let before = Io_stats.copy (io t) in
+  let before = snapshot t in
   match Natix_query.Engine.query t.engine ~doc path with
   | Ok seq -> Ok (record_on_exhaust t ~doc ~path before (contextual t ~doc seq))
-  | Error e as err ->
-    record_eager t ~kind:"query" ~doc ~detail:path ~rows:0
-      ~outcome:("error:" ^ Natix_mon.Replay.error_class e)
-      before;
+  | Error _ as err ->
+    record_eager t ~kind:"query" ~doc ~detail:path ~rows:0 ~outcome:(Recorder.outcome err) before;
     err
 
 let analyze t ~doc path = Natix_query.Engine.analyze t.engine ~doc path
@@ -247,11 +209,8 @@ let explain t ~doc path = Natix_query.Engine.explain t.engine ~doc path
    shared page first pays its miss — which is why replay compares
    digests, row counts and outcomes, never per-op I/O. *)
 let record_batch t ops =
-  match t.mon with
-  | None -> ()
-  | Some mon ->
-    let at_ms = now_ms t in
-    List.iter (fun f -> Mon.record_op mon (f ~at_ms)) ops
+  let at_ms = now_ms t in
+  List.iter (fun f -> Mon.record_op t.mon (f ~at_ms)) ops
 
 let task_results outcome =
   List.combine outcome.Natix_par.Par.results outcome.Natix_par.Par.task_io
@@ -260,15 +219,7 @@ let run_queries ?jobs t tasks =
   let outcome = Natix_par.Par.run_queries ?jobs t.store tasks in
   record_batch t
     (List.map2
-       (fun (doc, path) (result, d) ~at_ms ->
-         let digest, rows =
-           match result with
-           | Ok hits -> (Some (Natix_mon.Replay.digest_hits hits), Some (List.length hits))
-           | Error _ -> (None, None)
-         in
-         op ~at_ms ~kind:"query" ~doc ~detail:path ~reads:d.Io_stats.reads
-           ~writes:d.Io_stats.writes ~sim_ms:d.Io_stats.sim_ms ?digest ?rows
-           (outcome_of_result result))
+       (fun task result ~at_ms -> Natix_mon.Replay.query_op ~at_ms task result)
        tasks (task_results outcome));
   outcome
 
@@ -277,8 +228,7 @@ let scan_all ?jobs t =
   record_batch t
     (List.map
        (fun ((doc, nodes), d) ~at_ms ->
-         op ~at_ms ~kind:"scan" ~doc ~detail:doc ~reads:d.Io_stats.reads
-           ~writes:d.Io_stats.writes ~sim_ms:d.Io_stats.sim_ms ~rows:nodes "ok")
+         Recorder.make ~at_ms ~kind:"scan" ~doc ~detail:doc ~rows:nodes d "ok")
        (task_results outcome));
   outcome
 
@@ -287,9 +237,7 @@ let load_files_txn ?jobs t files =
   record_batch t
     (List.map2
        (fun (name, _) (result, d) ~at_ms ->
-         op ~at_ms ~kind:"bulkload" ~doc:name ~detail:name ~reads:d.Io_stats.reads
-           ~writes:d.Io_stats.writes ~sim_ms:d.Io_stats.sim_ms
-           (outcome_of_result result))
+         Recorder.make ~at_ms ~kind:"bulkload" ~doc:name ~detail:name d (Recorder.outcome result))
        files (task_results outcome));
   outcome
 
@@ -314,7 +262,7 @@ let exec t (req : Api.request) : Api.response =
       | Ok seq -> Api.Hits (List.of_seq (Seq.map (Exporter.hit ~texts) seq))
       | Error e -> Api.Err e)
     | Api.Scan { element; texts } ->
-      let before = Io_stats.copy (io t) in
+      let before = snapshot t in
       let nodes = Document_manager.elements_named t.manager element in
       let hits = List.map (fun n -> Exporter.hit ~texts (Cursor.of_node t.store n)) nodes in
       record_eager t ~kind:"scan" ~detail:element ~rows:(List.length hits) ~outcome:"ok" before;

@@ -16,13 +16,15 @@
     configured size only applies on creation), run recovery on open, and
     checkpoint on {!close}.
 
-    {b Monitoring is on by default.}  Every constructor attaches a
-    {!Natix_mon.Mon} monitor to the store's observability handle —
-    creating a sink-less handle when the configuration has none — so
-    sliding-window metrics, per-document accounts and the operation
-    flight ring are always live (see {!mon} and {!dump_flight}).
-    [~monitor:false] opts out; a custom [config] with its own handle is
-    monitored through that handle. *)
+    {b Every session is monitored.}  Each operation the session
+    completes — a load, a consumed query, a scan, a bulk load, a delete,
+    a checkpoint — is recorded with its exact I/O delta into the
+    session's {!Natix_mon.Mon} monitor, which keeps sliding-window
+    metrics, per-document accounts and the operation flight ring from
+    those records alone (see {!mon} and {!dump_flight}).  The monitor
+    reads no events, so the store runs the uninstrumented engine unless
+    the configuration carries an observability handle
+    ({!Natix_core.Config.with_obs}). *)
 
 open Natix_core
 
@@ -48,7 +50,6 @@ module Options : sig
             Index-seeded query plans need an index; read-only sessions
             should use [Fresh_only] so a stale index is skipped instead
             of rebuilt. *)
-    monitor : bool;  (** attach a {!Natix_mon.Mon} monitor; default [true] *)
   }
 
   val default : t
@@ -64,12 +65,9 @@ val open_memory : ?options:Options.t -> unit -> t
     on exceptions). *)
 val with_store : ?options:Options.t -> string -> (t -> 'a) -> 'a
 
-(** Wrap an existing store (takes no ownership of closing it).  With
-    [monitor] (default [true]) a monitor is attached to the store's
-    handle, if it has one — attach at most one session per handle, a
-    second attachment would double-feed.  [path] labels flight dumps. *)
-val of_store :
-  ?index:Document_manager.index_mode -> ?monitor:bool -> ?path:string -> Tree_store.t -> t
+(** Wrap an existing store (takes no ownership of closing it), with a
+    fresh monitor.  [path] labels flight dumps. *)
+val of_store : ?index:Document_manager.index_mode -> ?path:string -> Tree_store.t -> t
 
 (** {2 The bundled layers} *)
 
@@ -77,13 +75,12 @@ val store : t -> Tree_store.t
 val manager : t -> Document_manager.t
 val engine : t -> Natix_query.Engine.t
 
-(** The session's monitor; [None] with [~monitor:false] or when the
-    store has no observability handle. *)
-val mon : t -> Natix_mon.Mon.t option
+(** The session's monitor. *)
+val mon : t -> Natix_mon.Mon.t
 
 (** {2 Monitoring}
 
-    Conveniences over {!mon}; no-ops on an unmonitored session. *)
+    Conveniences over {!mon}. *)
 
 (** Write the operation flight ring as a JSONL dump (see
     {!Natix_mon.Recorder}); the meta line carries the session's
@@ -92,20 +89,25 @@ val mon : t -> Natix_mon.Mon.t option
 val dump_flight : ?trace_id:string -> t -> out_channel -> unit
 
 (** Where error paths write the flight ring: [$NATIX_FLIGHT_PATH] when
-    set and non-empty, else ["natix-flight.jsonl"].  Shared by the
-    CLI's exit handler, the server's request-crash dump and the
-    open-failure path inside {!open_store}. *)
+    set and non-empty, else ["natix-flight.jsonl"]. *)
 val flight_path : unit -> string
+
+(** [write_flight ?trace_id t] writes {!dump_flight} to {!flight_path}
+    and returns [Some path], or [None] when the file cannot be written;
+    it never raises.  The one writer behind the CLI's exit handler, the
+    server's request-crash dump and the open-failure path inside
+    {!open_store}. *)
+val write_flight : ?trace_id:string -> t -> string option
 
 (** Stored document names, sorted. *)
 val documents : t -> string list
 
 (** Durable checkpoint: element-index refresh, catalog save, buffer
-    flush, WAL commit. *)
+    flush, WAL commit.  Recorded as a ["checkpoint"] operation. *)
 val checkpoint : t -> unit
 
-(** {!checkpoint} (unless [~commit:false]), then close the WAL and the
-    disk. *)
+(** {!checkpoint} (unless [~commit:false]; not recorded), then close the
+    WAL and the disk. *)
 val close : ?commit:bool -> t -> unit
 
 (** {2 Documents} *)

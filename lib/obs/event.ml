@@ -96,14 +96,6 @@ let type_name k = type_names.(tag k)
 let counter_names = Array.map (fun n -> "ev." ^ n) type_names
 let counter_name k = counter_names.(tag k)
 
-let tag_of_type_name name =
-  let rec go i =
-    if i >= tag_count then invalid_arg (Printf.sprintf "Event.tag_of_type_name: %S" name)
-    else if type_names.(i) = name then i
-    else go (i + 1)
-  in
-  go 0
-
 let rid_json rid = Json.String (Rid.to_string rid)
 
 let kind_fields = function

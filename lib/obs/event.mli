@@ -92,9 +92,5 @@ val tag_count : int
 (** [counter_names.(tag k) = counter_name k]. *)
 val counter_names : string array
 
-(** The tag of the kind whose {!type_name} is [name].
-    @raise Invalid_argument for a name no kind has. *)
-val tag_of_type_name : string -> int
-
 val to_json : t -> Json.t
 val pp : Format.formatter -> t -> unit

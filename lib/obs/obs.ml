@@ -1,18 +1,15 @@
 type t = {
   sink : Sink.t option;
-  mutable subscribers : (bool array * (Event.t -> unit)) list;
-      (* in delivery (subscription) order, each with the tags it takes *)
-  consumed : bool array;  (* per tag: the sink or some subscriber takes it *)
   counts : int Atomic.t array;  (* per tag: events emitted *)
   folded : int array;  (* per tag: the part of [counts] already in [metrics] *)
   metrics : Metrics.t;
   mutable now : unit -> float;
   mutable seq : int;
   lock : Mutex.t;
-      (* Serialises metric updates, sequence stamping and delivery.
-         Worker domains share the pool's handle, so everything the hooks
-         mutate is under this lock, atomic ([counts]) or domain-local
-         (see [tls]). *)
+      (* Serialises metric updates, sequence stamping and delivery to the
+         sink.  Worker domains share the pool's handle, so everything the
+         hooks mutate is under this lock, atomic ([counts]) or
+         domain-local (see [tls]). *)
   tls : tls Domain.DLS.key;
 }
 
@@ -35,8 +32,6 @@ let create ?sink () =
   Metrics.register_histogram metrics proxy_chain_hist ~edges:[| 1.; 2.; 3.; 4.; 6.; 8.; 12.; 16. |];
   {
     sink;
-    subscribers = [];
-    consumed = Array.make Event.tag_count (sink <> None);
     counts = Array.init Event.tag_count (fun _ -> Atomic.make 0);
     folded = Array.make Event.tag_count 0;
     metrics;
@@ -46,7 +41,6 @@ let create ?sink () =
     tls = Domain.DLS.new_key (fun () -> { ctx = None });
   }
 
-let sink t = t.sink
 let set_clock t now = t.now <- now
 let now_ms t = t.now ()
 let tls t = Domain.DLS.get t.tls
@@ -65,19 +59,6 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let subscribe t ?kinds f =
-  let wants =
-    match kinds with
-    | None -> Array.make Event.tag_count true
-    | Some names ->
-      let wants = Array.make Event.tag_count false in
-      List.iter (fun n -> wants.(Event.tag_of_type_name n) <- true) names;
-      wants
-  in
-  locked t (fun () ->
-      t.subscribers <- t.subscribers @ [ (wants, f) ];
-      Array.iteri (fun i w -> if w then t.consumed.(i) <- true) wants)
-
 (* Events counted since the last fold go into the registry's counters. *)
 let metrics t =
   locked t (fun () ->
@@ -91,35 +72,23 @@ let metrics t =
         t.counts;
       t.metrics)
 
-let rec notify event tag = function
-  | [] -> ()
-  | (wants, f) :: rest ->
-    if wants.(tag) then f event;
-    notify event tag rest
-
-(* Subscribers run under the handle's lock (they are part of delivery);
-   they must not call back into [emit]/[incr]/[observe] on this handle. *)
-let deliver t event tag =
-  (match t.sink with None -> () | Some sink -> Sink.emit sink event);
-  notify event tag t.subscribers
-
-(* The per-event path.  A kind nobody consumes is only counted: no lock,
-   no allocation.  A consumed one is stamped and delivered under the
+(* The per-event path.  Without a sink an event is only counted: no
+   lock, no allocation.  With one it is stamped and delivered under the
    lock, which keeps the sequence numbers consecutive. *)
 let emit t kind =
-  let tag = Event.tag kind in
-  Atomic.incr t.counts.(tag);
-  if t.consumed.(tag) then begin
+  Atomic.incr t.counts.(Event.tag kind);
+  match t.sink with
+  | None -> ()
+  | Some sink -> (
     Mutex.lock t.lock;
     match
       t.seq <- t.seq + 1;
-      deliver t { Event.seq = t.seq; at_ms = t.now (); kind; ctx = (tls t).ctx } tag
+      Sink.emit sink { Event.seq = t.seq; at_ms = t.now (); kind; ctx = (tls t).ctx }
     with
     | () -> Mutex.unlock t.lock
     | exception e ->
       Mutex.unlock t.lock;
-      raise e
-  end
+      raise e)
 
 let incr ?by t name = locked t (fun () -> Metrics.incr ?by t.metrics name)
 let observe t name v = locked t (fun () -> Metrics.observe t.metrics name v)

@@ -13,12 +13,17 @@
     [Natix_trace.Trace] spans, on the same clock; the handle carries
     events, counters and histograms only.
 
+    Every reader of a handle builds its own: [natix trace],
+    [natix recover --jsonl], the doctor ([Natix_prof.Doctor]) and the
+    bench.  The monitor ([Natix_mon.Mon]) reads operation records, not
+    events, so a session's store carries a handle only when its
+    configuration does.
+
     {b Domain safety.}  One handle may be shared by several worker
     domains (the latch-striped buffer pool emits through the store's
     handle from whichever domain fixes a page).  Metric updates, sequence
-    stamping and delivery are serialised by an internal mutex, except the
-    counting of an event kind that neither a sink nor any subscriber
-    consumes: that takes no lock.  The operation context
+    stamping and delivery to the sink are serialised by an internal
+    mutex; counting an event takes no lock.  The operation context
     ({!with_context}) is {e domain-local} — each domain attributes its
     own events, with no cross-domain bleed. *)
 
@@ -35,23 +40,6 @@ val create : ?sink:Sink.t -> unit -> t
     ["ev.<type>"] counters.  Events emitted later reach the counters at
     the next call. *)
 val metrics : t -> Metrics.t
-
-val sink : t -> Sink.t option
-
-(** [subscribe t ?kinds f] registers an in-process consumer: every event
-    emitted from now on whose {!Event.type_name} is in [kinds] (every
-    event without [kinds]) is also handed to [f], in subscription order,
-    {e after} the sink.  An event is sequence-stamped and delivered
-    whenever the sink or a subscriber consumes its kind; the sink
-    consumes every kind, so a sink sees consecutive sequence numbers.
-    [f] runs under the handle's delivery lock — it must be fast and must
-    not call back into this handle ({!emit}/{!incr}/{!observe}).
-    Subscribe before other domains emit: an emit racing with the
-    subscription may miss it.  The monitoring layer ([Natix_mon]) is the
-    intended consumer.  Subscriptions cannot be removed; they live as
-    long as the handle.
-    @raise Invalid_argument for a name in [kinds] that no kind has. *)
-val subscribe : t -> ?kinds:string list -> (Event.t -> unit) -> unit
 
 (** {2 Operation attribution}
 
@@ -73,10 +61,10 @@ val set_clock : t -> (unit -> float) -> unit
 
 val now_ms : t -> float
 
-(** Count an event in its ["ev.<type>"] counter; if the sink or a
-    subscriber consumes its kind, stamp it (sequence number + clock) and
-    deliver it.  A kind nobody consumes takes no lock and allocates
-    nothing. *)
+(** Count an event in its ["ev.<type>"] counter; with a sink, stamp it
+    (sequence number + clock) and deliver it, so a sink sees consecutive
+    sequence numbers.  Without a sink an emit takes no lock and
+    allocates nothing. *)
 val emit : t -> Event.kind -> unit
 
 (** Counter / histogram shorthands on {!metrics}. *)

@@ -41,7 +41,7 @@ let classify key =
 (* The paper's figures ([cells]), the instrumented build's event counts
    and histograms ([instrumented]) and the query bench's I/O objects are
    simulated and deterministic for a fixed build and input, at any job
-   count and with monitoring or tracing on, so a tolerance would only
+   count and with an obs handle or tracing on, so a tolerance would only
    hide drift: every numeric leaf there must be equal, wall time aside.
    [top] is the top-level key the subtree hangs under. *)
 let exact_subtree ~top key =

@@ -20,7 +20,7 @@
       equal, [splits] included: any difference is a {e mismatch},
       whatever the threshold.  The same holds inside the [*_io] objects
       under the top-level [query_bench], which reproduce bit for bit at
-      any job count and with monitoring or tracing on.
+      any job count and with an obs handle or tracing on.
 
     The gate fails (see {!ok}) on any regression or mismatch;
     improvements and informational changes are reported but pass. *)

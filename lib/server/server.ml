@@ -126,29 +126,16 @@ let run_query (tenant : Registry.tenant) ~doc ~path ~texts =
         Trace.set_plan tr (Natix_query.Engine.analysis_to_string a);
         Api.Hits (List.map render hits))
   in
-  (match Natix.Session.mon tenant.session with
-  | None -> ()
-  | Some mon ->
-    (* The active accumulator is this request's stream, so the delta is
-       the request's exact I/O — attribution stays exact even with other
-       requests of the same tenant in flight. *)
-    let d = Io_stats.diff (Io_stats.copy (Disk.active_stats disk)) before in
-    let rows = match resp with Api.Hits hits -> Some (List.length hits) | _ -> None in
-    Natix.Mon.record_op mon
-      {
-        Natix_mon.Recorder.seq = 0;
-        at_ms = (Tree_store.io_stats store).Io_stats.sim_ms;
-        kind = "query";
-        doc = Some doc;
-        detail = path;
-        plan = None;
-        reads = d.Io_stats.reads;
-        writes = d.Io_stats.writes;
-        sim_ms = d.Io_stats.sim_ms;
-        outcome = (match resp with Api.Err e -> "error:" ^ Natix_mon.Replay.error_class e | _ -> "ok");
-        digest = None;
-        rows;
-      });
+  (* The active accumulator is this request's stream, so the delta is
+     the request's exact I/O — attribution stays exact even with other
+     requests of the same tenant in flight. *)
+  let rows = match resp with Api.Hits hits -> Some (List.length hits) | _ -> None in
+  Natix.Mon.record_op (Natix.Session.mon tenant.session)
+    (Natix_mon.Recorder.make
+       ~at_ms:(Tree_store.io_stats store).Io_stats.sim_ms
+       ~kind:"query" ~doc ~detail:path ?rows
+       (Io_stats.diff (Io_stats.copy (Disk.active_stats disk)) before)
+       (match resp with Api.Err e -> Natix_mon.Recorder.outcome (Error e) | _ -> "ok"));
   resp
 
 (* The clock a request lives on: the tenant disk's global simulated
@@ -239,13 +226,8 @@ let execute t ?trace (tenant : Registry.tenant) req =
     (* A request that just crashed its tenant is the flight recorder's
        moment: dump the ring with the culprit's trace id in the meta
        line, where a post-mortem starts. *)
-    if tenant.crashed && not crashed_before then (
-      try
-        let oc = open_out (Natix.Session.flight_path ()) in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> Natix.Session.dump_flight ~trace_id:(Trace.trace_id tr) session oc)
-      with _ -> ()));
+    if tenant.crashed && not crashed_before then
+      ignore (Natix.Session.write_flight ~trace_id:(Trace.trace_id tr) session : string option));
   resp
 
 (* ---- the worker pool ---------------------------------------------- *)

@@ -257,12 +257,16 @@ let in_place_tests =
           (list_size (int_bound 20) gen_key)
           (list_size (int_bound 20) (pair gen_bound gen_bound)))
       (fun (keys, probes, ranges) ->
-        let obs = Natix_obs.Obs.create () in
         let reads = ref 0 in
-        Natix_obs.Obs.subscribe obs ~kinds:[ "btree_node" ] (fun ev ->
-            match ev.Natix_obs.Event.kind with
-            | Natix_obs.Event.Btree_node { op = Natix_obs.Event.Bt_read; _ } -> incr reads
-            | _ -> ());
+        let obs =
+          Natix_obs.Obs.create
+            ~sink:
+              (Natix_obs.Sink.callback (fun ev ->
+                   match ev.Natix_obs.Event.kind with
+                   | Natix_obs.Event.Btree_node { op = Natix_obs.Event.Bt_read; _ } -> incr reads
+                   | _ -> ()))
+            ()
+        in
         let disk = Disk.in_memory ~model:Io_model.free ~obs ~page_size:512 () in
         let pool = Buffer_pool.create ~disk ~bytes:(128 * 512) () in
         let rm = Record_manager.create (Segment.create pool) in

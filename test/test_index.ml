@@ -387,7 +387,7 @@ let stale_index_tests =
               let disk = Natix_store.Disk.on_file ~page_size path in
               Natix_store.Disk.set_faults disk (Some plan);
               let store = Tree_store.open_store ~config:(config ()) disk in
-              let sess = Natix.Session.of_store ~monitor:false store in
+              let sess = Natix.Session.of_store store in
               load_all sess 3;
               let before = Natix_store.Faulty_disk.writes_seen plan in
               Option.iter (fun k -> Natix_store.Faulty_disk.arm_crash plan (before + k)) arm;

@@ -219,7 +219,7 @@ let store_bytes load =
   Fun.protect ~finally:remove (fun () ->
       let config = Some { (Config.default ()) with Config.page_size = 4096 } in
       let index = Document_manager.Maintain in
-      let options = { Natix.Session.Options.default with config; index } in
+      let options = { Natix.Session.Options.config; index } in
       let sess = Natix.Session.open_store ~options path in
       load sess;
       Natix.Session.close sess;

@@ -58,7 +58,6 @@ let session_with_docs ?buffer_bytes names =
   s
 
 let cold s = Tree_store.clear_buffers (Natix.Session.store s)
-let mon_of s = Option.get (Natix.Session.mon s)
 
 (* ------------------------------------------------------------------ *)
 (* Window                                                              *)
@@ -193,18 +192,20 @@ let account_tests =
     Alcotest.test_case "sim-ms budget and pinned peak ride operation charges" `Quick
       (fun () ->
         let a = Account.create () in
-        Account.charge_op a ~doc:"d" ~at_ms:0. ~sim_ms:6. ~pinned:2;
-        Account.charge_op a ~doc:"d" ~at_ms:1. ~sim_ms:7. ~pinned:1;
+        Account.charge a ~doc:"d" ~at_ms:0. ~reads:3 ~sim_ms:6. ~pinned:2;
+        Account.charge a ~doc:"d" ~at_ms:1. ~reads:4 ~sim_ms:7. ~pinned:1;
         match Account.snapshot a ~at_ms:2. with
         | [ d ] ->
+          Alcotest.(check int) "reads total" 7 d.Account.reads_total;
+          Alcotest.(check (float 1e-9)) "reads windowed" 7. d.Account.win_reads.Window.sum;
           Alcotest.(check (float 1e-9)) "sim_ms total" 13. d.Account.sim_ms_total;
           Alcotest.(check (float 1e-9)) "sim_ms windowed" 13. d.Account.win_sim_ms.Window.sum;
           Alcotest.(check int) "pinned peak" 2 d.Account.pinned_peak
         | l -> Alcotest.failf "expected one account, got %d" (List.length l));
     Alcotest.test_case "snapshot sorted by document" `Quick (fun () ->
         let a = Account.create () in
-        Account.charge_reads a ~doc:"zeta" ~at_ms:0. 1;
-        Account.charge_reads a ~doc:"alpha" ~at_ms:0. 1;
+        Account.charge a ~doc:"zeta" ~at_ms:0. ~reads:1 ~sim_ms:0. ~pinned:0;
+        Account.charge a ~doc:"alpha" ~at_ms:0. ~reads:1 ~sim_ms:0. ~pinned:0;
         Alcotest.(check (list string)) "order" [ "alpha"; "zeta" ]
           (List.map (fun d -> d.Account.doc) (Account.snapshot a ~at_ms:0.)));
   ]
@@ -350,6 +351,53 @@ let replay_tests =
         let r = Replay.run ~jobs:1 store meta (load_op :: ops) in
         Alcotest.(check int) "skipped" 1 r.Replay.skipped;
         Alcotest.(check bool) "io not checked with non-query ops" false r.Replay.io_checked);
+    Alcotest.test_case "a flight dump of a served and a consumed query replays" `Quick
+      (fun () ->
+        let s = session_with_docs [ "a" ] in
+        let registry = Natix_server.Registry.create () in
+        Natix_server.Registry.mount registry "t" s;
+        let server =
+          Natix_server.Server.create
+            ~config:{ Natix_server.Server.default_config with jobs = 0 }
+            registry
+        in
+        let conn = Natix_server.Server.Loopback.connect server ~tenant:"t" in
+        (match
+           Natix_server.Server.Loopback.call conn
+             (Natix.Api.Query { doc = "a"; path = "//SPEAKER"; texts = false })
+         with
+        | Natix.Api.Hits _ -> ()
+        | r -> Alcotest.failf "served query: %a" Natix.Api.pp_response r);
+        Natix_server.Server.shutdown server;
+        (match Natix.Session.query s ~doc:"a" "//SPEAKER" with
+        | Ok seq -> ignore (Seq.length seq)
+        | Error e -> Alcotest.failf "query: %s" (Error.to_string e));
+        (* An error records its outcome; replay compares nothing more. *)
+        (match Natix.Session.query s ~doc:"missing" "//X" with
+        | Ok _ -> Alcotest.fail "query on a missing document succeeded"
+        | Error _ -> ());
+        let path = Filename.temp_file "natix_flight" ".jsonl" in
+        let meta, ops =
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              let oc = open_out path in
+              Natix.Session.dump_flight s oc;
+              close_out oc;
+              Recorder.load path)
+        in
+        let store = Natix.Session.store s in
+        let r = Replay.run store meta ops in
+        Alcotest.(check int) "every query replayed" 3 r.Replay.replayed;
+        Alcotest.(check int) "no mismatch" 0 (List.length r.Replay.mismatches);
+        let altered =
+          List.map
+            (fun (o : Recorder.op) ->
+              if o.kind = "query" then { o with rows = Option.map succ o.rows } else o)
+            ops
+        in
+        let r = Replay.run store meta altered in
+        Alcotest.(check int) "altered rows mismatch" 2 (List.length r.Replay.mismatches));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -362,7 +410,7 @@ let session_tests =
   [
     Alcotest.test_case "loads and consumed queries land in the flight ring" `Quick (fun () ->
         let s = session_with_docs [ "a"; "b" ] in
-        let mon = mon_of s in
+        let mon = Natix.Session.mon s in
         Alcotest.(check int) "one load op per document" 2 (List.length (find_ops mon "load"));
         cold s;
         let added_before = Mon.flight_added mon in
@@ -396,7 +444,7 @@ let session_tests =
     Alcotest.test_case "batch entry points record per-task ops with real I/O deltas" `Quick
       (fun () ->
         let s = session_with_docs [ "a"; "b"; "c" ] in
-        let mon = mon_of s in
+        let mon = Natix.Session.mon s in
         cold s;
         let outcome = Natix.Session.run_queries ~jobs:2 s (tasks_of [ "a"; "b"; "c" ]) in
         let batch_reads =
@@ -423,7 +471,7 @@ let session_tests =
           cold s;
           ignore (Natix.Session.run_queries ~jobs:1 s (tasks_of [ "a"; "b" ]));
           ignore (Natix.Session.scan_all ~jobs:1 s);
-          let mon = mon_of s in
+          let mon = Natix.Session.mon s in
           let at_ms =
             (Tree_store.io_stats (Natix.Session.store s)).Io_stats.sim_ms
           in
@@ -435,16 +483,40 @@ let session_tests =
         Alcotest.(check string) "prometheus" p1 p2;
         Alcotest.(check string) "json" j1 j2;
         Alcotest.(check bool) "non-trivial export" true (String.length p1 > 100));
-    Alcotest.test_case "monitor off: no handle is injected, no ring exists" `Quick (fun () ->
-        let s = Natix.Session.open_memory
-            ~options:{ Natix.Session.Options.default with config = Some (config ()); monitor = false }
-            () in
-        Alcotest.(check bool) "no monitor" true (Natix.Session.mon s = None);
-        Alcotest.(check bool) "no handle" true
-          (Tree_store.obs (Natix.Session.store s) = None);
-        match Natix.Session.store_document s ~name:"d" (parse (play_xml "d")) with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "store: %s" (Error.to_string e));
+    Alcotest.test_case
+      "a store has a handle only when its config does; its monitor records either way" `Quick
+      (fun () ->
+        let loads config =
+          let s =
+            Natix.Session.open_memory ~options:{ Natix.Session.Options.default with config } ()
+          in
+          (match Natix.Session.store_document s ~name:"d" (parse (play_xml "d")) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "store: %s" (Error.to_string e));
+          let handle = Tree_store.obs (Natix.Session.store s) in
+          let n = List.length (find_ops (Natix.Session.mon s) "load") in
+          Natix.Session.close s;
+          (handle, n)
+        in
+        let handle, n = loads (Some (config ())) in
+        Alcotest.(check bool) "no handle injected" true (handle = None);
+        Alcotest.(check int) "load recorded without a handle" 1 n;
+        let obs = Natix_obs.Obs.create () in
+        let handle, n = loads (Some (Config.with_obs obs (config ()))) in
+        Alcotest.(check bool) "the config's handle" true
+          (match handle with Some h -> h == obs | None -> false);
+        Alcotest.(check int) "load recorded with a handle" 1 n);
+    Alcotest.test_case "write_flight reports an unwritable path instead of raising" `Quick
+      (fun () ->
+        let s = session_with_docs [ "a" ] in
+        let saved = Option.value (Sys.getenv_opt "NATIX_FLIGHT_PATH") ~default:"" in
+        Unix.putenv "NATIX_FLIGHT_PATH" "/nonexistent/dir/f.jsonl";
+        let written =
+          Fun.protect
+            ~finally:(fun () -> Unix.putenv "NATIX_FLIGHT_PATH" saved)
+            (fun () -> Natix.Session.write_flight s)
+        in
+        Alcotest.(check (option string)) "not written" None written);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -456,7 +528,7 @@ let attribution_tests =
       (fun () ->
         let queried = [ "a"; "b"; "c" ] in
         let s = session_with_docs (queried @ [ "idle" ]) in
-        let mon = mon_of s in
+        let mon = Natix.Session.mon s in
         let store = Natix.Session.store s in
         cold s;
         let io = Tree_store.io_stats store in
@@ -479,7 +551,7 @@ let attribution_tests =
           let reads0, sim0 = List.assoc doc t0 in
           (reads1 - reads0, sim1 -. sim0)
         in
-        (* Every page read of the batch ran under some task's context, so
+        (* Every page read of the batch belongs to some task's record, so
            the per-document charges partition the batch total exactly. *)
         Alcotest.(check int) "per-doc reads partition the batch total" delta.Io_stats.reads
           (List.fold_left (fun acc d -> acc + fst (charged d)) 0 queried);
@@ -492,9 +564,9 @@ let attribution_tests =
         Alcotest.(check int) "idle doc: no reads" 0 (fst (charged "idle"));
         Alcotest.(check (float 1e-9)) "idle doc: no sim time" 0. (snd (charged "idle"));
         let at_ms = (Io_stats.copy io).Io_stats.sim_ms in
-        (* The metrics registry attributed reads under a query-phase
-           context for exactly the queried documents — "idle" only ever
-           appears under its load phase. *)
+        (* The metrics registry keyed reads under the query kind for
+           exactly the queried documents — "idle" only ever appears
+           under its load. *)
         let snap = Mon.metrics_snapshot mon ~at_ms in
         let reads = List.find (fun s -> s.Registry.name = "reads") snap.Registry.series in
         let query_docs =

@@ -435,18 +435,6 @@ let exec_tests =
         Alcotest.(check (list string)) "without" indexed walked;
         Alcotest.(check (list int)) "counts with the index" [ 2; 2; 1 ] indexed_counts;
         Alcotest.(check (list int)) "counts without" indexed_counts walked_counts);
-    Alcotest.test_case "Options: monitor = false leaves a session unmonitored, the default monitors"
-      `Quick (fun () ->
-        let s1 =
-          Natix.Session.open_memory
-            ~options:{ Natix.Session.Options.default with monitor = false }
-            ()
-        in
-        Alcotest.(check bool) "monitor = false: no monitor" true (Natix.Session.mon s1 = None);
-        Natix.Session.close s1;
-        let s2 = Natix.Session.open_memory () in
-        Alcotest.(check bool) "default: monitored" true (Natix.Session.mon s2 <> None);
-        Natix.Session.close s2);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -755,13 +743,12 @@ let mkdir_temp () =
   Unix.mkdir dir 0o700;
   dir
 
+let sim_now session = (Tree_store.io_stats (Natix.Session.store session)).Io_stats.sim_ms
+
 let account_totals session =
-  match Natix.Session.mon session with
-  | None -> Alcotest.fail "tenant session has no monitor"
-  | Some mon ->
-    let store = Natix.Session.store session in
-    let at_ms = (Io_stats.copy (Tree_store.io_stats store)).Io_stats.sim_ms in
-    List.map (fun d -> (d.Account.doc, d.Account.reads_total)) (Mon.accounts mon ~at_ms)
+  List.map
+    (fun d -> (d.Account.doc, d.Account.reads_total))
+    (Mon.accounts (Natix.Session.mon session) ~at_ms:(sim_now session))
 
 let tenant_tests =
   [
@@ -826,8 +813,8 @@ let tenant_tests =
           (fun r -> match r with Api.Hits _ -> () | r -> Alcotest.failf "%a" Api.pp_response r)
           (ra @ rb);
         (* The per-document account deltas partition each tenant's read
-           total exactly: every page read of the serving phase ran under
-           some request's (doc, serve:query) context. *)
+           total exactly: every page read of the serving phase belongs to
+           some request's operation record. *)
         let check_partition name t (io0, acct0) =
           let store = Natix.Session.store t.Registry.session in
           let reads = (Io_stats.diff (Io_stats.copy (Tree_store.io_stats store)) io0).Io_stats.reads in
@@ -844,21 +831,28 @@ let tenant_tests =
         in
         check_partition "alpha" alpha a0;
         check_partition "beta" beta b0;
-        (* Per-tenant export carries the (doc, serve:query) context. *)
-        (match Natix.Session.mon beta.Registry.session with
-        | None -> Alcotest.fail "no monitor"
-        | Some mon ->
-          let store = Natix.Session.store beta.Registry.session in
-          let prom =
-            Mon.export_prometheus mon
-              ~at_ms:(Io_stats.copy (Tree_store.io_stats store)).Io_stats.sim_ms
-          in
-          let contains hay needle =
-            let nl = String.length needle and hl = String.length hay in
-            let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-            go 0
-          in
-          Alcotest.(check bool) "export has serve context" true (contains prom "serve:query"));
+        (* The tenant's export attributes reads to each queried
+           document's query operations. *)
+        let prom =
+          Mon.export_prometheus (Natix.Session.mon beta.Registry.session)
+            ~at_ms:(sim_now beta.Registry.session)
+        in
+        List.iter
+          (fun doc ->
+            let prefix = Printf.sprintf "natix_reads_window{doc=\"%s\",phase=\"query\"} " doc in
+            let n = String.length prefix in
+            let value =
+              List.find_map
+                (fun line ->
+                  if String.starts_with ~prefix line then
+                    float_of_string_opt (String.sub line n (String.length line - n))
+                  else None)
+                (String.split_on_char '\n' prom)
+            in
+            match value with
+            | Some v -> Alcotest.(check bool) (doc ^ ": positive query reads") true (v > 0.)
+            | None -> Alcotest.failf "%s: no query reads line in the export" doc)
+          [ "b1"; "b2" ];
         Server.shutdown server;
         Registry.close_all registry;
         (* Owned tenants were checkpointed and closed: both stores fsck
@@ -874,7 +868,77 @@ let tenant_tests =
             check_hits (name ^ " reopens") 40
               (Natix.Session.exec s (Api.Query { doc; path = "//SPEAKER"; texts = false }));
             Tree_store.close ~commit:false store)
-          [ ("alpha", "a1"); ("beta", "b1") ])
+          [ ("alpha", "a1"); ("beta", "b1") ]);
+    Alcotest.test_case "served operations' records sum to the tenant's I/O" `Quick (fun () ->
+        let root = mkdir_temp () in
+        let options = { Natix.Session.Options.default with config = Some (config ()) } in
+        (* An empty store, 1 KB pages under a 16 KB pool: three plays
+           overflow the pool, so the loads read and write pages. *)
+        Natix.Session.close (Natix.Session.open_store ~options (Filename.concat root "t.natix"));
+        let registry = Registry.create ~root ~options () in
+        let server =
+          Server.create ~config:{ Server.default_config with Server.jobs = 2 } registry
+        in
+        let tenant =
+          match Registry.find registry "t" with Ok t -> t | Error e -> Error.raise_error e
+        in
+        let session = tenant.Registry.session in
+        let mon = Natix.Session.mon session in
+        let store = Natix.Session.store session in
+        let io0 = Io_stats.copy (Tree_store.io_stats store) in
+        Alcotest.(check int) "opening records nothing" 0 (Mon.flight_added mon);
+        let conn = Server.Loopback.connect server ~tenant:"t" in
+        let docs = [ "p0"; "p1"; "p2" ] in
+        List.iter
+          (fun doc ->
+            let xml = play_xml doc in
+            match Server.Loopback.call conn (Api.Load { doc; xml; order = Loader.Preorder }) with
+            | Api.Loaded _ -> ()
+            | r -> Alcotest.failf "load %s: %a" doc Api.pp_response r)
+          docs;
+        (match Server.Loopback.call conn (Api.Scan { element = "SPEAKER"; texts = false }) with
+        | Api.Scanned _ -> ()
+        | r -> Alcotest.failf "scan: %a" Api.pp_response r);
+        (match Server.Loopback.call conn Api.Checkpoint with
+        | Api.Checkpointed -> ()
+        | r -> Alcotest.failf "checkpoint: %a" Api.pp_response r);
+        Server.shutdown server;
+        let d = Io_stats.diff (Io_stats.copy (Tree_store.io_stats store)) io0 in
+        let ops = Mon.flight_ops mon in
+        Alcotest.(check (list string)) "one record per request"
+          [ "load"; "load"; "load"; "scan"; "checkpoint" ]
+          (List.map (fun (o : Natix_mon.Recorder.op) -> o.kind) ops);
+        Alcotest.(check bool) "the loads read pages" true (d.Io_stats.reads > 0);
+        Alcotest.(check bool) "and wrote pages" true (d.Io_stats.writes > 0);
+        let sum f = List.fold_left (fun acc o -> acc + f o) 0 ops in
+        Alcotest.(check int) "records' reads" d.Io_stats.reads
+          (sum (fun (o : Natix_mon.Recorder.op) -> o.reads));
+        Alcotest.(check int) "records' writes" d.Io_stats.writes
+          (sum (fun (o : Natix_mon.Recorder.op) -> o.writes));
+        Alcotest.(check (float 1e-6)) "records' sim-ms" d.Io_stats.sim_ms
+          (List.fold_left (fun acc (o : Natix_mon.Recorder.op) -> acc +. o.sim_ms) 0. ops);
+        let snap = Mon.metrics_snapshot mon ~at_ms:(sim_now session) in
+        let window name =
+          match List.find_opt (fun sr -> sr.Natix_mon.Registry.name = name) snap.series with
+          | Some sr -> int_of_float sr.window.Natix_mon.Window.sum
+          | None -> 0
+        in
+        Alcotest.(check int) "windowed reads" d.Io_stats.reads (window "reads");
+        Alcotest.(check int) "windowed writes" d.Io_stats.writes (window "writes");
+        let accounts = account_totals session in
+        List.iter
+          (fun (o : Natix_mon.Recorder.op) ->
+            if o.kind = "load" then
+              let doc = Option.get o.doc in
+              Alcotest.(check int) (doc ^ ": account reads are its load's") o.reads
+                (List.assoc doc accounts))
+          ops;
+        Registry.close_all registry;
+        let path = Filename.concat root "t.natix" in
+        List.iter
+          (fun p -> if Sys.file_exists p then Sys.remove p)
+          [ path; Natix_store.Recovery.wal_path path ];
+        Unix.rmdir root)
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -305,12 +305,16 @@ let pool_tests =
      qtest ~count:300 "one domain evicts exactly as a reference LRU"
        QCheck2.Gen.(list_size (int_range 1 150) (pair (int_bound 9) (int_bound (pages - 1))))
        (fun ops ->
-         let obs = Natix_obs.Obs.create () in
          let evicted = ref [] in
-         Natix_obs.Obs.subscribe obs ~kinds:[ "page_evict" ] (fun ev ->
-             match ev.Natix_obs.Event.kind with
-             | Natix_obs.Event.Page_evict { page; _ } -> evicted := page :: !evicted
-             | _ -> ());
+         let obs =
+           Natix_obs.Obs.create
+             ~sink:
+               (Natix_obs.Sink.callback (fun ev ->
+                    match ev.Natix_obs.Event.kind with
+                    | Natix_obs.Event.Page_evict { page; _ } -> evicted := page :: !evicted
+                    | _ -> ()))
+             ()
+         in
          let d = Disk.in_memory ~obs ~page_size:256 () in
          let pids = Array.init pages (fun _ -> Disk.allocate d) in
          let pool = Buffer_pool.create ~disk:d ~bytes:(frames * 256) () in
